@@ -11,7 +11,6 @@ from .bounds import (
     bound_ineq2,
     bound_ineq3,
     bound_thm1,
-    bound_thm2_dev,
     bound_thm3,
     bound_thm4,
     bound_thm6_margin,
@@ -77,5 +76,5 @@ from .models import (
     train_erm,
     zero_one,
 )
-from .semisup import SelfTrainConfig, SelfTrainResult, disagreement, train_self
+from .semisup import SelfTrainConfig, SelfTrainResult, train_self
 from .tritrain import AgreementSet, TriTrainConfig, TriTrainResult, build_tpl, tritrain_round

@@ -18,7 +18,7 @@ from dataclasses import dataclass, replace
 import numpy as np
 
 from .data import Dataset
-from .discrepancy import ExplicitClass, StumpClass, phd
+from .discrepancy import ExplicitClass, StumpClass, _threshold_errors, phd
 from .errors import ConfigError, ContractError, DegenerateInputError
 from .models import (
     Arch,
@@ -126,24 +126,18 @@ class RademacherEstimate:
 
 
 def _stump_sup_correlation(X: np.ndarray, sigma: np.ndarray, cls: StumpClass) -> float:
-    """Exact sup over the stump class of (1/n) sum sigma_i h(x_i)."""
+    """Exact sup over the stump class of (1/n) sum sigma_i h(x_i).
+
+    A pol-+ stump with m mistakes against the sign labels correlates
+    n - 2m; polarity - is the negation, hence the absolute value.
+    """
     n = X.shape[0]
-    total = float(sigma.sum())
-    best = -math.inf
-    if cls.include_constants:
-        best = abs(total)
+    labels = (sigma > 0).astype(np.int64)
+    best = abs(float(sigma.sum())) if cls.include_constants else 0.0
     for j, ths in zip(cls.features, cls.thresholds):
-        if not ths:
-            continue
-        t = np.asarray(ths)
-        order = np.argsort(X[:, j], kind="stable")
-        xs = X[order, j]
-        prefix = np.concatenate([[0.0], np.cumsum(sigma[order])])
-        pos = np.searchsorted(xs, t, side="left")
-        vals = total - 2.0 * prefix[pos]  # polarity +; polarity - is the negation
-        best = max(best, float(np.abs(vals).max()))
-    if best == -math.inf:
-        best = 0.0
+        if ths:
+            m = _threshold_errors(X[:, j], labels, np.asarray(ths))
+            best = max(best, float(np.abs(n - 2 * m).max()))
     return best / n
 
 
@@ -160,22 +154,18 @@ def rademacher(T: Dataset, cls, draws: int = DEFAULT_DRAWS, seed: int = 0,
         raise ConfigError(f"draws must be >= 1, got {draws}")
     if T.n == 0:
         raise DegenerateInputError("cannot estimate complexity on an empty sample")
-    vals = []
+    sigmas = (child_rng(seed, 9, k).choice([-1.0, 1.0], size=T.n) for k in range(draws))
     if isinstance(cls, StumpClass):
-        for k in range(draws):
-            sigma = child_rng(seed, 9, k).choice([-1.0, 1.0], size=T.n)
-            vals.append(_stump_sup_correlation(T.X, sigma, cls))
+        vals = [_stump_sup_correlation(T.X, sigma, cls) for sigma in sigmas]
         method, descr = "exact-finite", f"stumps({cls.size})"
     elif isinstance(cls, ExplicitClass):
         P = cls.prediction_matrix(T.X).astype(np.float64)
-        for k in range(draws):
-            sigma = child_rng(seed, 9, k).choice([-1.0, 1.0], size=T.n)
-            vals.append(float((P @ sigma).max()) / T.n)
+        vals = [float((P @ sigma).max()) / T.n for sigma in sigmas]
         method, descr = "exact-finite", f"explicit({cls.size})"
     elif isinstance(cls, Arch):
         cfg = train_cfg or TrainConfig(epochs=FIT_TO_NOISE_EPOCHS, seed=seed)
-        for k in range(draws):
-            sigma = child_rng(seed, 9, k).choice([-1.0, 1.0], size=T.n)
+        vals = []
+        for k, sigma in enumerate(sigmas):
             D = Dataset(T.X, ((sigma + 1) // 2).astype(np.int64), 2, "noise-fit")
             h = train_erm(D, cls, replace(cfg, seed=seed + 1000 * k))
             signed = 2.0 * predict(h, T.X) - 1.0
@@ -267,13 +257,6 @@ def bound_ineq3(h: Hypothesis, hS: Hypothesis, S: Dataset, T: Dataset, disc,
     """Worst-pair bound: source risk + discrepancy distance + diagnostic gap."""
     value = disc.value if hasattr(disc, "value") else float(disc)
     return _supremum_bound("ineq3-disc", h, hS, S, T, value, "disc", h_t_star, oracle_T)
-
-
-def bound_thm2_dev(h1_hat: Hypothesis, h2_hat: Hypothesis, h1_star: Hypothesis,
-                   h2_star: Hypothesis, T: Dataset, rad: RademacherEstimate,
-                   delta: float = DEFAULT_DELTA) -> float:
-    """Deviation bound on |empirical pair discrepancy - population value|."""
-    return thm2_dev_report(h1_hat, h2_hat, h1_star, h2_star, T, rad, delta).total
 
 
 def thm2_dev_report(h1_hat: Hypothesis, h2_hat: Hypothesis, h1_star: Hypothesis,

@@ -8,6 +8,11 @@ stump classes the suprema are computed exactly by enumeration; for trained
 architectures they are estimated adversarially, which is precisely where
 complex classes overestimate.
 
+Every threshold scan, here and in ``bounds``, counts mistakes with one
+prefix-count kernel. The two adversarial estimators share one routine and
+differ only in the reference labelling: constant one for ``d_H``, the
+source hypothesis's predictions for S-disc.
+
 Also houses exact empirical Wasserstein-1 (sorted coupling in 1-D, min-cost
 perfect matching otherwise) and the binned L1 distance.
 """
@@ -189,29 +194,33 @@ class ExplicitClass:
         return out
 
 
+def _threshold_errors(x: np.ndarray, ref: np.ndarray, thresholds: np.ndarray) -> np.ndarray:
+    """Zero-one mistakes of the pol-+ stump 1{x >= t} against ``ref`` at each threshold.
+
+    Reference-1 rows below t plus reference-0 rows at or above t, counted
+    exactly in integers from one sort and one prefix sum.
+    """
+    order = np.argsort(x, kind="stable")
+    pos = np.searchsorted(x[order], thresholds, side="left")
+    cum1 = np.concatenate([[0], np.cumsum(ref[order] == 1)])
+    below1 = cum1[pos]
+    return below1 + (x.shape[0] - cum1[-1] - (pos - below1))
+
+
 def stump_erm(cls: StumpClass, D: Dataset) -> Hypothesis:
     """Exact zero-one empirical risk minimizer over the stump class."""
     if not D.labeled:
         raise ContractError("stump ERM needs labels")
     if D.n == 0:
         raise DegenerateInputError("cannot fit on an empty dataset")
-    y = D.y
     n = D.n
-    n1 = int(np.sum(y == 1))
+    n1 = int(np.sum(D.y == 1))
     best_risk, best = 2.0, None
     for j, ths in zip(cls.features, cls.thresholds):
         if not ths:
             continue
         t = np.asarray(ths)
-        order = np.argsort(D.X[:, j], kind="stable")
-        xs = D.X[order, j]
-        ys = y[order]
-        pos = np.searchsorted(xs, t, side="left")
-        cum1 = np.concatenate([[0], np.cumsum(ys == 1)])
-        below1 = cum1[pos]           # labeled 1 but predicted 0 by pol +
-        below0 = pos - below1
-        # pol +: predicts 1 at x >= t -> errors: 1-labeled below, 0-labeled above
-        risk_plus = (below1 + (n - n1 - below0)) / n
+        risk_plus = _threshold_errors(D.X[:, j], D.y, t) / n
         risk_minus = 1.0 - risk_plus
         for risks, pol in ((risk_plus, 1), (risk_minus, -1)):
             i = int(np.argmin(risks))
@@ -265,36 +274,22 @@ def phd(h1: Hypothesis, h2: Hypothesis, T: Dataset, loss: LossSpec | None = None
 # ---------------------------------------------------------------------------
 
 
-def _risk_vs_reference_curves(x: np.ndarray, ref: np.ndarray, thresholds: np.ndarray) -> np.ndarray:
-    """Zero-one risk of the pol-+ stump at each threshold against reference labels."""
-    n = x.shape[0]
-    order = np.argsort(x, kind="stable")
-    xs = x[order]
-    rs = ref[order]
-    pos = np.searchsorted(xs, thresholds, side="left")
-    cum1 = np.concatenate([[0], np.cumsum(rs == 1)])
-    below1 = cum1[pos]
-    below0 = pos - below1
-    n1 = cum1[-1]
-    return (below1 + (n - n1 - below0)) / n
+def _sup_reference_gap(measure: str, S: Dataset, T: Dataset, cls: StumpClass, ref) -> DiscrepancyReport:
+    """Exact sup over the class of |risk_T(h, ref) - risk_S(h, ref)|.
 
-
-def _sup_reference_gap(S: Dataset, T: Dataset, cls: StumpClass,
-                       ref_s: np.ndarray, ref_t: np.ndarray) -> tuple[float, dict]:
-    """sup over the class of |risk_T(h, ref) - risk_S(h, ref)|.
-
-    Polarity flips replace risk by 1 - risk, so the gap is polarity
-    invariant; constants are checked separately.
+    ``ref`` maps features to reference labels. Polarity flips replace risk
+    by 1 - risk, so the gap is polarity invariant; constants are checked
+    separately.
     """
+    _require_nonempty(S, T)
+    ref_s, ref_t = ref(S.X), ref(T.X)
     best, info = -1.0, {}
     for j, ths in zip(cls.features, cls.thresholds):
         if not ths:
             continue
         t = np.asarray(ths)
-        gap = np.abs(
-            _risk_vs_reference_curves(T.X[:, j], ref_t, t)
-            - _risk_vs_reference_curves(S.X[:, j], ref_s, t)
-        )
+        gap = np.abs(_threshold_errors(T.X[:, j], ref_t, t) / T.n
+                     - _threshold_errors(S.X[:, j], ref_s, t) / S.n)
         i = int(np.argmax(gap))
         if gap[i] > best + 1e-15:
             best, info = float(gap[i]), {"feature": j, "threshold": float(t[i]), "polarity": 1}
@@ -302,7 +297,8 @@ def _sup_reference_gap(S: Dataset, T: Dataset, cls: StumpClass,
         gap_const = abs(float(np.mean(ref_t == 0)) - float(np.mean(ref_s == 0)))
         if gap_const > best + 1e-15:
             best, info = gap_const, {"feature": -1, "threshold": math.inf, "polarity": 1}
-    return best, info
+    return DiscrepancyReport(measure, max(best, 0.0), "exact-enumeration", details=info,
+                             n_source=S.n, n_target=T.n)
 
 
 def _require_nonempty(S: Dataset, T: Dataset) -> None:
@@ -310,24 +306,18 @@ def _require_nonempty(S: Dataset, T: Dataset) -> None:
         raise DegenerateInputError("both samples must be non-empty")
 
 
+def _constant_one(X: np.ndarray) -> np.ndarray:
+    return np.ones(X.shape[0], dtype=np.int64)
+
+
 def dh_exact(S: Dataset, T: Dataset, cls: StumpClass) -> DiscrepancyReport:
     """Exact supremum of |risk_T(h, 1) - risk_S(h, 1)| over the stump class."""
-    _require_nonempty(S, T)
-    ones_s = np.ones(S.n, dtype=np.int64)
-    ones_t = np.ones(T.n, dtype=np.int64)
-    value, info = _sup_reference_gap(S, T, cls, ones_s, ones_t)
-    return DiscrepancyReport("d_H", max(value, 0.0), "exact-enumeration", details=info,
-                             n_source=S.n, n_target=T.n)
+    return _sup_reference_gap("d_H", S, T, cls, _constant_one)
 
 
 def sdisc_exact(S: Dataset, T: Dataset, hS: Hypothesis, cls: StumpClass) -> DiscrepancyReport:
     """Exact source-guided discrepancy: reference fixed to hS's predictions."""
-    _require_nonempty(S, T)
-    ref_s = predict(hS, S.X)
-    ref_t = predict(hS, T.X)
-    value, info = _sup_reference_gap(S, T, cls, ref_s, ref_t)
-    return DiscrepancyReport("s_disc", max(value, 0.0), "exact-enumeration", details=info,
-                             n_source=S.n, n_target=T.n)
+    return _sup_reference_gap("s_disc", S, T, cls, lambda X: predict(hS, X))
 
 
 def disc_exact(S: Dataset, T: Dataset, cls: StumpClass) -> DiscrepancyReport:
@@ -388,26 +378,64 @@ def _scan_threshold_gap(score_s: np.ndarray, ref_s: np.ndarray,
     else:
         mids = (pooled[:-1] + pooled[1:]) / 2.0
         thresholds = np.concatenate([[pooled[0] - 1.0], mids, [pooled[-1] + 1.0]])
-    gap = np.abs(
-        _risk_vs_reference_curves(score_t, ref_t, thresholds)
-        - _risk_vs_reference_curves(score_s, ref_s, thresholds)
-    )
+    gap = np.abs(_threshold_errors(score_t, ref_t, thresholds) / score_t.shape[0]
+                 - _threshold_errors(score_s, ref_s, thresholds) / score_s.shape[0])
     return float(gap.max())
-
-
-def _domain_dataset(S: Dataset, T: Dataset, source_label: int) -> Dataset:
-    X = np.vstack([S.X, T.X])
-    y = np.concatenate([
-        np.full(S.n, source_label, dtype=np.int64),
-        np.full(T.n, 1 - source_label, dtype=np.int64),
-    ])
-    return Dataset(X, y, 2, "domain-pair")
 
 
 def _split_halves(D: Dataset, rng) -> tuple[Dataset, Dataset]:
     perm = rng.permutation(D.n)
     half = D.n // 2
     return D.take(np.sort(perm[:half])), D.take(np.sort(perm[half:]))
+
+
+def _adversarial_gap(S: Dataset, T: Dataset, ref, arch: Arch, cfg: TrainConfig, eval_mode: str,
+                     stream: int, directions: tuple[str, str]) -> tuple[dict, np.ndarray, np.ndarray]:
+    """Adversarial lower bound on sup |risk_T(h, ref) - risk_S(h, ref)|.
+
+    ``ref`` maps features to reference labels. Direction k (seed offset k)
+    trains toward the reference on source and its flip on target, or the
+    reverse for k = 1. Held-out mode fits on one half of each sample, split
+    by ``child_rng(cfg.seed, stream)``, and evaluates on the other. Returns
+    the statistic per direction and the evaluation samples' reference labels.
+    """
+    if eval_mode not in ("insample", "heldout"):
+        raise ConfigError(f"unknown eval_mode {eval_mode!r}")
+    if eval_mode == "heldout":
+        rng = child_rng(cfg.seed, stream)
+        S_fit, S_eval = _split_halves(S, rng)
+        T_fit, T_eval = _split_halves(T, rng)
+    else:
+        S_fit = S_eval = S
+        T_fit = T_eval = T
+    ref_sf, ref_tf = ref(S_fit.X), ref(T_fit.X)
+    ref_se, ref_te = ref(S_eval.X), ref(T_eval.X)
+
+    def statistic(h: Hypothesis) -> float:
+        # Shifting the output bias keeps the witness inside the class, so
+        # the best decision threshold over the scored samples is scanned.
+        return _scan_threshold_gap(scores(h, S_eval.X)[:, 0], ref_se,
+                                   scores(h, T_eval.X)[:, 0], ref_te)
+
+    stats = {}
+    for k, direction in enumerate(directions):
+        ys, yt = (ref_sf, 1 - ref_tf) if k == 0 else (1 - ref_sf, ref_tf)
+        D = Dataset(np.vstack([S_fit.X, T_fit.X]), np.concatenate([ys, yt]), 2, "domain-pair")
+        # Every hypothesis visited during training is a valid witness for the
+        # supremum lower bound; keep the best-statistic checkpoint.
+        h, _ = train_erm_traced(D, arch, replace(cfg, seed=cfg.seed + k),
+                                metric=lambda hyp: -statistic(hyp), keep_best=True)
+        stats[direction] = statistic(h)
+    return stats, ref_se, ref_te
+
+
+def _adversarial_report(measure: str, stats: dict, eval_mode: str, cfg: TrainConfig,
+                        ref_s: np.ndarray, ref_t: np.ndarray) -> DiscrepancyReport:
+    best = max(stats, key=lambda k: stats[k])
+    return DiscrepancyReport(measure, stats[best], "adversarial",
+                             details={"direction": best, **{f"stat_{k}": v for k, v in stats.items()},
+                                      "eval_mode": eval_mode},
+                             seeds=(cfg.seed,), n_source=ref_s.size, n_target=ref_t.size)
 
 
 def dh_adv(S: Dataset, T: Dataset, arch: Arch, cfg: TrainConfig,
@@ -425,38 +453,9 @@ def dh_adv(S: Dataset, T: Dataset, arch: Arch, cfg: TrainConfig,
     _require_nonempty(S, T)
     if arch.out_dim != 1:
         raise ContractError("domain discrimination needs a single-score architecture")
-    if eval_mode not in ("insample", "heldout"):
-        raise ConfigError(f"unknown eval_mode {eval_mode!r}")
-    if eval_mode == "heldout":
-        rng = child_rng(cfg.seed, 6)
-        S_fit, S_eval = _split_halves(S, rng)
-        T_fit, T_eval = _split_halves(T, rng)
-    else:
-        S_fit = S_eval = S
-        T_fit = T_eval = T
-
-    ones_s = np.ones(S_eval.n, dtype=np.int64)
-    ones_t = np.ones(T_eval.n, dtype=np.int64)
-
-    def statistic(h: Hypothesis) -> float:
-        # Shifting the output bias keeps the witness inside the class, so
-        # the best decision threshold over the scored samples is scanned.
-        return _scan_threshold_gap(scores(h, S_eval.X)[:, 0], ones_s,
-                                   scores(h, T_eval.X)[:, 0], ones_t)
-
-    stats = {}
-    for direction, source_label in (("source-as-1", 1), ("source-as-0", 0)):
-        # Every hypothesis visited during training is a valid witness for the
-        # supremum lower bound; keep the best-statistic checkpoint.
-        h, _ = train_erm_traced(_domain_dataset(S_fit, T_fit, source_label), arch,
-                                replace(cfg, seed=cfg.seed + (0 if source_label else 1)),
-                                metric=lambda hyp: -statistic(hyp), keep_best=True)
-        stats[direction] = statistic(h)
-    best = max(stats, key=lambda k: stats[k])
-    return DiscrepancyReport("d_H", stats[best], "adversarial",
-                             details={"direction": best, **{f"stat_{k}": v for k, v in stats.items()},
-                                      "eval_mode": eval_mode},
-                             seeds=(cfg.seed,), n_source=S_eval.n, n_target=T_eval.n)
+    stats, ref_s, ref_t = _adversarial_gap(S, T, _constant_one, arch, cfg, eval_mode, 6,
+                                           ("source-as-1", "source-as-0"))
+    return _adversarial_report("d_H", stats, eval_mode, cfg, ref_s, ref_t)
 
 
 def sdisc_adv(S: Dataset, T: Dataset, hS: Hypothesis, arch: Arch, cfg: TrainConfig,
@@ -470,37 +469,11 @@ def sdisc_adv(S: Dataset, T: Dataset, hS: Hypothesis, arch: Arch, cfg: TrainConf
     _require_nonempty(S, T)
     if arch.out_dim != 1 or hS.arch.out_dim != 1:
         raise ContractError("source-guided adversarial estimation is binary only")
-    if eval_mode not in ("insample", "heldout"):
-        raise ConfigError(f"unknown eval_mode {eval_mode!r}")
-    if eval_mode == "heldout":
-        rng = child_rng(cfg.seed, 7)
-        S_fit, S_eval = _split_halves(S, rng)
-        T_fit, T_eval = _split_halves(T, rng)
-    else:
-        S_fit = S_eval = S
-        T_fit = T_eval = T
-    ref_sf, ref_tf = predict(hS, S_fit.X), predict(hS, T_fit.X)
-    ref_se, ref_te = predict(hS, S_eval.X), predict(hS, T_eval.X)
-
-    def statistic(h: Hypothesis) -> float:
-        return _scan_threshold_gap(scores(h, S_eval.X)[:, 0], ref_se,
-                                   scores(h, T_eval.X)[:, 0], ref_te)
-
-    stats = {}
-    for direction, flip_target in (("agree-on-source", True), ("agree-on-target", False)):
-        ys = ref_sf if flip_target else 1 - ref_sf
-        yt = 1 - ref_tf if flip_target else ref_tf
-        D = Dataset(np.vstack([S_fit.X, T_fit.X]), np.concatenate([ys, yt]), 2, "sdisc-pair")
-        h, _ = train_erm_traced(D, arch, replace(cfg, seed=cfg.seed + (0 if flip_target else 1)),
-                                metric=lambda hyp: -statistic(hyp), keep_best=True)
-        stats[direction] = statistic(h)
+    stats, ref_s, ref_t = _adversarial_gap(S, T, lambda X: predict(hS, X), arch, cfg, eval_mode, 7,
+                                           ("agree-on-source", "agree-on-target"))
     # the two constant hypotheses are always available witnesses
-    stats["constant"] = abs(float(np.mean(ref_te == 0)) - float(np.mean(ref_se == 0)))
-    best = max(stats, key=lambda k: stats[k])
-    return DiscrepancyReport("s_disc", stats[best], "adversarial",
-                             details={"direction": best, **{f"stat_{k}": v for k, v in stats.items()},
-                                      "eval_mode": eval_mode},
-                             seeds=(cfg.seed,), n_source=S_eval.n, n_target=T_eval.n)
+    stats["constant"] = abs(float(np.mean(ref_t == 0)) - float(np.mean(ref_s == 0)))
+    return _adversarial_report("s_disc", stats, eval_mode, cfg, ref_s, ref_t)
 
 
 # ---------------------------------------------------------------------------
@@ -553,8 +526,10 @@ def l1_hist(S: Dataset, T: Dataset, bins: int = 10) -> float:
         raise ConfigError(f"bins must be >= 1, got {bins}")
     if S.d != T.d:
         raise ContractError(f"feature dims differ: {S.d} vs {T.d}")
-    if bins**S.d > HIST_CELL_CAP:
-        raise CapacityError(f"{bins}^{S.d} histogram cells exceed the cap; reduce bins or dimensions")
+    # histogramdd adds an outlier bin on each side of every axis
+    if (bins + 2) ** S.d > HIST_CELL_CAP:
+        raise CapacityError(f"({bins}+2)^{S.d} histogram cells, outlier bins included, exceed the cap "
+                            f"{HIST_CELL_CAP}; reduce bins or dimensions")
     pooled = np.vstack([S.X, T.X])
     edges = []
     for j in range(S.d):

@@ -119,10 +119,3 @@ def train_self(S: Dataset, T: Dataset, arch: Arch, cfg: SelfTrainConfig, seed: i
         added_per_round=tuple(added_per_round),
         target=T.with_consumed(consumed),
     )
-
-
-def disagreement(h1: Hypothesis, h2: Hypothesis, D: Dataset) -> float:
-    """Zero-one disagreement rate; the supervised-vs-semisupervised statistic."""
-    from .models import empirical_risk, zero_one
-
-    return empirical_risk(h1, h2, D, zero_one())

@@ -56,6 +56,66 @@ def test_bounds_thm4_terms_sum_to_total(tmp_path, capsys):
     assert doc["total"] == pytest.approx(sum(t["value"] for t in doc["terms"]), abs=1e-12)
 
 
+@pytest.fixture(scope="module")
+def bound_inputs(tmp_path_factory):
+    out = tmp_path_factory.mktemp("bounds")
+    assert main(["--seed", "3", "--out", str(out), "gen", "--n", "120", "--d", "2"]) == 0
+    src = out / "pair_source.csv"
+    # briefly trained small nets disagree on some rows, so the terms differ;
+    # two scores per row, as the margin bound (thm6) needs
+    for seed in range(5):
+        assert main(["--seed", str(seed), "--out", str(out), "train", "--data", str(src), "--hidden", "4",
+                     "--out-dim", "2", "--epochs", "3", "--model-name", f"m{seed}.bin"]) == 0
+    return src, out / "pair_target.csv", [out / f"m{seed}.bin" for seed in range(5)]
+
+
+def _library_bound(bound, src, tgt, models):
+    from phdkit.bounds import (
+        bound_ineq1,
+        bound_ineq2,
+        bound_ineq3,
+        bound_thm1,
+        bound_thm3,
+        bound_thm4,
+        bound_thm6_margin,
+        lemma1_report,
+        rademacher,
+        thm2_dev_report,
+    )
+    from phdkit.data import read_csv
+    from phdkit.discrepancy import StumpClass, disc_exact, sdisc_exact
+    from phdkit.models import load_hypothesis, zero_one
+
+    S, T = read_csv(src, label_col="label"), read_csv(tgt, label_col="label")
+    h, h1, h2, h1_star, h2_star = (load_hypothesis(m) for m in models)
+    diag = {"h_t_star": h1_star, "oracle_T": T}
+    rad = rademacher(T, StumpClass.from_data(T), draws=8, seed=0)
+    cls = StumpClass.from_data(S, T)
+    return {
+        "lemma1": lambda: lemma1_report(1.0, T.n, 0.05),
+        "ineq1": lambda: bound_ineq1(h, h1, T, **diag),
+        "thm1": lambda: bound_thm1(h, h1, h2, T, zero_one(), **diag),
+        "ineq2": lambda: bound_ineq2(h, h1, S, T, sdisc_exact(S, T, h1, cls).value, **diag),
+        "ineq3": lambda: bound_ineq3(h, h1, S, T, disc_exact(S, T, cls).value, **diag),
+        "thm2": lambda: thm2_dev_report(h1, h2, h1_star, h2_star, T, rad, 0.05),
+        "thm3": lambda: bound_thm3(h, h1, h2, h1_star, h2_star, T, rad, None, 0.05, **diag),
+        "thm4": lambda: bound_thm4(h, h1, h2, T, rad, 0.05, **diag),
+        "thm6": lambda: bound_thm6_margin(h, h1, h2, T, 1.0, 2, rad, 0.05, **diag),
+    }[bound]().to_dict()
+
+
+@pytest.mark.parametrize("bound", ["ineq1", "ineq2", "ineq3", "thm1", "thm2", "thm3", "thm4", "thm6", "lemma1"])
+def test_bounds_command_matches_library_call(bound, bound_inputs, capsys):
+    src, tgt, models = bound_inputs
+    h, h1, h2, h1_star, h2_star = map(str, models)
+    code, out, err = run(["bounds", "--bound", bound, "--source", str(src), "--target", str(tgt),
+                          "--h", h, "--h1", h1, "--h2", h2, "--h1-star", h1_star, "--h2-star", h2_star,
+                          "--ht-star", h1_star, "--rad-draws", "8"], capsys)
+    assert code == 0, err
+    expected = json.loads(json.dumps(_library_bound(bound, src, tgt, models)))
+    assert json.loads(out)["result"] == expected
+
+
 def test_divergence_gives_exit_3(tmp_path, capsys):
     import numpy as np
 
@@ -87,6 +147,22 @@ def test_dh_exact_and_w1_commands(tmp_path, capsys):
                         "--bins", "6"], capsys)
     doc = json.loads(out)["result"]
     assert code == 0 and doc["value"] >= 0.0 and "l1_hist" in doc
+
+
+def test_w1_bins_capacity_counts_outlier_bins(tmp_path, capsys):
+    import numpy as np
+
+    from phdkit.data import Dataset, write_csv
+
+    # 2^16 inner cells pass a bins**d check, but histogramdd allocates 4^16
+    rng = np.random.default_rng(0)
+    paths = []
+    for name in ("s", "t"):
+        paths.append(tmp_path / f"{name}.csv")
+        write_csv(Dataset(rng.standard_normal((8, 16))), paths[-1])
+    code, _, err = run(["w1", "--source", str(paths[0]), "--target", str(paths[1]), "--bins", "2"], capsys)
+    assert code == 2
+    assert json.loads(err.strip())["error"] == "CapacityError"
 
 
 def test_gradcheck_command(capsys):

@@ -22,6 +22,7 @@ from phdkit.models import (
     TrainConfig,
     constant_hypothesis,
     linear_arch,
+    mlp_arch,
     predict,
     stump_hypothesis,
 )
@@ -238,6 +239,28 @@ def test_sdisc_adv_identical_sample_small_and_separable_close_to_exact():
     assert abs(est - exact) <= 0.05
 
 
+def test_adv_heldout_mode_reports_on_evaluation_halves():
+    rng = rng_from(13)
+    S = Dataset(rng.standard_normal((41, 2)))
+    T = Dataset(rng.standard_normal((30, 2)) + 0.5)
+    arch = mlp_arch(2, (8,), batch_norm=False)
+    cfg = TrainConfig(epochs=5, batch_size=16, lr=1e-2, seed=3)
+    hS = stump_hypothesis(0, 0.0, 1, 2)
+    runs = {
+        "dh": (lambda: dh_adv(S, T, arch, cfg, eval_mode="heldout"), ("source-as-1", "source-as-0")),
+        "sdisc": (lambda: sdisc_adv(S, T, hS, arch, cfg, eval_mode="heldout"),
+                  ("agree-on-source", "agree-on-target", "constant")),
+    }
+    for run, directions in runs.values():
+        rep = run()
+        assert (rep.n_source, rep.n_target) == (41 - 41 // 2, 30 - 30 // 2)
+        assert rep.details["eval_mode"] == "heldout"
+        stats = {d: rep.details[f"stat_{d}"] for d in directions}
+        assert rep.value == max(stats.values())
+        assert rep.details["direction"] in directions
+        assert run().to_dict() == rep.to_dict()
+
+
 # --- transport and histogram distances ---------------------------------------
 
 
@@ -329,6 +352,14 @@ def test_l1_hist_matches_frequency_oracle():
     S = Dataset(rng.standard_normal((40, 2)))
     T = Dataset(rng.standard_normal((40, 2)) + 0.5)
     assert l1_hist(S, T, bins=5) == pytest.approx(brute_l1_hist(S, T, 5), abs=1e-12)
+
+
+def test_l1_hist_capacity_counts_outlier_bins():
+    # 2^16 inner cells pass a bins**d check, but histogramdd allocates 4^16
+    rng = rng_from(18)
+    S = Dataset(rng.standard_normal((8, 16)))
+    with pytest.raises(CapacityError, match="outlier bins"):
+        l1_hist(S, S, bins=2)
 
 
 def test_chain_pointwise_gap_below_disc():

@@ -3,8 +3,8 @@ import pytest
 
 from phdkit.data import Dataset, SplitSpec, gen_gaussian_pair, split
 from phdkit.errors import ConfigError
-from phdkit.models import TrainConfig, linear_arch, mlp_arch, train_erm
-from phdkit.semisup import SelfTrainConfig, disagreement, train_self
+from phdkit.models import TrainConfig, empirical_risk, linear_arch, mlp_arch, train_erm, zero_one
+from phdkit.semisup import SelfTrainConfig, train_self
 
 
 def _cfg(epochs=30, rounds=5, tau=0.95, cap=None, batch=64):
@@ -34,7 +34,7 @@ def test_identical_domains_small_disagreement():
     T_fit, T_eval = split(T.without_labels(), SplitSpec((0.5, 0.5), seed=2))
     res = train_self(S, T_fit, linear_arch(2), _cfg(epochs=40), seed=5)
     h_s = train_erm(S, linear_arch(2), TrainConfig(epochs=40, batch_size=64, seed=5))
-    assert disagreement(res.hypothesis, h_s, T_eval) <= 0.05
+    assert empirical_risk(res.hypothesis, h_s, T_eval, zero_one()) <= 0.05
 
 
 def test_consumed_set_monotone_and_exact():
@@ -79,4 +79,4 @@ def test_premise_small_disagreement_across_ten_seeds():
         T_fit, T_eval = split(T.without_labels(), SplitSpec((0.5, 0.5), seed=seed))
         res = train_self(S, T_fit, linear_arch(2), _cfg(epochs=30), seed=seed)
         h_s = train_erm(S, linear_arch(2), TrainConfig(epochs=30, batch_size=64, seed=seed))
-        assert disagreement(res.hypothesis, h_s, T_eval) <= 0.1
+        assert empirical_risk(res.hypothesis, h_s, T_eval, zero_one()) <= 0.1
