@@ -45,7 +45,7 @@ class Term:
     diagnostic: bool = False
 
     def __post_init__(self):
-        if self.value < -1e-12:
+        if not self.value >= -1e-12:  # also rejects NaN, which max() below would turn into 0
             raise ContractError(f"bound term {self.name} must be non-negative, got {self.value}")
         object.__setattr__(self, "value", max(0.0, float(self.value)))
 

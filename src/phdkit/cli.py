@@ -5,7 +5,7 @@ run configuration and artifact version are embedded in every report for
 provenance. Wall-clock metadata goes to a separate run_meta.json next to
 the reports, so report bytes are identical across reruns with one seed.
 
-Exit codes: 0 success, 2 contract/config/format errors (machine-readable
+Exit codes: 0 success, 2 usage/contract/config/format errors (machine-readable
 JSON on stderr), 3 divergence mid-run (partial trace preserved when an
 output directory is set).
 """
@@ -65,6 +65,7 @@ from .models import (
     train_erm,
     zero_one,
 )
+from .numkit import rng_from
 from .protocols import PROTOCOLS
 from .semisup import SelfTrainConfig
 from .tritrain import TriTrainConfig, tritrain_round
@@ -74,35 +75,31 @@ EXIT_CONTRACT = 2
 EXIT_NUMERIC = 3
 
 
-def _parse_hidden(text: str) -> tuple[int, ...]:
-    text = text.strip()
-    if not text:
-        return ()
-    return tuple(int(v) for v in text.split(","))
-
-
-def _parse_floats(text: str) -> tuple[float, ...]:
-    return tuple(float(v) for v in str(text).split(","))
+def _numbers(text, elem=float) -> tuple:
+    """Comma-separated numbers; blank text is the empty tuple."""
+    try:
+        return tuple(elem(v) for v in str(text).split(",")) if str(text).strip() else ()
+    except ValueError:
+        raise ConfigError(f"expected comma-separated numbers, got {text!r}") from None
 
 
 DEFAULT_LABEL_COL = "label"
 
 
-def _load_dataset(path: str, label_col: str | None = DEFAULT_LABEL_COL, labels: str | None = None,
-                  k: int | None = None) -> Dataset:
+def _load_dataset(path: str, label_col: str | None = DEFAULT_LABEL_COL, labels: str | None = None) -> Dataset:
     p = Path(path)
     if p.suffix.lower() == ".csv":
-        if label_col == DEFAULT_LABEL_COL:
+        if label_col == DEFAULT_LABEL_COL and p.exists():
             # conventional column name: fall back to unlabeled when absent
-            header = p.read_text().splitlines()[0].split(",") if p.exists() else []
-            if DEFAULT_LABEL_COL not in header:
-                label_col = None
-        return read_csv(p, label_col=label_col if label_col else None, k=k)
+            with open(p, "rb") as f:
+                if DEFAULT_LABEL_COL.encode() not in f.readline().rstrip(b"\r\n").split(b","):
+                    label_col = None
+        return read_csv(p, label_col=label_col if label_col else None)
     return read_idx(p, labels_path=labels)
 
 
 def _arch_from_args(args, in_dim: int) -> Arch:
-    hidden = _parse_hidden(args.hidden)
+    hidden = _numbers(args.hidden, int)
     if not hidden:
         return linear_arch(in_dim, args.out_dim)
     return mlp_arch(in_dim, hidden, out_dim=args.out_dim, batch_norm=args.batch_norm)
@@ -131,13 +128,16 @@ def _emit(args, name: str, payload: dict, csv_rows: tuple[list[str], list[list[s
                 "out_dir": str(out), "config_file": args.config}
         (out / "run_meta.json").write_text(json.dumps(meta, sort_keys=True, indent=2) + "\n")
         if args.format == "csv" and csv_rows is not None:
-            header, rows = csv_rows
-            with open(out / f"{name}_report.csv", "w", newline="") as f:
-                w = _csv.writer(f)
-                w.writerow(header)
-                w.writerows(rows)
+            _write_table(out / f"{name}_report.csv", *csv_rows)
     else:
         sys.stdout.write(text)
+
+
+def _write_table(path: Path, header: list[str], rows: list[list[str]]) -> None:
+    with open(path, "w", newline="") as f:
+        w = _csv.writer(f)
+        w.writerow(header)
+        w.writerows(rows)
 
 
 def _jsonable(obj):
@@ -158,7 +158,7 @@ def _jsonable(obj):
 
 
 def cmd_gen(args) -> None:
-    shift = _parse_floats(args.shift)
+    shift = _numbers(args.shift)
     shift_arg = shift[0] if len(shift) == 1 else np.asarray(shift)
     S, T = gen_gaussian_pair(args.n, args.d, shift=shift_arg, rotate=args.rotate,
                              label_rule=args.rule, seed=args.seed, k=args.k,
@@ -197,40 +197,23 @@ def cmd_phd(args) -> None:
     _emit(args, "phd", rep.to_dict(), (rep.csv_header(), [rep.csv_row()]))
 
 
-def _exact_or_adv(args, S: Dataset, T: Dataset, kind: str):
-    if args.method == "exact":
+def cmd_measure(args) -> None:
+    """dh, sdisc or disc of --source against --target: exact stump scan or adversarial estimate."""
+    kind = args.command
+    if kind == "sdisc" and args.model is None:
+        raise ConfigError("sdisc needs --model, the saved source hypothesis")
+    S = _load_dataset(args.source, args.label_col)
+    T = _load_dataset(args.target, args.label_col)
+    hS = load_hypothesis(args.model) if kind == "sdisc" else None
+    if kind == "disc" or args.method == "exact":
         cls = StumpClass.from_data(S, T)
-        if kind == "dh":
-            return dh_exact(S, T, cls)
-        hS = load_hypothesis(args.model)
-        return sdisc_exact(S, T, hS, cls)
-    arch = _arch_from_args(args, S.d)
-    cfg = _train_cfg(args, args.seed)
-    if kind == "dh":
-        return dh_adv(S, T, arch, cfg, eval_mode=args.eval_mode)
-    hS = load_hypothesis(args.model)
-    return sdisc_adv(S, T, hS, arch, cfg, eval_mode=args.eval_mode)
-
-
-def cmd_dh(args) -> None:
-    S = _load_dataset(args.source, args.label_col)
-    T = _load_dataset(args.target, args.label_col)
-    rep = _exact_or_adv(args, S, T, "dh")
-    _emit(args, "dh", rep.to_dict(), (rep.csv_header(), [rep.csv_row()]))
-
-
-def cmd_sdisc(args) -> None:
-    S = _load_dataset(args.source, args.label_col)
-    T = _load_dataset(args.target, args.label_col)
-    rep = _exact_or_adv(args, S, T, "sdisc")
-    _emit(args, "sdisc", rep.to_dict(), (rep.csv_header(), [rep.csv_row()]))
-
-
-def cmd_disc(args) -> None:
-    S = _load_dataset(args.source, args.label_col)
-    T = _load_dataset(args.target, args.label_col)
-    rep = disc_exact(S, T, StumpClass.from_data(S, T))
-    _emit(args, "disc", rep.to_dict(), (rep.csv_header(), [rep.csv_row()]))
+        rep = (disc_exact(S, T, cls) if kind == "disc" else dh_exact(S, T, cls) if kind == "dh"
+               else sdisc_exact(S, T, hS, cls))
+    else:
+        arch, cfg = _arch_from_args(args, S.d), _train_cfg(args, args.seed)
+        rep = (dh_adv(S, T, arch, cfg, eval_mode=args.eval_mode) if kind == "dh"
+               else sdisc_adv(S, T, hS, arch, cfg, eval_mode=args.eval_mode))
+    _emit(args, kind, rep.to_dict(), (rep.csv_header(), [rep.csv_row()]))
 
 
 def cmd_w1(args) -> None:
@@ -243,21 +226,33 @@ def cmd_w1(args) -> None:
     _emit(args, "w1", payload, (rep.csv_header(), [rep.csv_row()]))
 
 
+# The flags each bound reads besides --target; --ht-star is an optional diagnostic for all.
+BOUND_INPUTS = {
+    "ineq1": ("h", "h1"),
+    "ineq2": ("h", "h1", "source"),
+    "ineq3": ("h", "h1", "source"),
+    "thm1": ("h", "h1", "h2"),
+    "thm2": ("h1", "h2", "h1_star", "h2_star"),
+    "thm3": ("h", "h1", "h2", "h1_star", "h2_star"),
+    "thm4": ("h", "h1", "h2"),
+    "thm6": ("h", "h1", "h2"),
+    "lemma1": (),
+}
+
+
 def cmd_bounds(args) -> None:
+    need = BOUND_INPUTS[args.bound]
+    missing = ["--" + k.replace("_", "-") for k in need if getattr(args, k) is None]
+    if missing:
+        raise ConfigError(f"bounds --bound {args.bound} needs {', '.join(missing)}")
     T = _load_dataset(args.target, args.label_col, args.labels)
-    h = load_hypothesis(args.h) if args.h else None
-    h1 = load_hypothesis(args.h1) if args.h1 else None
-    h2 = load_hypothesis(args.h2) if args.h2 else None
+    h, h1, h2, h1_star, h2_star = (load_hypothesis(getattr(args, k)) if k in need else None
+                                   for k in ("h", "h1", "h2", "h1_star", "h2_star"))
     h_t_star = load_hypothesis(args.ht_star) if args.ht_star else None
     diag = {"h_t_star": h_t_star, "oracle_T": T if T.labeled else None}
-
     rad = None
     if args.bound in ("thm2", "thm3", "thm4", "thm6"):
-        cls = StumpClass.from_data(T)
-        rad = rademacher(T, cls, draws=args.rad_draws, seed=args.seed)
-
-    def stars():
-        return load_hypothesis(args.h1_star), load_hypothesis(args.h2_star)
+        rad = rademacher(T, StumpClass.from_data(T), draws=args.rad_draws, seed=args.seed)
 
     def supremum(bound, measure):
         S = _load_dataset(args.source, args.label_col)
@@ -274,13 +269,11 @@ def cmd_bounds(args) -> None:
         "thm1": lambda: bound_thm1(h, h1, h2, T, zero_one(), **diag),
         "ineq2": lambda: supremum(bound_ineq2, lambda S, T, cls: sdisc_exact(S, T, h1, cls)),
         "ineq3": lambda: supremum(bound_ineq3, disc_exact),
-        "thm2": lambda: thm2_dev_report(h1, h2, *stars(), T, rad, args.delta),
-        "thm3": lambda: bound_thm3(h, h1, h2, *stars(), T, rad, None, args.delta, **diag),
+        "thm2": lambda: thm2_dev_report(h1, h2, h1_star, h2_star, T, rad, args.delta),
+        "thm3": lambda: bound_thm3(h, h1, h2, h1_star, h2_star, T, rad, None, args.delta, **diag),
         "thm4": lambda: bound_thm4(h, h1, h2, T, rad, args.delta, **diag),
         "thm6": lambda: bound_thm6_margin(h, h1, h2, T, args.rho, args.k_classes, rad, args.delta, **diag),
     }
-    if args.bound not in calls:
-        raise ConfigError(f"unknown bound {args.bound!r}")
     rep = calls[args.bound]()
     header = rep.csv_header([rep])
     _emit(args, "bounds", rep.to_dict(), (header, [rep.csv_row(header)]))
@@ -311,10 +304,7 @@ def cmd_tritrain(args) -> None:
         out = Path(args.out)
         out.mkdir(parents=True, exist_ok=True)
         save_hypothesis(res.h, out / "tritrain_h.bin")
-        with open(out / "tritrain_trace.csv", "w", newline="") as f:
-            w = _csv.writer(f)
-            w.writerow(header)
-            w.writerows(rows)
+        _write_table(out / "tritrain_trace.csv", header, rows)
         payload["model"] = str(out / "tritrain_h.bin")
     _emit(args, "tritrain", payload, (header, rows))
 
@@ -323,9 +313,7 @@ def cmd_select(args) -> None:
     sources = [_load_dataset(p, args.label_col) for p in args.sources.split(",")]
     T = _load_dataset(args.target).without_labels()
     oracle = _load_dataset(args.oracle, args.label_col) if args.oracle else None
-    flags = None
-    if args.clean_flags:
-        flags = [bool(int(v)) for v in args.clean_flags.split(",")]
+    flags = [bool(v) for v in _numbers(args.clean_flags, int)] if args.clean_flags else None
     arch = _arch_from_args(args, sources[0].d)
     base = _train_cfg(args, args.seed)
     cfg = SelectConfig(arch=arch, base=base,
@@ -347,7 +335,9 @@ def cmd_coral(args) -> None:
 
 
 def cmd_gradcheck(args) -> None:
-    rng = np.random.default_rng(args.seed)
+    if min(args.d, args.probe_n, args.out_dim) < 1:
+        raise ConfigError("gradcheck needs --d, --probe-n and --out-dim >= 1")
+    rng = rng_from(args.seed)
     X = rng.standard_normal((args.probe_n, args.d))
     if args.out_dim == 1:
         y = rng.integers(0, 2, size=args.probe_n)
@@ -365,41 +355,37 @@ def cmd_gradcheck(args) -> None:
 
 
 def cmd_repro(args) -> None:
-    if args.protocol not in PROTOCOLS:
-        raise ConfigError(f"unknown protocol {args.protocol!r}; expected one of {sorted(PROTOCOLS)}")
     cfg_cls, runner = PROTOCOLS[args.protocol]
-    cfg = cfg_cls()
     overrides = {}
-    for item in args.set or []:
-        if "=" not in item:
+    for item in args.set:
+        key, eq, value = item.partition("=")
+        if not eq:
             raise ConfigError(f"--set expects key=value, got {item!r}")
-        key, value = item.split("=", 1)
         overrides[key] = value
-    if overrides:
-        cfg = _apply_overrides(cfg, overrides)
-    report = runner(cfg)
-    csv_rows = _protocol_csv(report)
-    _emit(args, f"repro_{args.protocol}", report, csv_rows)
+    cfg = _apply_overrides(cfg_cls(), overrides)
+    # the global --seed offsets every protocol seed, so --seed 0 runs the configured seeds
+    report = runner(dataclasses.replace(cfg, seeds=tuple(s + args.seed for s in cfg.seeds)))
+    _emit(args, f"repro_{args.protocol}", report, _protocol_csv(report))
 
 
 def _apply_overrides(cfg, overrides: dict):
-    fields = {f.name: f for f in dataclasses.fields(cfg)}
+    fields = {f.name for f in dataclasses.fields(cfg)}
     casted = {}
     for key, raw in overrides.items():
         if key not in fields:
             raise ConfigError(f"unknown config key {key!r} for {type(cfg).__name__}")
         current = getattr(cfg, key)
-        if isinstance(current, bool):
-            casted[key] = raw.lower() in ("1", "true", "yes")
-        elif isinstance(current, int):
-            casted[key] = int(raw)
-        elif isinstance(current, float):
-            casted[key] = float(raw)
-        elif isinstance(current, tuple):
-            elem = float if (current and isinstance(current[0], float)) else int
-            casted[key] = tuple(elem(v) for v in str(raw).split(",")) if str(raw) else ()
-        else:
-            casted[key] = raw
+        try:
+            if isinstance(current, bool):
+                casted[key] = raw.lower() in ("1", "true", "yes")
+            elif isinstance(current, (int, float)):
+                casted[key] = type(current)(raw)
+            elif isinstance(current, tuple):
+                casted[key] = _numbers(raw, float if (current and isinstance(current[0], float)) else int)
+            else:
+                casted[key] = raw
+        except ValueError:
+            raise ConfigError(f"bad value {raw!r} for config key {key!r}") from None
     return dataclasses.replace(cfg, **casted)
 
 
@@ -429,6 +415,11 @@ def _protocol_csv(report: dict):
 # ---------------------------------------------------------------------------
 
 
+class _Parser(argparse.ArgumentParser):
+    def error(self, message):  # usage errors keep the exit-2 JSON contract
+        raise ConfigError(message)
+
+
 def _add_train_flags(p: argparse.ArgumentParser, epochs: int = 50) -> None:
     p.add_argument("--hidden", default="64,64", help="comma widths; empty for linear")
     p.add_argument("--out-dim", type=int, default=1)
@@ -440,8 +431,16 @@ def _add_train_flags(p: argparse.ArgumentParser, epochs: int = 50) -> None:
     p.add_argument("--weight-decay", type=float, default=0.0)
 
 
-def build_parser() -> argparse.ArgumentParser:
-    root = argparse.ArgumentParser(prog="phdkit", description=__doc__)
+def _add_pair_flags(p: argparse.ArgumentParser) -> None:
+    p.add_argument("--source", required=True)
+    p.add_argument("--target", required=True)
+    p.add_argument("--label-col", default=DEFAULT_LABEL_COL)
+
+
+def build_parser() -> tuple[argparse.ArgumentParser, dict]:
+    """The root parser and its subcommand parsers by name."""
+    # no abbreviated root flags: _with_config must see --config spelled out
+    root = _Parser(prog="phdkit", description=__doc__, allow_abbrev=False)
     root.add_argument("--seed", type=int, default=0)
     root.add_argument("--config", default=None, help="INI config file with sections per command")
     root.add_argument("--out", default=None, help="output directory (stdout if omitted)")
@@ -463,7 +462,7 @@ def build_parser() -> argparse.ArgumentParser:
     p = sub.add_parser("train", help="train an ERM hypothesis")
     p.add_argument("--data", required=True)
     p.add_argument("--labels", default=None)
-    p.add_argument("--label-col", default="label")
+    p.add_argument("--label-col", default=DEFAULT_LABEL_COL)
     p.add_argument("--model-name", default="model.bin")
     _add_train_flags(p)
     p.set_defaults(func=cmd_train)
@@ -478,44 +477,33 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--rho", type=float, default=1.0)
     p.set_defaults(func=cmd_phd)
 
-    for name, fn in (("dh", cmd_dh), ("sdisc", cmd_sdisc)):
+    for name in ("dh", "sdisc"):
         p = sub.add_parser(name, help=f"{name} estimate (exact stumps or adversarial)")
-        p.add_argument("--source", required=True)
-        p.add_argument("--target", required=True)
-        p.add_argument("--label-col", default=DEFAULT_LABEL_COL)
+        _add_pair_flags(p)
         p.add_argument("--method", choices=("exact", "adv"), default="exact")
         p.add_argument("--eval-mode", choices=("insample", "heldout"), default="insample")
         p.add_argument("--model", default=None, help="saved source hypothesis (sdisc)")
         _add_train_flags(p, epochs=40)
-        p.set_defaults(func=fn)
+        p.set_defaults(func=cmd_measure)
 
     p = sub.add_parser("disc", help="exact discrepancy distance over the stump class")
-    p.add_argument("--source", required=True)
-    p.add_argument("--target", required=True)
-    p.add_argument("--label-col", default=DEFAULT_LABEL_COL)
-    p.set_defaults(func=cmd_disc)
+    _add_pair_flags(p)
+    p.set_defaults(func=cmd_measure)
 
     p = sub.add_parser("w1", help="exact empirical Wasserstein-1 (and optional L1 histogram)")
-    p.add_argument("--source", required=True)
-    p.add_argument("--target", required=True)
-    p.add_argument("--label-col", default=DEFAULT_LABEL_COL)
+    _add_pair_flags(p)
     p.add_argument("--cap", type=int, default=512)
     p.add_argument("--bins", type=int, default=0)
     p.set_defaults(func=cmd_w1)
 
     p = sub.add_parser("bounds", help="evaluate one generalization-bound expression")
-    p.add_argument("--bound", required=True,
-                   choices=("ineq1", "ineq2", "ineq3", "thm1", "thm2", "thm3", "thm4", "thm6", "lemma1"))
+    p.add_argument("--bound", required=True, choices=tuple(BOUND_INPUTS))
     p.add_argument("--target", required=True)
     p.add_argument("--source", default=None)
     p.add_argument("--labels", default=None)
     p.add_argument("--label-col", default=DEFAULT_LABEL_COL)
-    p.add_argument("--h", default=None)
-    p.add_argument("--h1", default=None)
-    p.add_argument("--h2", default=None)
-    p.add_argument("--h1-star", default=None)
-    p.add_argument("--h2-star", default=None)
-    p.add_argument("--ht-star", default=None)
+    for flag in ("--h", "--h1", "--h2", "--h1-star", "--h2-star", "--ht-star"):
+        p.add_argument(flag, default=None)
     p.add_argument("--delta", type=float, default=0.05)
     p.add_argument("--disc-value", type=float, default=None)
     p.add_argument("--rho", type=float, default=1.0)
@@ -525,9 +513,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.set_defaults(func=cmd_bounds)
 
     p = sub.add_parser("tritrain", help="agreement-set tri-training with per-round bounds")
-    p.add_argument("--source", required=True)
-    p.add_argument("--target", required=True)
-    p.add_argument("--label-col", default="label")
+    _add_pair_flags(p)
     p.add_argument("--rounds", type=int, default=3)
     p.add_argument("--holdout-frac", type=float, default=0.25)
     p.add_argument("--no-bounds", action="store_true")
@@ -537,7 +523,7 @@ def build_parser() -> argparse.ArgumentParser:
     p = sub.add_parser("select", help="rank candidate sources against a target")
     p.add_argument("--sources", required=True, help="comma-separated dataset paths")
     p.add_argument("--target", required=True)
-    p.add_argument("--label-col", default="label")
+    p.add_argument("--label-col", default=DEFAULT_LABEL_COL)
     p.add_argument("--measure", choices=("phd", "w1"), default="phd")
     p.add_argument("--top-k", type=int, default=5)
     p.add_argument("--clean-flags", default=None)
@@ -547,9 +533,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.set_defaults(func=cmd_select)
 
     p = sub.add_parser("coral", help="correlation-align a source onto a target")
-    p.add_argument("--source", required=True)
-    p.add_argument("--target", required=True)
-    p.add_argument("--label-col", default="label")
+    _add_pair_flags(p)
     p.add_argument("--ridge", type=float, default=1e-6)
     p.add_argument("--prefix", default="adapted")
     p.set_defaults(func=cmd_coral)
@@ -566,72 +550,47 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--set", action="append", default=[],
                    help="override a protocol config field, key=value (repeatable)")
     p.set_defaults(func=cmd_repro)
-    return root
+    return root, sub.choices
 
 
-def _apply_config_file(root: argparse.ArgumentParser, argv: list[str]) -> list[str]:
-    """Turn config-file entries into argument defaults; reject unknown keys."""
-    if "--config" not in argv:
+def _with_config(argv: list[str], commands) -> list[str]:
+    """Splice the INI file named by --config into argv as --key=value flags.
+
+    [global] entries go before argv, so explicit root flags after them win;
+    the command's section goes after argv, minus the flags given explicitly.
+    Unknown keys then fail in argparse like any unknown flag.
+    """
+    pre = _Parser(add_help=False, allow_abbrev=False)
+    pre.add_argument("--config")
+    path = pre.parse_known_args(argv)[0].config
+    if path is None:
         return argv
-    idx = argv.index("--config")
-    path = argv[idx + 1]
-    parser = configparser.ConfigParser()
-    read = parser.read(path)
-    if not read:
-        raise ConfigError(f"config file {path} not found or unreadable")
-    known_commands = set()
-    for action in root._actions:
-        if isinstance(action, argparse._SubParsersAction):
-            known_commands = set(action.choices)
-    command = next((a for a in argv if a in known_commands), None)
-    extra: list[str] = []
-    for section in parser.sections():
-        if section not in ("global", command):
-            continue
-        for key, value in parser.items(section):
-            flag = "--" + key.replace("_", "-")
-            if flag in argv or (section == "global" and key == "seed" and "--seed" in argv):
-                continue  # explicit flags win
-            if not _flag_known(root, command, flag):
-                raise ConfigError(f"unknown config key {key!r} in section [{section}]")
-            if section == "global":
-                argv = [flag, value] + argv
-            else:
-                extra += [flag, value]
-    return argv + extra
-
-
-def _flag_known(root: argparse.ArgumentParser, command: str | None, flag: str) -> bool:
-    for action in root._actions:  # root-level flags
-        if flag in action.option_strings:
-            return True
-        if isinstance(action, argparse._SubParsersAction) and command in action.choices:
-            for sub_action in action.choices[command]._actions:
-                if flag in sub_action.option_strings:
-                    return True
-    return False
+    command = next((a for a in argv if a in commands), None)
+    ini = configparser.ConfigParser()
+    try:
+        if not ini.read(path, encoding="utf-8"):
+            raise ConfigError(f"config file {path} not found or unreadable")
+        head, tail = ([f"--{k.replace('_', '-')}={v}" for k, v in ini.items(s)] if ini.has_section(s) else []
+                      for s in ("global", command))
+    except (configparser.Error, UnicodeDecodeError) as e:
+        raise ConfigError(f"bad config file {path}: {e}") from None
+    explicit = {a.split("=", 1)[0] for a in argv}
+    return head + argv + [t for t in tail if t.split("=", 1)[0] not in explicit]
 
 
 def main(argv: list[str] | None = None) -> int:
     argv = list(sys.argv[1:] if argv is None else argv)
-    root = build_parser()
+    root, commands = build_parser()
     try:
-        argv = _apply_config_file(root, argv)
-        args = root.parse_args(argv)
+        args = root.parse_args(_with_config(argv, commands))
         args.func(args)
         return EXIT_OK
-    except TrainingError as e:
-        sys.stderr.write(json.dumps({"error": type(e).__name__, "message": str(e),
-                                     "epoch": e.epoch}) + "\n")
-        return EXIT_NUMERIC
-    except FileNotFoundError as e:
-        sys.stderr.write(json.dumps({"error": "FileNotFoundError", "message": str(e)}) + "\n")
-        return EXIT_CONTRACT
-    except PhdkitError as e:
+    except (PhdkitError, OSError) as e:
         payload = {"error": type(e).__name__, "message": str(e)}
+        if isinstance(e, TrainingError):
+            payload["epoch"] = e.epoch
         sys.stderr.write(json.dumps(payload) + "\n")
-        return EXIT_CONTRACT
-    return EXIT_OK
+        return EXIT_NUMERIC if isinstance(e, TrainingError) else EXIT_CONTRACT
 
 
 if __name__ == "__main__":

@@ -192,8 +192,8 @@ def gen_gaussian_pair(
     """
     if n < 4:
         raise ContractError(f"n must be >= 4, got {n}")
-    if d < 1:
-        raise ContractError(f"d must be >= 1, got {d}")
+    if d < 1 or k < 1:
+        raise ContractError(f"d and k must be >= 1, got d={d}, k={k}")
     if label_rule not in LABEL_RULES:
         raise ConfigError(f"unknown label rule {label_rule!r}; expected one of {LABEL_RULES}")
     if label_rule in ("xor", "moons"):
@@ -322,7 +322,10 @@ def read_csv(path, label_col=None, k: int | None = None, channels: int = 1, doma
     """
     with open(path, "rb") as f:
         raw = f.read()
-    lines = raw.decode("utf-8").splitlines(keepends=True)
+    try:
+        lines = raw.decode("utf-8").splitlines(keepends=True)
+    except UnicodeDecodeError as e:
+        raise FormatError(f"CSV file {path} is not UTF-8 text", offset=e.start) from None
     if not lines:
         raise FormatError(f"empty CSV file {path}", offset=0)
     header = next(_csv.reader([lines[0]]))

@@ -254,7 +254,10 @@ def phd(h1: Hypothesis, h2: Hypothesis, T: Dataset, loss: LossSpec | None = None
     if T.consumed is not None:
         keep &= ~T.consumed
     if exclude is not None:
-        keep[np.asarray(exclude, dtype=np.int64)] = False
+        exclude = np.asarray(exclude, dtype=np.int64)
+        if exclude.size and not (0 <= exclude.min() and exclude.max() < T.n):
+            raise ContractError(f"exclude indices must lie in [0, {T.n}), got {exclude.min()}..{exclude.max()}")
+        keep[exclude] = False
     idx = np.flatnonzero(keep)
     if idx.size == 0:
         raise DegenerateInputError("all target rows are excluded from the discrepancy estimate")

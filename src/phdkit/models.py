@@ -421,6 +421,8 @@ def train_erm_traced(D: Dataset, arch: Arch, cfg: TrainConfig, surrogate: LossSp
     w = np.ones(D.n) if sample_weight is None else np.asarray(sample_weight, dtype=np.float64)
     if w.shape != (D.n,):
         raise ContractError("sample_weight length does not match n")
+    if not (np.all(np.isfinite(w)) and np.all(w >= 0) and w.sum() > 0):
+        raise ContractError("sample_weight must be finite and non-negative with a positive sum")
 
     rng = child_rng(cfg.seed, 5)
     params = init_params(arch, cfg.seed)
@@ -480,6 +482,8 @@ def grad_check(arch: Arch, loss: LossSpec, probe: Dataset, eps: float = 1e-5, se
         raise ContractError(f"probe must be small (n <= 8), got n={probe.n}")
     if probe.y is None:
         raise ContractError("probe must be labeled")
+    if not eps > 0:
+        raise ContractError(f"eps must be > 0, got {eps}")
     params = init_params(arch, seed)
     y = probe.y
     w = np.ones(probe.n)

@@ -17,8 +17,8 @@ DEFAULT_RIDGE = 1e-6
 
 
 def rng_from(seed: int) -> np.random.Generator:
-    """Root generator for a run: PCG64 seeded directly."""
-    return np.random.Generator(np.random.PCG64(np.random.SeedSequence(seed)))
+    """Root generator for a run: PCG64 seeded directly (the child with no key)."""
+    return child_rng(seed)
 
 
 def child_rng(seed: int, *key: int) -> np.random.Generator:
@@ -28,6 +28,8 @@ def child_rng(seed: int, *key: int) -> np.random.Generator:
     spawn_key=key)``. Identical ``(seed, key)`` pairs give identical
     streams; distinct keys give statistically independent ones.
     """
+    if seed < 0:
+        raise ContractError(f"seeds must be non-negative, got {seed}")
     return np.random.Generator(np.random.PCG64(np.random.SeedSequence(seed, spawn_key=key)))
 
 

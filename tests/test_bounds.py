@@ -280,6 +280,11 @@ def test_lemma1_report_and_term_validation():
         Term("bad", -0.5)
 
 
+def test_nan_term_is_rejected_not_zeroed():
+    with pytest.raises(ContractError):
+        Term("disc", float("nan"))
+
+
 def test_every_report_total_is_exact_term_sum():
     T, h, h1, h2, ht = _toy()
     rad = rad_const(0.07)

@@ -1,6 +1,11 @@
+import io
 import json
+import os
+from contextlib import redirect_stderr, redirect_stdout
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from phdkit.cli import main
 
@@ -116,6 +121,41 @@ def test_bounds_command_matches_library_call(bound, bound_inputs, capsys):
     assert json.loads(out)["result"] == expected
 
 
+@pytest.mark.parametrize("bound,dropped", [
+    ("ineq1", "--h"), ("ineq2", "--source"), ("ineq3", "--h1"), ("thm1", "--h2"), ("thm2", "--h1-star"),
+    ("thm3", "--h2-star"), ("thm4", "--h1"), ("thm6", "--h"),
+])
+def test_bounds_missing_input_is_config_error_before_any_work(bound, dropped, bound_inputs, capsys, monkeypatch):
+    def no_estimate(*args, **kwargs):
+        raise AssertionError("the Rademacher estimate ran before the input check")
+
+    monkeypatch.setattr("phdkit.cli.rademacher", no_estimate)
+    src, tgt, models = bound_inputs
+    given_flags = dict(zip(("--h", "--h1", "--h2", "--h1-star", "--h2-star"), map(str, models)), **{"--source": str(src)})
+    argv = ["bounds", "--bound", bound, "--target", str(tgt)]
+    for flag, value in given_flags.items():
+        argv += [] if flag == dropped else [flag, value]
+    code, _, err = run(argv, capsys)
+    assert code == 2
+    doc = json.loads(err.strip())
+    assert doc["error"] == "ConfigError" and doc["message"].endswith(f"needs {dropped}")
+
+
+def test_bounds_nan_disc_value_is_contract_error(bound_inputs, capsys):
+    src, tgt, models = bound_inputs
+    code, _, err = run(["bounds", "--bound", "ineq3", "--source", str(src), "--target", str(tgt),
+                        "--h", str(models[0]), "--h1", str(models[1]), "--disc-value", "nan"], capsys)
+    assert code == 2
+    assert json.loads(err.strip())["error"] == "ContractError"
+
+
+def test_sdisc_without_model_is_config_error(tmp_path, capsys):
+    src, tgt = _gen(tmp_path, capsys, n=40)
+    code, _, err = run(["sdisc", "--source", str(src), "--target", str(tgt)], capsys)
+    assert code == 2
+    assert json.loads(err.strip())["error"] == "ConfigError"
+
+
 def test_divergence_gives_exit_3(tmp_path, capsys):
     import numpy as np
 
@@ -186,6 +226,54 @@ def test_config_file_defaults_and_unknown_key(tmp_path, capsys):
     assert json.loads(err.strip())["error"] == "ConfigError"
 
 
+def test_config_file_supplies_required_flags_and_explicit_flags_win(tmp_path, capsys):
+    src, tgt = _gen(tmp_path, capsys, n=40)
+    cfg = tmp_path / "d.ini"
+    cfg.write_text(f"[global]\nseed = 5\n\n[dh]\nsource = {src}\ntarget = {tgt}\nmethod = adv\n")
+    code, out, err = run(["--config", str(cfg), "dh", "--method=exact"], capsys)
+    assert code == 0, err
+    doc = json.loads(out)
+    assert doc["run_config"]["source"] == str(src) and doc["run_config"]["seed"] == 5
+    assert doc["result"]["method"] == "exact-enumeration"
+    code, out, _ = run(["--config", str(cfg), "--seed", "6", "dh", "--method", "exact"], capsys)
+    assert code == 0 and json.loads(out)["run_config"]["seed"] == 6
+
+
+@pytest.mark.parametrize("argv", [
+    [],
+    ["--config"],
+    ["no-such-command"],
+    ["gen", "--n", "abc"],
+    ["gen", "--shift", "1,x"],
+    ["--seed", "-1", "gen"],
+    ["repro", "table3", "--set", "n=abc"],
+    ["repro", "table3", "--set", "n"],
+    ["repro", "no-such-protocol"],
+    ["--conf", "d.ini", "gen"],
+], ids=["no-command", "config-without-value", "unknown-command", "bad-int", "bad-shift", "negative-seed",
+        "set-bad-int", "set-without-equals", "unknown-protocol", "abbreviated-root-flag"])
+def test_usage_errors_exit_2_with_json(argv, tmp_path, capsys):
+    code, _, err = run(["--out", str(tmp_path)] + argv, capsys)
+    assert code == 2
+    assert json.loads(err.strip())["error"] in ("ConfigError", "ContractError")
+
+
+@pytest.mark.parametrize("name,data,error", [
+    ("latin1.csv", "x,label\n\xe9,0\n".encode("latin-1"), "FormatError"),
+    ("empty.csv", b"", "FormatError"),
+    ("nosection.ini", b"n = 5\n", "ConfigError"),
+    ("duplicate.ini", b"[gen]\nn = 1\nn = 2\n", "ConfigError"),
+])
+def test_malformed_files_exit_2_with_json(name, data, error, tmp_path, capsys):
+    path = tmp_path / name
+    path.write_bytes(data)
+    argv = ["--config", str(path), "gen"] if name.endswith(".ini") else ["disc", "--source", str(path),
+                                                                        "--target", str(path)]
+    code, _, err = run(argv, capsys)
+    assert code == 2
+    assert json.loads(err.strip())["error"] == error
+
+
 def test_report_embeds_config_and_version(tmp_path, capsys, monkeypatch):
     monkeypatch.chdir(tmp_path)  # bare gen writes its CSVs to the cwd
     _, out, _ = run(["gen", "--n", "32", "--d", "2"], capsys)
@@ -204,6 +292,32 @@ def test_repro_tiny_is_byte_identical_across_runs(tmp_path, capsys):
     ra = (tmp_path / "a" / "repro_table3_report.json").read_bytes()
     rb = (tmp_path / "b" / "repro_table3_report.json").read_bytes()
     assert ra == rb
+
+
+REDUCED_TABLE3 = ["seeds=0", "n=120", "epochs=5", "ssl_rounds=1"]
+
+
+def _repro_table3_result(capsys, seed: int) -> dict:
+    argv = ["--seed", str(seed), "repro", "table3"]
+    for item in REDUCED_TABLE3:
+        argv += ["--set", item]
+    code, out, err = run(argv, capsys)
+    assert code == 0, err
+    return json.loads(out)["result"]
+
+
+def test_repro_honours_the_global_seed(capsys):
+    # the rows' measured values move, not just the seeds they record
+    measured = [[{k: v for k, v in row.items() if k != "seed"} for row in _repro_table3_result(capsys, seed)["rows"]]
+                for seed in (7, 8)]
+    assert json.dumps(measured[0]) != json.dumps(measured[1])
+
+
+def test_repro_seed_zero_equals_the_direct_protocol_call(capsys):
+    from phdkit.protocols import Table3Config, run_table3
+
+    report = run_table3(Table3Config(seeds=(0,), n=120, epochs=5, ssl_rounds=1))
+    assert json.dumps(_repro_table3_result(capsys, 0), sort_keys=True) == json.dumps(report, sort_keys=True)
 
 
 def test_select_command(tmp_path, capsys):
@@ -230,3 +344,76 @@ def test_tritrain_command_writes_trace(tmp_path, capsys):
     assert (tmp_path / "tri" / "tritrain_trace.csv").exists()
     doc = json.loads((tmp_path / "tri" / "tritrain_report.json").read_text())
     assert len(doc["result"]["rounds"]) == 2
+
+
+# --- the exit-code contract under malformed input ------------------------------
+
+MALFORMED_FILES = {
+    "empty.csv": b"",
+    "ragged.csv": b"a,b,label\n1,2,0\n3\n",
+    "latin1.csv": "x,label\n\xe9,0\n".encode("latin-1"),
+    "header-only.csv": b"x,label\n",
+    "nosection.ini": b"n = 5\n",
+    "duplicate.ini": b"[gen]\nn = 1\nn = 2\n",
+    "unknown-key.ini": b"[gen]\nbogus = 1\n",
+    "latin1.ini": "[gen]\nn = \xe9\n".encode("latin-1"),
+    "model.bin": b"garbage",
+}
+# Values are all malformed (no positive integer among them), so no example
+# trains a model, generates more than the default pair, or runs a protocol.
+BAD_VALUES = ("abc", "", "-1", "0", "nan", "1,x", "=", "missing.csv", ".") + tuple(MALFORMED_FILES)
+BAD_SETS = ("n=abc", "seeds=x", "bogus=1", "noequals", "n=", "seeds=-1")
+COMMAND_FLAGS = {
+    "gen": ("--n", "--d", "--k", "--shift", "--rotate", "--rule", "--layout-seed"),
+    "train": ("--data", "--hidden", "--epochs", "--lr"),
+    "phd": ("--h1", "--h2", "--target", "--loss", "--rho"),
+    "dh": ("--source", "--target", "--method", "--model"),
+    "sdisc": ("--source", "--target", "--method", "--model"),
+    "disc": ("--source", "--target", "--label-col"),
+    "w1": ("--source", "--target", "--cap", "--bins"),
+    "bounds": ("--bound", "--target", "--source", "--h", "--h1", "--h2", "--h1-star", "--h2-star", "--rad-draws"),
+    "tritrain": ("--source", "--target", "--rounds", "--holdout-frac"),
+    "select": ("--sources", "--target", "--top-k", "--clean-flags"),
+    "coral": ("--source", "--target", "--ridge"),
+    "gradcheck": ("--d", "--probe-n", "--eps", "--out-dim"),
+    "repro": ("--set",),
+    "no-such-command": ("--n",),
+}
+FIXED_ARGS = {"repro": ["table3"], "gradcheck": ["--hidden", ""]}
+
+
+@st.composite
+def malformed_argv(draw):
+    values = st.sampled_from(BAD_VALUES)
+    argv = ["--out", "out"]
+    for flag in draw(st.lists(st.sampled_from(("--seed", "--config", "--format", "--jobs")), max_size=2)):
+        argv += [flag, draw(values)]
+    command = draw(st.sampled_from(sorted(COMMAND_FLAGS)))
+    argv += [command] + FIXED_ARGS.get(command, [])
+    flags = draw(st.lists(st.sampled_from(COMMAND_FLAGS[command]), min_size=command == "repro", max_size=5))
+    for flag in flags:
+        argv += [flag, draw(st.sampled_from(BAD_SETS) if flag == "--set" else values)]
+    return argv + (["--config"] if draw(st.integers(0, 9)) == 0 else [])
+
+
+@pytest.fixture(scope="module")
+def malformed_dir(tmp_path_factory):
+    d = tmp_path_factory.mktemp("malformed")
+    for name, data in MALFORMED_FILES.items():
+        (d / name).write_bytes(data)
+    return d
+
+
+@settings(max_examples=150, deadline=None)
+@given(argv=malformed_argv())
+def test_malformed_input_never_escapes_the_exit_contract(malformed_dir, argv):
+    cwd, err = os.getcwd(), io.StringIO()
+    os.chdir(malformed_dir)  # the drawn file names are relative
+    try:
+        with redirect_stdout(io.StringIO()), redirect_stderr(err):
+            code = main(argv)
+    finally:
+        os.chdir(cwd)
+    assert code in (0, 2)
+    if code == 2:
+        assert "error" in json.loads(err.getvalue().strip().splitlines()[-1])

@@ -52,6 +52,12 @@ def test_unknown_rule_rejected():
         gen_gaussian_pair(10, 2, label_rule="spirals", seed=0)
 
 
+@pytest.mark.parametrize("k", [0, -1])
+def test_class_count_below_one_rejected(k):
+    with pytest.raises(ContractError):
+        gen_gaussian_pair(10, 2, k=k, seed=0)
+
+
 def test_xor_needs_two_dims():
     with pytest.raises(ContractError):
         gen_gaussian_pair(10, 1, label_rule="xor", seed=0)
@@ -206,6 +212,14 @@ def test_csv_empty_file(tmp_path):
     p.write_text("")
     with pytest.raises(FormatError):
         read_csv(p)
+
+
+def test_csv_not_utf8_reports_offset(tmp_path):
+    p = tmp_path / "d.csv"
+    p.write_bytes("x,label\n\xe9,0\n".encode("latin-1"))
+    with pytest.raises(FormatError) as e:
+        read_csv(p, label_col="label")
+    assert e.value.offset == len("x,label\n")
 
 
 # --- split -----------------------------------------------------------------

@@ -85,6 +85,13 @@ def test_phd_excludes_consumed_rows():
         phd(h1, h2, T, exclude=[2, 3])
 
 
+@pytest.mark.parametrize("exclude", [[99], [4], [-1]])
+def test_phd_rejects_exclude_indices_outside_the_target(exclude):
+    T = d1(1.0, 2.0, 3.0, 4.0)
+    with pytest.raises(ContractError):
+        phd(stump_hypothesis(0, 2.5, -1, 1), constant_hypothesis(1, 1), T, exclude=exclude)
+
+
 # --- exact suprema ------------------------------------------------------------
 
 

@@ -242,6 +242,15 @@ def test_bad_configs_rejected():
         train_erm(D, linear_arch(2), TrainConfig(epochs=1), surrogate=zero_one())
 
 
+@pytest.mark.parametrize("w", [np.zeros(20), np.r_[np.ones(19), -1.0], np.r_[np.ones(19), np.nan],
+                               np.r_[np.ones(19), np.inf]], ids=["all-zero", "negative", "nan", "inf"])
+def test_bad_sample_weight_is_a_contract_error(w):
+    # an all-zero weighting used to surface as a "divergence" TrainingError
+    D, _ = gen_gaussian_pair(20, 2, seed=0)
+    with pytest.raises(ContractError):
+        train_erm(D, linear_arch(2), TrainConfig(epochs=1), sample_weight=w)
+
+
 # --- gradient check ---------------------------------------------------------
 
 
@@ -269,6 +278,12 @@ def test_grad_check_enforces_small_probe():
     probe = Dataset(rng.standard_normal((9, 2)), np.zeros(9, dtype=int), 2)
     with pytest.raises(ContractError):
         grad_check(linear_arch(2), logistic(), probe)
+
+
+def test_grad_check_rejects_non_positive_step():
+    probe = Dataset(np.zeros((4, 2)), np.array([0, 1, 0, 1]), 2)
+    with pytest.raises(ContractError):
+        grad_check(linear_arch(2), logistic(), probe, eps=0.0)
 
 
 # --- serialization ----------------------------------------------------------

@@ -108,3 +108,10 @@ def test_child_streams_differ_by_key():
     c = child_rng(5, 1).standard_normal(8)
     assert np.array_equal(a, c)
     assert not np.array_equal(a, b)
+
+
+def test_root_stream_is_numpy_default_and_negative_seeds_rejected():
+    assert np.array_equal(rng_from(7).standard_normal(8), np.random.default_rng(7).standard_normal(8))
+    for make in (rng_from, lambda s: child_rng(s, 3)):
+        with pytest.raises(ContractError):
+            make(-1)
