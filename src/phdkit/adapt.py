@@ -4,7 +4,9 @@ CORAL whitens source features with the source covariance, recolors with the
 target covariance, and re-centers on the target mean. Source selection
 ranks candidate sources by a discrepancy measure (pair discrepancy with a
 self-trained second hypothesis, or exact Wasserstein-1 on raw features),
-then trains one classifier on the CORAL-adapted top-K pool.
+then trains one classifier on the CORAL-adapted top-K pool. The pair
+discrepancy trains on features z-scored by each dataset's own moments;
+the transport distance works on the raw input space.
 """
 
 from __future__ import annotations
@@ -22,6 +24,8 @@ from .numkit import child_rng, covariance, sym_inv_sqrt, sym_sqrt
 from .semisup import SelfTrainConfig, train_self
 
 W1_SUBSAMPLE = 256
+EVAL_FRAC = 0.3
+"""Share of the target sample held out from self-training to score the pair."""
 
 
 def coral(S: Dataset, T: Dataset, ridge: float = 1e-6) -> Dataset:
@@ -51,20 +55,11 @@ class SelectConfig:
     arch: Arch
     base: TrainConfig = field(default_factory=TrainConfig)
     selftrain: SelfTrainConfig = field(default_factory=SelfTrainConfig)
-    eval_frac: float = 0.3
     ridge: float = 1e-6
     w1_subsample: int = W1_SUBSAMPLE
-    standardize: bool = True
-    """Standardize each dataset by its own moments before hypothesis
-    training (the usual preprocessing step). Raw features still feed the
-    transport distance, which by definition works on the input space."""
-
-    def __post_init__(self):
-        if not 0.0 < self.eval_frac < 1.0:
-            raise ConfigError(f"eval_frac must lie in (0,1), got {self.eval_frac}")
 
 
-def _standardized(D: Dataset, ref: Dataset | None = None) -> Dataset:
+def _zscore(D: Dataset, ref: Dataset | None = None) -> Dataset:
     """Shift/scale features by (ref or D)'s per-feature moments."""
     R = ref if ref is not None else D
     mu = R.X.mean(axis=0)
@@ -129,22 +124,17 @@ def select_sources(sources, T: Dataset, measure: str, K: int, cfg: SelectConfig,
     if any(not s.labeled for s in sources):
         raise ContractError("all candidate sources must be labeled")
 
-    T_fit, T_eval = split(T.without_labels(), SplitSpec((1.0 - cfg.eval_frac, cfg.eval_frac), seed=seed))
+    T_fit, T_eval = split(T.without_labels(), SplitSpec((1.0 - EVAL_FRAC, EVAL_FRAC), seed=seed))
+    fit, ev = _zscore(T_fit), _zscore(T_eval, ref=T_fit)
 
     def value_for(i: int) -> float:
-        src = sources[i]
         if measure == "phd":
-            if cfg.standardize:
-                src = _standardized(src)
-                fit = _standardized(T_fit)
-                ev = _standardized(T_eval, ref=T_fit)
-            else:
-                fit, ev = T_fit, T_eval
+            src = _zscore(sources[i])
             h_s = train_erm(src, cfg.arch, replace(cfg.base, seed=seed + 10 * i + 1))
             res = train_self(src, fit, cfg.arch, cfg.selftrain, seed=seed + 10 * i + 2)
             return phd(h_s, res.hypothesis, ev).value
         rng = child_rng(seed, 12, i)
-        return w1_exact(_subsample(src, cfg.w1_subsample, rng),
+        return w1_exact(_subsample(sources[i], cfg.w1_subsample, rng),
                         _subsample(T_fit, cfg.w1_subsample, rng), seed=seed + i).value
 
     if jobs > 1:

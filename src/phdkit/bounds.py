@@ -133,8 +133,8 @@ def _stump_sup_correlation(X: np.ndarray, sigma: np.ndarray, cls: StumpClass) ->
     """
     n = X.shape[0]
     labels = (sigma > 0).astype(np.int64)
-    best = abs(float(sigma.sum())) if cls.include_constants else 0.0
-    for j, ths in zip(cls.features, cls.thresholds):
+    best = abs(float(sigma.sum()))
+    for j, ths in enumerate(cls.thresholds):
         if ths:
             m = _threshold_errors(X[:, j], labels, np.asarray(ths))
             best = max(best, float(np.abs(n - 2 * m).max()))

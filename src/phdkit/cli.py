@@ -363,6 +363,8 @@ def cmd_repro(args) -> None:
             raise ConfigError(f"--set expects key=value, got {item!r}")
         overrides[key] = value
     cfg = _apply_overrides(cfg_cls(), overrides)
+    if not cfg.seeds or (args.protocol == "fig2" and not cfg.sigmas):
+        raise ConfigError("repro needs at least one seed (and, for fig2, one sigma)")
     # the global --seed offsets every protocol seed, so --seed 0 runs the configured seeds
     report = runner(dataclasses.replace(cfg, seeds=tuple(s + args.seed for s in cfg.seeds)))
     _emit(args, f"repro_{args.protocol}", report, _protocol_csv(report))

@@ -3,10 +3,10 @@
 Implements the paired-hypotheses discrepancy (the expected loss between two
 fixed hypotheses under the target sample) next to the supremum-based rivals
 it is compared with: the proxy distance against the constant-one reference,
-the source-guided discrepancy, and the full discrepancy distance. On finite
-stump classes the suprema are computed exactly by enumeration; for trained
-architectures they are estimated adversarially, which is precisely where
-complex classes overestimate.
+the source-guided discrepancy, and the full discrepancy distance. On the
+finite stump class of a sample (every column's stumps plus both constants)
+the suprema are computed exactly by enumeration; for trained architectures
+they are estimated adversarially, which is where complex classes overestimate.
 
 Every threshold scan, here and in ``bounds``, counts mistakes with one
 prefix-count kernel. The two adversarial estimators share one routine and
@@ -99,46 +99,41 @@ class DiscrepancyReport:
 class StumpClass:
     """Every decision stump distinguishable on a sample, plus both constants.
 
+    ``thresholds[j]`` lists feature j's midpoints between distinct values.
     Member order is fixed for deterministic tie-breaking: features
     ascending, thresholds ascending, polarity +1 before -1, constants
     (class 1 first) at the end.
     """
 
     d: int
-    features: tuple[int, ...]
     thresholds: tuple[tuple[float, ...], ...]
-    include_constants: bool = True
 
     @classmethod
-    def from_data(cls, *sources, features=None) -> "StumpClass":
+    def from_data(cls, *sources) -> "StumpClass":
         mats = [s.X if isinstance(s, Dataset) else np.asarray(s, dtype=np.float64) for s in sources]
         if not mats:
             raise ContractError("need at least one sample to build a stump class")
         X = np.vstack(mats)
         if X.shape[0] == 0:
             raise DegenerateInputError("cannot build a stump class from empty data")
-        d = X.shape[1]
-        feats = tuple(range(d)) if features is None else tuple(int(f) for f in features)
         ths = []
-        for j in feats:
+        for j in range(X.shape[1]):
             u = np.unique(X[:, j])
             ths.append(tuple(((u[:-1] + u[1:]) / 2.0).tolist()))
-        return cls(d, feats, tuple(ths))
+        return cls(X.shape[1], tuple(ths))
 
     @property
     def size(self) -> int:
-        n = 2 * sum(len(t) for t in self.thresholds)
-        return n + (2 if self.include_constants else 0)
+        return 2 * sum(len(t) for t in self.thresholds) + 2
 
     def members(self):
         """(feature, threshold, polarity) triples; constants use feature -1."""
-        for j, ths in zip(self.features, self.thresholds):
+        for j, ths in enumerate(self.thresholds):
             for t in ths:
                 yield (j, t, 1)
                 yield (j, t, -1)
-        if self.include_constants:
-            yield (-1, math.inf, 1)
-            yield (-1, math.inf, -1)
+        yield (-1, math.inf, 1)
+        yield (-1, math.inf, -1)
 
     def hypothesis(self, member) -> Hypothesis:
         j, t, pol = member
@@ -153,7 +148,7 @@ class StumpClass:
         """Signed predictions, one row per member, entries in {-1, +1}."""
         X = np.asarray(X, dtype=np.float64)
         rows = []
-        for j, ths in zip(self.features, self.thresholds):
+        for j, ths in enumerate(self.thresholds):
             if not ths:
                 continue
             t = np.asarray(ths)
@@ -162,11 +157,8 @@ class StumpClass:
             inter[0::2] = plus
             inter[1::2] = -plus
             rows.append(inter)
-        if self.include_constants:
-            rows.append(np.ones((1, X.shape[0]), dtype=np.int8))
-            rows.append(-np.ones((1, X.shape[0]), dtype=np.int8))
-        if not rows:
-            raise DegenerateInputError("stump class is empty")
+        rows.append(np.ones((1, X.shape[0]), dtype=np.int8))
+        rows.append(-np.ones((1, X.shape[0]), dtype=np.int8))
         return np.vstack(rows)
 
 
@@ -216,7 +208,7 @@ def stump_erm(cls: StumpClass, D: Dataset) -> Hypothesis:
     n = D.n
     n1 = int(np.sum(D.y == 1))
     best_risk, best = 2.0, None
-    for j, ths in zip(cls.features, cls.thresholds):
+    for j, ths in enumerate(cls.thresholds):
         if not ths:
             continue
         t = np.asarray(ths)
@@ -226,12 +218,9 @@ def stump_erm(cls: StumpClass, D: Dataset) -> Hypothesis:
             i = int(np.argmin(risks))
             if risks[i] < best_risk - 1e-15:
                 best_risk, best = float(risks[i]), (j, float(t[i]), pol)
-    if cls.include_constants:
-        for pol, risk in ((1, (n - n1) / n), (-1, n1 / n)):
-            if risk < best_risk - 1e-15:
-                best_risk, best = float(risk), (-1, math.inf, pol)
-    if best is None:
-        best = (-1, math.inf, 1)
+    for pol, risk in ((1, (n - n1) / n), (-1, n1 / n)):
+        if risk < best_risk - 1e-15:
+            best_risk, best = float(risk), (-1, math.inf, pol)
     return cls.hypothesis(best)
 
 
@@ -287,7 +276,7 @@ def _sup_reference_gap(measure: str, S: Dataset, T: Dataset, cls: StumpClass, re
     _require_nonempty(S, T)
     ref_s, ref_t = ref(S.X), ref(T.X)
     best, info = -1.0, {}
-    for j, ths in zip(cls.features, cls.thresholds):
+    for j, ths in enumerate(cls.thresholds):
         if not ths:
             continue
         t = np.asarray(ths)
@@ -296,11 +285,10 @@ def _sup_reference_gap(measure: str, S: Dataset, T: Dataset, cls: StumpClass, re
         i = int(np.argmax(gap))
         if gap[i] > best + 1e-15:
             best, info = float(gap[i]), {"feature": j, "threshold": float(t[i]), "polarity": 1}
-    if cls.include_constants:
-        gap_const = abs(float(np.mean(ref_t == 0)) - float(np.mean(ref_s == 0)))
-        if gap_const > best + 1e-15:
-            best, info = gap_const, {"feature": -1, "threshold": math.inf, "polarity": 1}
-    return DiscrepancyReport(measure, max(best, 0.0), "exact-enumeration", details=info,
+    gap_const = abs(float(np.mean(ref_t == 0)) - float(np.mean(ref_s == 0)))
+    if gap_const > best + 1e-15:
+        best, info = gap_const, {"feature": -1, "threshold": math.inf, "polarity": 1}
+    return DiscrepancyReport(measure, best, "exact-enumeration", details=info,
                              n_source=S.n, n_target=T.n)
 
 
@@ -331,18 +319,17 @@ def disc_exact(S: Dataset, T: Dataset, cls: StumpClass) -> DiscrepancyReport:
     caps the workable class size.
     """
     _require_nonempty(S, T)
-    if len(cls.features) == 1 and cls.include_constants:
-        j = cls.features[0]
+    if cls.d == 1:
         t = np.asarray(cls.thresholds[0]) if cls.thresholds[0] else np.zeros(0)
         if t.size:
-            gap = (np.searchsorted(np.sort(T.X[:, j]), t, side="left") / T.n
-                   - np.searchsorted(np.sort(S.X[:, j]), t, side="left") / S.n)
+            gap = (np.searchsorted(np.sort(T.X[:, 0]), t, side="left") / T.n
+                   - np.searchsorted(np.sort(S.X[:, 0]), t, side="left") / S.n)
         else:
             gap = np.zeros(1)
         hi = max(float(gap.max()), 0.0)
         lo = min(float(gap.min()), 0.0)
         return DiscrepancyReport("disc", hi - lo, "exact-enumeration",
-                                 details={"feature": j, "form": "cdf-range"},
+                                 details={"feature": 0, "form": "cdf-range"},
                                  n_source=S.n, n_target=T.n)
     if cls.size > DISC_CLASS_CAP:
         raise CapacityError(
@@ -426,8 +413,7 @@ def _adversarial_gap(S: Dataset, T: Dataset, ref, arch: Arch, cfg: TrainConfig, 
         D = Dataset(np.vstack([S_fit.X, T_fit.X]), np.concatenate([ys, yt]), 2, "domain-pair")
         # Every hypothesis visited during training is a valid witness for the
         # supremum lower bound; keep the best-statistic checkpoint.
-        h, _ = train_erm_traced(D, arch, replace(cfg, seed=cfg.seed + k),
-                                metric=lambda hyp: -statistic(hyp), keep_best=True)
+        h, _ = train_erm_traced(D, arch, replace(cfg, seed=cfg.seed + k), metric=lambda hyp: -statistic(hyp))
         stats[direction] = statistic(h)
     return stats, ref_se, ref_te
 
@@ -502,6 +488,8 @@ def w1_exact(S: Dataset, T: Dataset, seed: int = 0, cap: int = W1_ASSIGNMENT_CAP
     larger sample and the matching size is capped.
     """
     _require_nonempty(S, T)
+    if cap < 1:
+        raise ConfigError(f"assignment cap must be >= 1, got {cap}")
     if S.d != T.d:
         raise ContractError(f"feature dims differ: {S.d} vs {T.d}")
     if S.d == 1:

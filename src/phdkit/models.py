@@ -3,8 +3,11 @@
 Hypotheses are linear models or small MLPs (leaky-ReLU slope 0.1, optional
 batch normalization before each hidden activation) scored by a manual
 forward pass; gradients come from hand-written backpropagation validated by
-:func:`grad_check`. Training uses Adam with the AMSGrad correction, which
-keeps a per-parameter running maximum of the second-moment estimate.
+:func:`grad_check`. Both passes read one layer table of views into the flat
+parameter and statistic vectors, built once per training run or scoring
+call. Training minimizes the logistic loss for a single score and
+cross-entropy otherwise, with Adam and the AMSGrad correction, which keeps
+a per-parameter running maximum of the second-moment estimate.
 
 Binary tasks use labels {0, 1} internally; the signed-score convention
 (+1 at score >= 0) only appears at the loss boundary.
@@ -98,33 +101,29 @@ class Hypothesis:
         return 2 if self.arch.out_dim == 1 else self.arch.out_dim
 
 
-def _unpack(arch: Arch, params: np.ndarray):
-    """Views (W, b, gamma, beta) per layer; gamma/beta None without BN."""
+def _layers(arch: Arch, params: np.ndarray, bn_stats: np.ndarray | None = None):
+    """The layer table: views (W, b, gamma, beta, mean, var) into the flat
+    parameter and batch-norm statistic vectors, one tuple per layer.
+
+    gamma/beta are None without batch norm, mean/var also without
+    statistics. The views stay valid while the vectors are updated in place.
+    """
     ws = arch.widths
-    out, off = [], 0
+    out, off, soff = [], 0, 0
     for i in range(len(ws) - 1):
         fan_in, fan_out = ws[i], ws[i + 1]
         W = params[off : off + fan_in * fan_out].reshape(fan_in, fan_out)
         off += fan_in * fan_out
         b = params[off : off + fan_out]
         off += fan_out
-        gamma = beta = None
+        gamma = beta = mean = var = None
         if arch.batch_norm and i < len(arch.hidden):
-            gamma = params[off : off + fan_out]
-            off += fan_out
-            beta = params[off : off + fan_out]
-            off += fan_out
-        out.append((W, b, gamma, beta))
-    return out
-
-
-def _unpack_bn(arch: Arch, bn_stats: np.ndarray):
-    out, off = [], 0
-    for w in arch.hidden:
-        mean = bn_stats[off : off + w]
-        var = bn_stats[off + w : off + 2 * w]
-        off += 2 * w
-        out.append((mean, var))
+            gamma, beta = params[off : off + fan_out], params[off + fan_out : off + 2 * fan_out]
+            off += 2 * fan_out
+            if bn_stats is not None:
+                mean, var = bn_stats[soff : soff + fan_out], bn_stats[soff + fan_out : soff + 2 * fan_out]
+                soff += 2 * fan_out
+        out.append((W, b, gamma, beta, mean, var))
     return out
 
 
@@ -133,9 +132,8 @@ def init_params(arch: Arch, seed: int = 0) -> np.ndarray:
     with a zero output layer, so small trainings converge in few epochs."""
     rng = child_rng(seed, 4)
     params = np.zeros(arch.param_count())
-    layers = _unpack(arch, params)
     gain = math.sqrt(2.0 / (1.0 + arch.negative_slope**2))
-    for i, (W, b, gamma, beta) in enumerate(layers):
+    for i, (W, b, gamma, beta, _, _) in enumerate(_layers(arch, params)):
         if i < len(arch.hidden):
             W[...] = gain / math.sqrt(W.shape[0]) * rng.standard_normal(W.shape)
         b[...] = 0.0
@@ -146,43 +144,34 @@ def init_params(arch: Arch, seed: int = 0) -> np.ndarray:
 
 
 def init_bn_stats(arch: Arch) -> np.ndarray:
-    stats = np.zeros(arch.bn_stat_count())
-    for mean, var in _unpack_bn(arch, stats):
-        var[...] = 1.0
-    return stats
+    """Running mean 0 and variance 1 for every batch-normalized unit."""
+    return np.concatenate([np.r_[np.zeros(w), np.ones(w)] for w in arch.hidden if arch.batch_norm] or [np.zeros(0)])
 
 
-def _forward(arch: Arch, params: np.ndarray, X: np.ndarray, bn_stats: np.ndarray | None,
-             training: bool, cache: list | None = None, bn_update: np.ndarray | None = None) -> np.ndarray:
-    layers = _unpack(arch, params)
-    running = _unpack_bn(arch, bn_stats) if bn_stats is not None and bn_stats.size else None
-    updated = _unpack_bn(arch, bn_update) if bn_update is not None and bn_update.size else None
+def _forward(arch: Arch, layers: list, X: np.ndarray, training: bool, cache: list | None = None) -> np.ndarray:
+    """Scores of X. Batch norm uses batch statistics in training mode, folding
+    them into the running ``mean``/``var`` when the table has them, and the
+    running statistics otherwise."""
     a = X
-    for i, (W, b, gamma, beta) in enumerate(layers):
+    for i, (W, b, gamma, beta, mean, var) in enumerate(layers):
         z = a @ W + b
-        is_hidden = i < len(arch.hidden)
-        if is_hidden and arch.batch_norm:
+        if gamma is not None:
             if training:
-                mu = z.mean(axis=0)
-                var = z.var(axis=0)
-                if updated is not None:
-                    updated[i][0][...] = BN_MOMENTUM * updated[i][0] + (1 - BN_MOMENTUM) * mu
-                    updated[i][1][...] = BN_MOMENTUM * updated[i][1] + (1 - BN_MOMENTUM) * var
+                mu, sig2 = z.mean(axis=0), z.var(axis=0)
+                if mean is not None:
+                    mean[...] = BN_MOMENTUM * mean + (1 - BN_MOMENTUM) * mu
+                    var[...] = BN_MOMENTUM * var + (1 - BN_MOMENTUM) * sig2
             else:
-                mu, var = running[i]
-            inv_std = 1.0 / np.sqrt(var + BN_EPS)
+                mu, sig2 = mean, var
+            inv_std = 1.0 / np.sqrt(sig2 + BN_EPS)
             zhat = (z - mu) * inv_std
             out = gamma * zhat + beta
         else:
             zhat = inv_std = None
             out = z
-        if is_hidden:
-            act = np.where(out > 0, out, arch.negative_slope * out)
-        else:
-            act = out
         if cache is not None:
             cache.append((a, z, zhat, inv_std, out))
-        a = act
+        a = np.where(out > 0, out, arch.negative_slope * out) if i < len(arch.hidden) else out
     return a
 
 
@@ -191,7 +180,7 @@ def scores(h: Hypothesis, X) -> np.ndarray:
     X = np.asarray(X, dtype=np.float64)
     if X.ndim != 2 or X.shape[1] != h.arch.in_dim:
         raise ContractError(f"feature dim {X.shape} does not match arch in_dim={h.arch.in_dim}")
-    return _forward(h.arch, h.params, X, h.bn_stats, training=False)
+    return _forward(h.arch, _layers(h.arch, h.params, h.bn_stats), X, training=False)
 
 
 def predict(h: Hypothesis, X) -> np.ndarray:
@@ -202,21 +191,16 @@ def predict(h: Hypothesis, X) -> np.ndarray:
     return np.argmax(s, axis=1).astype(np.int64)
 
 
-def _backward(arch: Arch, params: np.ndarray, cache: list, dscores: np.ndarray) -> np.ndarray:
-    layers = _unpack(arch, params)
-    grad = np.zeros_like(params)
-    glayers = _unpack(arch, grad)
+def _backward(arch: Arch, layers: list, cache: list, dscores: np.ndarray) -> np.ndarray:
+    grad = np.zeros(arch.param_count())
+    glayers = _layers(arch, grad)
     delta = dscores
     for i in reversed(range(len(layers))):
-        W, b, gamma, beta = layers[i]
-        gW, gb, ggamma, gbeta = glayers[i]
+        W, _, gamma, _, _, _ = layers[i]
+        gW, gb, ggamma, gbeta, _, _ = glayers[i]
         a_in, z, zhat, inv_std, out = cache[i]
-        is_hidden = i < len(arch.hidden)
-        if is_hidden:
-            dout = delta * np.where(out > 0, 1.0, arch.negative_slope)
-        else:
-            dout = delta
-        if is_hidden and arch.batch_norm:
+        dout = delta * np.where(out > 0, 1.0, arch.negative_slope) if i < len(arch.hidden) else delta
+        if gamma is not None:
             # Batch-norm backward with batch statistics.
             m = z.shape[0]
             ggamma[...] = np.sum(dout * zhat, axis=0)
@@ -375,31 +359,24 @@ class AmsGrad:
 def _weight_mask(arch: Arch) -> np.ndarray:
     """True on weight-matrix entries; weight decay skips biases and BN."""
     mask = np.zeros(arch.param_count(), dtype=bool)
-    probe = np.zeros(arch.param_count())
-    for W, b, gamma, beta in _unpack(arch, probe):
-        W[...] = 1.0
-    mask[probe != 0] = True
+    for W, *_ in _layers(arch, mask):
+        W[...] = True
     return mask
 
 
-def default_surrogate(arch: Arch) -> LossSpec:
-    return logistic() if arch.out_dim == 1 else cross_entropy()
-
-
-def train_erm(D: Dataset, arch: Arch, cfg: TrainConfig, surrogate: LossSpec | None = None,
-              sample_weight=None) -> Hypothesis:
+def train_erm(D: Dataset, arch: Arch, cfg: TrainConfig, sample_weight=None) -> Hypothesis:
     """Seeded minibatch ERM with Adam-AMSGrad; returns a frozen hypothesis."""
-    h, _ = train_erm_traced(D, arch, cfg, surrogate, sample_weight)
+    h, _ = train_erm_traced(D, arch, cfg, sample_weight)
     return h
 
 
-def train_erm_traced(D: Dataset, arch: Arch, cfg: TrainConfig, surrogate: LossSpec | None = None,
-                     sample_weight=None, metric=None, keep_best: bool = False
+def train_erm_traced(D: Dataset, arch: Arch, cfg: TrainConfig, sample_weight=None, metric=None
                      ) -> tuple[Hypothesis, tuple[float, ...]]:
     """ERM with an optional per-epoch metric trace.
 
-    ``metric`` is called with a snapshot hypothesis after every epoch. With
-    ``keep_best`` the returned hypothesis is the best-metric checkpoint and
+    The surrogate is logistic for a single score and cross-entropy
+    otherwise. ``metric`` is called with a snapshot hypothesis after every
+    epoch; the returned hypothesis is then the best-metric checkpoint and
     the recorded trace is the running minimum (hence non-increasing).
     """
     if D.n == 0:
@@ -408,14 +385,8 @@ def train_erm_traced(D: Dataset, arch: Arch, cfg: TrainConfig, surrogate: LossSp
         raise ContractError("train_erm needs a labeled dataset")
     if arch.in_dim != D.d:
         raise ContractError(f"arch in_dim={arch.in_dim} does not match data d={D.d}")
-    surrogate = surrogate or default_surrogate(arch)
-    if surrogate.kind == "logistic" and arch.out_dim != 1:
-        raise ContractError("logistic surrogate needs out_dim == 1")
-    if surrogate.kind == "cross_entropy" and arch.out_dim < 2:
-        raise ContractError("cross-entropy surrogate needs out_dim >= 2")
-    if surrogate.kind in ("zero_one", "margin"):
-        raise ContractError(f"{surrogate.kind} is not differentiable; use a training surrogate")
-    if surrogate.kind == "cross_entropy" and D.y.size and D.y.max() >= arch.out_dim:
+    kind = "logistic" if arch.out_dim == 1 else "cross_entropy"
+    if kind == "cross_entropy" and D.y.size and D.y.max() >= arch.out_dim:
         raise ContractError("labels exceed the architecture's output count")
 
     w = np.ones(D.n) if sample_weight is None else np.asarray(sample_weight, dtype=np.float64)
@@ -427,6 +398,7 @@ def train_erm_traced(D: Dataset, arch: Arch, cfg: TrainConfig, surrogate: LossSp
     rng = child_rng(cfg.seed, 5)
     params = init_params(arch, cfg.seed)
     bn_stats = init_bn_stats(arch)
+    layers = _layers(arch, params, bn_stats)
     opt = AmsGrad(params.shape[0], lr=cfg.lr)
     wd_mask = _weight_mask(arch) if cfg.weight_decay > 0 else None
 
@@ -438,37 +410,26 @@ def train_erm_traced(D: Dataset, arch: Arch, cfg: TrainConfig, surrogate: LossSp
         for start in range(0, D.n, cfg.batch_size):
             idx = order[start : start + cfg.batch_size]
             cache: list = []
-            s = _forward(arch, params, D.X[idx], None, training=True, cache=cache, bn_update=bn_stats)
-            loss, ds = _loss_and_dscores(surrogate.kind, s, D.y[idx], w[idx])
+            s = _forward(arch, layers, D.X[idx], training=True, cache=cache)
+            loss, ds = _loss_and_dscores(kind, s, D.y[idx], w[idx])
             if not math.isfinite(loss):
                 raise TrainingError("training loss diverged to a non-finite value", epoch=epoch)
-            grad = _backward(arch, params, cache, ds)
+            grad = _backward(arch, layers, cache, ds)
             if wd_mask is not None:
                 grad[wd_mask] += cfg.weight_decay * params[wd_mask]
             opt.step(params, grad)
         if metric is not None:
-            snap = Hypothesis(arch, params.copy(), bn_stats.copy(), seed=cfg.seed)
-            val = float(metric(snap))
-            if keep_best:
-                if val < best_val:
-                    best_val = val
-                    best_state = (params.copy(), bn_stats.copy())
-                trace.append(best_val)
-            else:
-                trace.append(val)
+            val = float(metric(Hypothesis(arch, params.copy(), bn_stats.copy(), seed=cfg.seed)))
+            if val < best_val:
+                best_val = val
+                best_state = (params.copy(), bn_stats.copy())
+            trace.append(best_val)
     if not np.all(np.isfinite(params)):
         raise TrainingError("parameters diverged to non-finite values", epoch=cfg.epochs - 1)
-    if keep_best and best_state is not None:
+    if best_state is not None:
         params, bn_stats = best_state
-    meta = f"erm {surrogate.kind} epochs={cfg.epochs} batch={cfg.batch_size} lr={cfg.lr} wd={cfg.weight_decay}"
+    meta = f"erm {kind} epochs={cfg.epochs} batch={cfg.batch_size} lr={cfg.lr} wd={cfg.weight_decay}"
     return Hypothesis(arch, params, bn_stats, seed=cfg.seed, note=meta), tuple(trace)
-
-
-def full_batch_loss(h: Hypothesis, D: Dataset, surrogate: LossSpec) -> float:
-    """Training-surrogate loss of a hypothesis on a whole dataset (inference mode)."""
-    s = scores(h, D.X)
-    val, _ = _loss_and_dscores(surrogate.kind, s, D.y, np.ones(D.n))
-    return val
 
 
 def grad_check(arch: Arch, loss: LossSpec, probe: Dataset, eps: float = 1e-5, seed: int = 0) -> float:
@@ -489,13 +450,14 @@ def grad_check(arch: Arch, loss: LossSpec, probe: Dataset, eps: float = 1e-5, se
     w = np.ones(probe.n)
 
     def f(p: np.ndarray) -> float:
-        s = _forward(arch, p, probe.X, None, training=True)
+        s = _forward(arch, _layers(arch, p), probe.X, training=True)
         return _loss_and_dscores(loss.kind, s, y, w)[0]
 
     cache: list = []
-    s = _forward(arch, params, probe.X, None, training=True, cache=cache)
+    layers = _layers(arch, params)
+    s = _forward(arch, layers, probe.X, training=True, cache=cache)
     _, ds = _loss_and_dscores(loss.kind, s, y, w)
-    analytic = _backward(arch, params, cache, ds)
+    analytic = _backward(arch, layers, cache, ds)
 
     worst = 0.0
     for i in range(params.shape[0]):

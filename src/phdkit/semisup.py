@@ -3,7 +3,8 @@
 Produces the target-aware second hypothesis of a discrepancy pair. Target
 rows that enter any retraining round are recorded as consumed so that
 downstream discrepancy estimation can exclude them and only score unseen
-target data.
+target data. The retrain on source plus pseudo-labeled rows,
+:func:`train_with_pseudo`, is shared with tri-training's labelers.
 """
 
 from __future__ import annotations
@@ -16,6 +17,9 @@ from .data import Dataset
 from .errors import ConfigError, ContractError
 from .models import Arch, Hypothesis, TrainConfig, scores, train_erm
 
+PSEUDO_WEIGHT = 0.5
+"""Sample weight of a pseudo-labeled row against 1 for a labeled one."""
+
 
 @dataclass(frozen=True)
 class SelfTrainConfig:
@@ -24,7 +28,6 @@ class SelfTrainConfig:
     tau: float = 0.95
     max_rounds: int = 5
     round_cap: int | None = None
-    pseudo_weight: float = 0.5
     base: TrainConfig = field(default_factory=TrainConfig)
 
     def __post_init__(self):
@@ -34,8 +37,6 @@ class SelfTrainConfig:
             raise ConfigError(f"max_rounds must be >= 1, got {self.max_rounds}")
         if self.round_cap is not None and self.round_cap < 1:
             raise ConfigError(f"round_cap must be >= 1, got {self.round_cap}")
-        if not 0.0 < self.pseudo_weight <= 1.0:
-            raise ConfigError(f"pseudo_weight must lie in (0, 1], got {self.pseudo_weight}")
 
 
 @dataclass(frozen=True)
@@ -61,14 +62,21 @@ def _confidence(h: Hypothesis, X: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     return np.argmax(s, axis=1).astype(np.int64), p.max(axis=1)
 
 
+def train_with_pseudo(S: Dataset, X: np.ndarray, y: np.ndarray, arch: Arch, cfg: TrainConfig) -> Hypothesis:
+    """ERM on the labeled rows of S plus pseudo-labeled rows (X, y) at PSEUDO_WEIGHT."""
+    w = np.concatenate([np.ones(S.n), np.full(len(y), PSEUDO_WEIGHT)])
+    D = Dataset(np.vstack([S.X, X]), np.concatenate([S.y, y]), S.k, S.domain_tag)
+    return train_erm(D, arch, cfg, sample_weight=w)
+
+
 def train_self(S: Dataset, T: Dataset, arch: Arch, cfg: SelfTrainConfig, seed: int = 0) -> SelfTrainResult:
     """Iterative self-training.
 
     Round 0 is plain ERM on the source (bit-identical to ``train_erm`` with
     the same seed). Each later round pseudo-labels the still-unused target
     rows whose confidence reaches tau (most confident first under the cap),
-    then retrains on source plus all pseudo-labeled rows at the configured
-    weight. Stops early once no new row qualifies.
+    then retrains on source plus all pseudo-labeled rows at PSEUDO_WEIGHT.
+    Stops early once no new row qualifies.
     """
     if not S.labeled:
         raise ContractError("source must be labeled")
@@ -107,10 +115,7 @@ def train_self(S: Dataset, T: Dataset, arch: Arch, cfg: SelfTrainConfig, seed: i
         added_per_round.append(int(cand.size))
 
         used = np.flatnonzero(consumed)
-        X = np.vstack([S.X, T.X[used]])
-        y = np.concatenate([S.y, pseudo_labels[used]])
-        w = np.concatenate([np.ones(S.n), np.full(used.size, cfg.pseudo_weight)])
-        h = train_erm(Dataset(X, y, S.k, S.domain_tag), arch, base, sample_weight=w)
+        h = train_with_pseudo(S, T.X[used], pseudo_labels[used], arch, base)
 
     return SelfTrainResult(
         hypothesis=h,

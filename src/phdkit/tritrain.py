@@ -2,10 +2,12 @@
 
 Two source-trained hypotheses (diversified by bootstrap resampling and
 seeds) pseudo-label the target rows they agree on; a third model trains on
-that agreement set. On the agreement set the empirical pair discrepancy is
-zero by construction, so each round also reports the bound evaluated with
-the pair discrepancy on held-out target rows, where it is honestly
-estimated.
+that agreement set. The labelers retrain each round on their bootstrap
+samples plus the agreement set with self-training's pseudo-label retrain.
+On the agreement set the empirical pair discrepancy is zero by
+construction, so each round also reports the bound (at the default delta)
+evaluated with the pair discrepancy on held-out target rows, where it is
+honestly estimated.
 """
 
 from __future__ import annotations
@@ -14,7 +16,7 @@ from dataclasses import dataclass, field, replace
 
 import numpy as np
 
-from .bounds import BoundReport, RademacherEstimate, bound_thm4, rademacher
+from .bounds import DEFAULT_DELTA, BoundReport, bound_thm4, rademacher
 from .data import Dataset
 from .errors import ConfigError, ContractError, DegenerateInputError
 from .models import (
@@ -29,6 +31,7 @@ from .models import (
     zero_one,
 )
 from .numkit import child_rng
+from .semisup import train_with_pseudo
 
 
 @dataclass(frozen=True)
@@ -57,9 +60,7 @@ def build_tpl(h1: Hypothesis, h2: Hypothesis, T: Dataset) -> AgreementSet:
 @dataclass(frozen=True)
 class TriTrainConfig:
     base: TrainConfig = field(default_factory=TrainConfig)
-    pseudo_weight: float = 0.5
     holdout_frac: float = 0.25
-    delta: float = 0.05
     rad_draws: int = 8
     emit_bounds: bool = True
 
@@ -115,7 +116,6 @@ def _bootstrap(S: Dataset, rng) -> Dataset:
 
 def tritrain_round(S: Dataset, T: Dataset, archs, cfg: TriTrainConfig, rounds: int,
                    seed: int = 0, h_t_star: Hypothesis | None = None,
-                   rad: RademacherEstimate | None = None,
                    h1: Hypothesis | None = None, h2: Hypothesis | None = None) -> TriTrainResult:
     """Run the agreement/pseudo-label loop for a number of rounds.
 
@@ -151,16 +151,16 @@ def tritrain_round(S: Dataset, T: Dataset, archs, cfg: TriTrainConfig, rounds: i
     records: list[RoundRecord] = []
     h: Hypothesis | None = None
     tpl = None
-    rad_est = rad
+    rad_est = None
 
     for r in range(rounds):
         if not supplied_pair:
-            extra_X = extra_y = None
-            if tpl is not None and tpl.size > 0:
-                extra_X = T_pool.X[tpl.indices]
-                extra_y = tpl.pseudo_labels
-            h1 = _train_labeler(boot1, arch1, cfg, seed * 2 + 1, extra_X, extra_y)
-            h2 = _train_labeler(boot2, arch2, cfg, seed * 2 + 2, extra_X, extra_y)
+            cfg1, cfg2 = (replace(cfg.base, seed=seed * 2 + j) for j in (1, 2))
+            if tpl is None or tpl.size == 0:
+                h1, h2 = train_erm(boot1, arch1, cfg1), train_erm(boot2, arch2, cfg2)
+            else:
+                X, y = T_pool.X[tpl.indices], tpl.pseudo_labels
+                h1, h2 = train_with_pseudo(boot1, X, y, arch1, cfg1), train_with_pseudo(boot2, X, y, arch2, cfg2)
 
         tpl = build_tpl(h1, h2, T_pool)
         if tpl.size > 0:
@@ -177,15 +177,14 @@ def tritrain_round(S: Dataset, T: Dataset, archs, cfg: TriTrainConfig, rounds: i
         D_tpl = Dataset(T_pool.X[tpl.indices], tpl.pseudo_labels, S.k, "agreement")
         h1_ref = h1
         metric = lambda hyp: empirical_risk(hyp, h1_ref, D_tpl, zero_one())  # noqa: E731
-        h, trace = train_erm_traced(D_tpl, arch_h, replace(cfg.base, seed=seed * 2 + 3 + r),
-                                    metric=metric, keep_best=True)
+        h, trace = train_erm_traced(D_tpl, arch_h, replace(cfg.base, seed=seed * 2 + 3 + r), metric=metric)
 
         bound = None
         if cfg.emit_bounds:
             if rad_est is None:
                 rad_est = rademacher(T_hold, arch_h, draws=cfg.rad_draws, seed=seed,
                                      train_cfg=replace(cfg.base, epochs=min(cfg.base.epochs, 30)))
-            bound = bound_thm4(h, h1, h2, T_hold, rad_est, cfg.delta, h_t_star=h_t_star,
+            bound = bound_thm4(h, h1, h2, T_hold, rad_est, DEFAULT_DELTA, h_t_star=h_t_star,
                                oracle_T=T_hold if T_hold.labeled else None)
 
         acc = accuracy(h, T_hold) if T_hold.labeled else None
@@ -194,14 +193,3 @@ def tritrain_round(S: Dataset, T: Dataset, archs, cfg: TriTrainConfig, rounds: i
     if h is None:
         h = h1  # every round skipped: fall back to a source-trained hypothesis
     return TriTrainResult(h, h1, h2, tuple(records))
-
-
-def _train_labeler(boot: Dataset, arch: Arch, cfg: TriTrainConfig, seed: int,
-                   extra_X, extra_y) -> Hypothesis:
-    if extra_X is None or len(extra_X) == 0:
-        return train_erm(boot, arch, replace(cfg.base, seed=seed))
-    X = np.vstack([boot.X, extra_X])
-    y = np.concatenate([boot.y, extra_y])
-    w = np.concatenate([np.ones(boot.n), np.full(len(extra_X), cfg.pseudo_weight)])
-    return train_erm(Dataset(X, y, boot.k, boot.domain_tag), arch,
-                     replace(cfg.base, seed=seed), sample_weight=w)

@@ -205,6 +205,14 @@ def test_w1_bins_capacity_counts_outlier_bins(tmp_path, capsys):
     assert json.loads(err.strip())["error"] == "CapacityError"
 
 
+@pytest.mark.parametrize("cap", ["0", "-1"])
+def test_w1_cap_below_one_exits_2_with_config_error(cap, tmp_path, capsys):
+    src, tgt = _gen(tmp_path, capsys, n=40)
+    code, _, err = run(["w1", "--source", str(src), "--target", str(tgt), "--cap", cap], capsys)
+    assert code == 2
+    assert json.loads(err.strip())["error"] == "ConfigError"
+
+
 def test_gradcheck_command(capsys):
     code, out, _ = run(["gradcheck", "--d", "3", "--hidden", "8,8", "--probe-n", "4"], capsys)
     assert code == 0
@@ -250,8 +258,11 @@ def test_config_file_supplies_required_flags_and_explicit_flags_win(tmp_path, ca
     ["repro", "table3", "--set", "n"],
     ["repro", "no-such-protocol"],
     ["--conf", "d.ini", "gen"],
+    ["repro", "table3", "--set", "seeds="],
+    ["repro", "fig2", "--set", "sigmas="],
 ], ids=["no-command", "config-without-value", "unknown-command", "bad-int", "bad-shift", "negative-seed",
-        "set-bad-int", "set-without-equals", "unknown-protocol", "abbreviated-root-flag"])
+        "set-bad-int", "set-without-equals", "unknown-protocol", "abbreviated-root-flag", "set-no-seeds",
+        "set-no-sigmas"])
 def test_usage_errors_exit_2_with_json(argv, tmp_path, capsys):
     code, _, err = run(["--out", str(tmp_path)] + argv, capsys)
     assert code == 2

@@ -17,7 +17,7 @@ from phdkit.discrepancy import (
     stump_erm,
     w1_exact,
 )
-from phdkit.errors import CapacityError, ContractError, DegenerateInputError
+from phdkit.errors import CapacityError, ConfigError, ContractError, DegenerateInputError
 from phdkit.models import (
     TrainConfig,
     constant_hypothesis,
@@ -318,6 +318,13 @@ def test_w1_capacity_error():
     A = Dataset(rng.standard_normal((600, 2)))
     with pytest.raises(CapacityError):
         w1_exact(A, A, cap=512)
+
+
+@pytest.mark.parametrize("cap", [0, -1])
+def test_w1_cap_below_one_is_a_config_error(cap):
+    A = Dataset(rng_from(16).standard_normal((5, 2)))
+    with pytest.raises(ConfigError, match="cap"):
+        w1_exact(A, A, cap=cap)
 
 
 def test_w1_dim_mismatch():

@@ -1,0 +1,63 @@
+"""Golden SHA-256 digests of the four reduced ``repro`` reports.
+
+The determinism criterion only compares two runs of the same code, so a
+refactor that shifts numbers would pass it. These digests pin the report
+bytes themselves. An intended numeric change updates the constant below
+(the failure message prints the new digest) and is declared in CHANGES.md.
+"""
+
+import hashlib
+import os
+import subprocess
+import sys
+from pathlib import Path
+
+import pytest
+
+import phdkit
+from phdkit.cli import main as cli_main
+
+# The reduced configurations of acceptance criterion 10, run with --seed 7.
+REDUCED = {
+    "table1": ["seeds=0", "n=200", "epochs=4", "adv_epochs=4", "ssl_rounds=1"],
+    "table2": ["seeds=0", "n=200", "epochs=4", "adv_epochs=4", "ssl_rounds=1"],
+    "table3": ["seeds=0", "n=150", "epochs=4", "ssl_rounds=1"],
+    "fig2": ["seeds=0", "sigmas=0.5", "n_source=80", "n_target=200", "epochs=4", "ssl_rounds=1"],
+}
+GOLDEN = {
+    "table1": "45b605bbb90e8791045fd8ae6492b67475d8c3bbd294a1881f2a9db2a7bcec47",
+    "table2": "d14d2d86b7609fd2f507bd4a1886cbae521bab189018db9db4d7fb6893e0b704",
+    "table3": "8e6b2f6860a7924a372a39ad5339aabcc4fd9a6ac661f00b94819749af661b58",
+    "fig2": "cd954d7a33fb671c3d8ba07bba7a55143b01d605dd0b03c149e994b87ad18a81",
+}
+
+
+def _argv(protocol: str, out: Path) -> list[str]:
+    argv = ["--seed", "7", "--out", str(out), "repro", protocol]
+    for ov in REDUCED[protocol]:
+        argv += ["--set", ov]
+    return argv
+
+
+def _digest(protocol: str, out: Path) -> str:
+    return hashlib.sha256((out / f"repro_{protocol}_report.json").read_bytes()).hexdigest()
+
+
+@pytest.mark.parametrize("protocol", sorted(REDUCED))
+def test_reduced_report_matches_golden_digest(protocol, tmp_path, capsys):
+    assert cli_main(_argv(protocol, tmp_path)) == 0
+    capsys.readouterr()
+    got = _digest(protocol, tmp_path)
+    assert got == GOLDEN[protocol], f"repro {protocol} report digest changed: new digest {got}"
+
+
+@pytest.mark.parametrize("threads", ["1", "2"])
+def test_report_is_independent_of_blas_thread_count(threads, tmp_path):
+    src = str(Path(phdkit.__file__).parents[1])
+    env = dict(os.environ, OPENBLAS_NUM_THREADS=threads, OMP_NUM_THREADS=threads,
+               PYTHONPATH=os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")])))
+    proc = subprocess.run([sys.executable, "-m", "phdkit.cli", *_argv("table1", tmp_path)], env=env,
+                          capture_output=True, text=True, timeout=300)
+    assert proc.returncode == 0, proc.stderr
+    got = _digest("table1", tmp_path)
+    assert got == GOLDEN["table1"], f"table1 with {threads} BLAS thread(s) gave digest {got}"

@@ -9,11 +9,11 @@ from phdkit.models import (
     AmsGrad,
     Hypothesis,
     TrainConfig,
+    _weight_mask,
     accuracy,
     constant_hypothesis,
     cross_entropy,
     empirical_risk,
-    full_batch_loss,
     grad_check,
     init_bn_stats,
     init_params,
@@ -188,7 +188,7 @@ def test_training_loss_does_not_increase():
     cfg = TrainConfig(epochs=25, seed=4)
     h0 = Hypothesis(arch, init_params(arch, cfg.seed), init_bn_stats(arch))
     h = train_erm(D, arch, cfg)
-    assert full_batch_loss(h, D, logistic()) <= full_batch_loss(h0, D, logistic())
+    assert empirical_risk(h, None, D, logistic()) <= empirical_risk(h0, None, D, logistic())
 
 
 def test_divergence_raises_training_error_with_epoch():
@@ -212,9 +212,23 @@ def test_deterministic_replay():
 def test_traced_training_keep_best_is_non_increasing():
     D, _ = gen_gaussian_pair(100, 2, seed=6)
     metric = lambda h: empirical_risk(h, None, D, zero_one())  # noqa: E731
-    _, trace = train_erm_traced(D, linear_arch(2), TrainConfig(epochs=12, seed=1),
-                                metric=metric, keep_best=True)
+    _, trace = train_erm_traced(D, linear_arch(2), TrainConfig(epochs=12, seed=1), metric=metric)
     assert all(a >= b for a, b in zip(trace, trace[1:]))
+
+
+def test_weight_decay_mask_covers_exactly_the_weight_matrices():
+    arch = mlp_arch(3, (5, 4), out_dim=2, batch_norm=True)
+    expected = np.zeros(arch.param_count(), dtype=bool)
+    widths, off = arch.widths, 0
+    for i in range(len(widths) - 1):
+        fi, fo = widths[i], widths[i + 1]
+        expected[off : off + fi * fo] = True
+        # then the bias, and gamma/beta on batch-normalized hidden layers
+        off += fi * fo + fo + (2 * fo if i < len(arch.hidden) else 0)
+    assert off == arch.param_count()
+    mask = _weight_mask(arch)
+    assert mask.dtype == bool and np.array_equal(mask, expected)
+    assert int(mask.sum()) == 3 * 5 + 5 * 4 + 4 * 2
 
 
 def test_amsgrad_second_moment_max_is_monotone():
@@ -238,8 +252,6 @@ def test_bad_configs_rejected():
     D, _ = gen_gaussian_pair(20, 2, seed=0)
     with pytest.raises(ContractError):
         train_erm(D.without_labels(), linear_arch(2), TrainConfig(epochs=1))
-    with pytest.raises(ContractError):
-        train_erm(D, linear_arch(2), TrainConfig(epochs=1), surrogate=zero_one())
 
 
 @pytest.mark.parametrize("w", [np.zeros(20), np.r_[np.ones(19), -1.0], np.r_[np.ones(19), np.nan],
