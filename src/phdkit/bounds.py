@@ -18,7 +18,7 @@ from dataclasses import dataclass, replace
 import numpy as np
 
 from .data import Dataset
-from .discrepancy import ExplicitClass, StumpClass, _threshold_errors, phd
+from .discrepancy import ExplicitClass, StumpClass, _scan_plan, _threshold_errors, phd
 from .errors import ConfigError, ContractError, DegenerateInputError
 from .models import (
     Arch,
@@ -125,19 +125,16 @@ class RademacherEstimate:
         }
 
 
-def _stump_sup_correlation(X: np.ndarray, sigma: np.ndarray, cls: StumpClass) -> float:
-    """Exact sup over the stump class of (1/n) sum sigma_i h(x_i).
-
-    A pol-+ stump with m mistakes against the sign labels correlates
-    n - 2m; polarity - is the negation, hence the absolute value.
-    """
-    n = X.shape[0]
+def _stump_sup_correlation(plans: list, sigma: np.ndarray) -> float:
+    """Exact sup over the stump class of (1/n) sum sigma_i h(x_i) from the scan
+    plans of the sample's columns: a pol-+ stump with m mistakes against the
+    sign labels correlates n - 2m, and its polarity-- twin the negation."""
+    n = sigma.shape[0]
     labels = (sigma > 0).astype(np.int64)
     best = abs(float(sigma.sum()))
-    for j, ths in enumerate(cls.thresholds):
-        if ths:
-            m = _threshold_errors(X[:, j], labels, np.asarray(ths))
-            best = max(best, float(np.abs(n - 2 * m).max()))
+    for plan in plans:
+        m = _threshold_errors(plan, labels)
+        best = max(best, float(np.abs(n - 2 * m).max()))
     return best / n
 
 
@@ -156,7 +153,8 @@ def rademacher(T: Dataset, cls, draws: int = DEFAULT_DRAWS, seed: int = 0,
         raise DegenerateInputError("cannot estimate complexity on an empty sample")
     sigmas = (child_rng(seed, 9, k).choice([-1.0, 1.0], size=T.n) for k in range(draws))
     if isinstance(cls, StumpClass):
-        vals = [_stump_sup_correlation(T.X, sigma, cls) for sigma in sigmas]
+        plans = [_scan_plan(T.X[:, j], np.asarray(ths)) for j, ths in enumerate(cls.thresholds) if ths]
+        vals = [_stump_sup_correlation(plans, sigma) for sigma in sigmas]
         method, descr = "exact-finite", f"stumps({cls.size})"
     elif isinstance(cls, ExplicitClass):
         P = cls.prediction_matrix(T.X).astype(np.float64)

@@ -9,9 +9,11 @@ the suprema are computed exactly by enumeration; for trained architectures
 they are estimated adversarially, which is where complex classes overestimate.
 
 Every threshold scan, here and in ``bounds``, counts mistakes with one
-prefix-count kernel. The two adversarial estimators share one routine and
-differ only in the reference labelling: constant one for ``d_H``, the
-source hypothesis's predictions for S-disc.
+prefix-count kernel over a column's scan plan (sort order and threshold
+positions), so a column scanned against many labellings is sorted once.
+The two adversarial estimators share one routine and differ only in the
+reference labelling: constant one for ``d_H``, the source hypothesis's
+predictions for S-disc.
 
 Also houses exact empirical Wasserstein-1 (sorted coupling in 1-D, min-cost
 perfect matching otherwise) and the binned L1 distance.
@@ -33,6 +35,7 @@ from .models import (
     Hypothesis,
     LossSpec,
     TrainConfig,
+    _Workspace,
     constant_hypothesis,
     empirical_risk,
     predict,
@@ -186,17 +189,23 @@ class ExplicitClass:
         return out
 
 
-def _threshold_errors(x: np.ndarray, ref: np.ndarray, thresholds: np.ndarray) -> np.ndarray:
-    """Zero-one mistakes of the pol-+ stump 1{x >= t} against ``ref`` at each threshold.
+def _scan_plan(x: np.ndarray, thresholds: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """Stable sort order of ``x`` and the count of values below each threshold."""
+    order = np.argsort(x, kind="stable")
+    return order, np.searchsorted(x[order], thresholds, side="left")
+
+
+def _threshold_errors(plan: tuple[np.ndarray, np.ndarray], ref: np.ndarray) -> np.ndarray:
+    """Zero-one mistakes of the pol-+ stump 1{x >= t} against ``ref`` at each
+    threshold of a :func:`_scan_plan` of x.
 
     Reference-1 rows below t plus reference-0 rows at or above t, counted
-    exactly in integers from one sort and one prefix sum.
+    exactly in integers from one prefix sum.
     """
-    order = np.argsort(x, kind="stable")
-    pos = np.searchsorted(x[order], thresholds, side="left")
+    order, pos = plan
     cum1 = np.concatenate([[0], np.cumsum(ref[order] == 1)])
     below1 = cum1[pos]
-    return below1 + (x.shape[0] - cum1[-1] - (pos - below1))
+    return below1 + (order.shape[0] - cum1[-1] - (pos - below1))
 
 
 def stump_erm(cls: StumpClass, D: Dataset) -> Hypothesis:
@@ -212,7 +221,7 @@ def stump_erm(cls: StumpClass, D: Dataset) -> Hypothesis:
         if not ths:
             continue
         t = np.asarray(ths)
-        risk_plus = _threshold_errors(D.X[:, j], D.y, t) / n
+        risk_plus = _threshold_errors(_scan_plan(D.X[:, j], t), D.y) / n
         risk_minus = 1.0 - risk_plus
         for risks, pol in ((risk_plus, 1), (risk_minus, -1)):
             i = int(np.argmin(risks))
@@ -280,8 +289,8 @@ def _sup_reference_gap(measure: str, S: Dataset, T: Dataset, cls: StumpClass, re
         if not ths:
             continue
         t = np.asarray(ths)
-        gap = np.abs(_threshold_errors(T.X[:, j], ref_t, t) / T.n
-                     - _threshold_errors(S.X[:, j], ref_s, t) / S.n)
+        gap = np.abs(_threshold_errors(_scan_plan(T.X[:, j], t), ref_t) / T.n
+                     - _threshold_errors(_scan_plan(S.X[:, j], t), ref_s) / S.n)
         i = int(np.argmax(gap))
         if gap[i] > best + 1e-15:
             best, info = float(gap[i]), {"feature": j, "threshold": float(t[i]), "polarity": 1}
@@ -368,8 +377,8 @@ def _scan_threshold_gap(score_s: np.ndarray, ref_s: np.ndarray,
     else:
         mids = (pooled[:-1] + pooled[1:]) / 2.0
         thresholds = np.concatenate([[pooled[0] - 1.0], mids, [pooled[-1] + 1.0]])
-    gap = np.abs(_threshold_errors(score_t, ref_t, thresholds) / score_t.shape[0]
-                 - _threshold_errors(score_s, ref_s, thresholds) / score_s.shape[0])
+    gap = np.abs(_threshold_errors(_scan_plan(score_t, thresholds), ref_t) / score_t.shape[0]
+                 - _threshold_errors(_scan_plan(score_s, thresholds), ref_s) / score_s.shape[0])
     return float(gap.max())
 
 
@@ -400,12 +409,13 @@ def _adversarial_gap(S: Dataset, T: Dataset, ref, arch: Arch, cfg: TrainConfig, 
         T_fit = T_eval = T
     ref_sf, ref_tf = ref(S_fit.X), ref(T_fit.X)
     ref_se, ref_te = ref(S_eval.X), ref(T_eval.X)
+    ws = _Workspace()
 
     def statistic(h: Hypothesis) -> float:
         # Shifting the output bias keeps the witness inside the class, so
         # the best decision threshold over the scored samples is scanned.
-        return _scan_threshold_gap(scores(h, S_eval.X)[:, 0], ref_se,
-                                   scores(h, T_eval.X)[:, 0], ref_te)
+        return _scan_threshold_gap(scores(h, S_eval.X, ws)[:, 0], ref_se,
+                                   scores(h, T_eval.X, ws)[:, 0], ref_te)
 
     stats = {}
     for k, direction in enumerate(directions):

@@ -5,9 +5,14 @@ batch normalization before each hidden activation) scored by a manual
 forward pass; gradients come from hand-written backpropagation validated by
 :func:`grad_check`. Both passes read one layer table of views into the flat
 parameter and statistic vectors, built once per training run or scoring
-call. Training minimizes the logistic loss for a single score and
-cross-entropy otherwise, with Adam and the AMSGrad correction, which keeps
-a per-parameter running maximum of the second-moment estimate.
+call, and write hidden-layer arrays into a workspace of buffers reused for
+one training run or one caller's run of scoring calls. Training minimizes
+the logistic loss for a single score and cross-entropy otherwise, with Adam
+and the AMSGrad correction (in place), which keeps a per-parameter running
+maximum of the second-moment estimate. In-place steps keep the operand
+order of the plain expressions, so the bits do not depend on the buffers.
+The leaky ReLU max(x, slope * x) and its derivative slope + (1 - slope) *
+[x > 0] are exact because the slope must lie in [0, 1].
 
 Binary tasks use labels {0, 1} internally; the signed-score convention
 (+1 at score >= 0) only appears at the loss boundary.
@@ -47,6 +52,8 @@ class Arch:
             raise ContractError(f"bad arch dims in={self.in_dim} out={self.out_dim}")
         if any(w < 1 for w in self.hidden):
             raise ContractError(f"bad hidden widths {self.hidden}")
+        if not (isinstance(self.negative_slope, (int, float)) and 0.0 <= self.negative_slope <= 1.0):
+            raise ContractError(f"leaky-ReLU slope must be a number in [0, 1], got {self.negative_slope!r}")
         object.__setattr__(self, "hidden", tuple(int(w) for w in self.hidden))
 
     @property
@@ -148,39 +155,78 @@ def init_bn_stats(arch: Arch) -> np.ndarray:
     return np.concatenate([np.r_[np.zeros(w), np.ones(w)] for w in arch.hidden if arch.batch_norm] or [np.zeros(0)])
 
 
-def _forward(arch: Arch, layers: list, X: np.ndarray, training: bool, cache: list | None = None) -> np.ndarray:
-    """Scores of X. Batch norm uses batch statistics in training mode, folding
-    them into the running ``mean``/``var`` when the table has them, and the
-    running statistics otherwise."""
-    a = X
-    for i, (W, b, gamma, beta, mean, var) in enumerate(layers):
-        z = a @ W + b
+class _Workspace:
+    """Float64 buffers keyed by (role, layer), of which ``get`` returns the
+    first ``rows`` rows, growing only when needed; plus the gradient vector
+    and its layer table of the one architecture the workspace serves."""
+
+    def __init__(self):
+        self._bufs: dict = {}
+        self._grad: tuple | None = None
+
+    def get(self, role: str, layer: int, rows: int, cols: int) -> np.ndarray:
+        buf = self._bufs.get((role, layer))
+        if buf is None or buf.size < rows * cols:
+            buf = self._bufs[(role, layer)] = np.empty(rows * cols)
+        return buf[: rows * cols].reshape(rows, cols)
+
+    def grad(self, arch: Arch) -> tuple[np.ndarray, list]:
+        if self._grad is None:
+            g = np.empty(arch.param_count())
+            self._grad = (g, _layers(arch, g))
+        return self._grad
+
+
+def _forward(arch: Arch, layers: list, X: np.ndarray, training: bool, ws: _Workspace,
+             cache: list | None = None) -> np.ndarray:
+    """Scores of X as a fresh array. Batch norm uses batch statistics in
+    training mode, folding them into the running ``mean``/``var`` when the
+    table has them, and the running statistics otherwise. Hidden layers are
+    computed in ``ws``: in one buffer each plus a shared temporary, or with
+    a ``cache`` in separate buffers for what the backward pass reads."""
+    a, n = X, X.shape[0]
+    for i, (W, b, gamma, beta, mean, var) in enumerate(layers[:-1]):
+        w = W.shape[1]
+        tmp = ws.get("tmp", -1, n, w)
+        z = np.matmul(a, W, out=ws.get("z", i, n, w))
+        z += b
+        zhat = inv_std = None
         if gamma is not None:
             if training:
-                mu, sig2 = z.mean(axis=0), z.var(axis=0)
+                mu = z.mean(axis=0)
+                z -= mu
+                # z.var(axis=0) in numpy's own order: mean of squared deviations
+                sig2 = np.add.reduce(np.square(z, out=tmp), axis=0) / n
                 if mean is not None:
                     mean[...] = BN_MOMENTUM * mean + (1 - BN_MOMENTUM) * mu
                     var[...] = BN_MOMENTUM * var + (1 - BN_MOMENTUM) * sig2
             else:
-                mu, sig2 = mean, var
+                z -= mean
+                sig2 = var
             inv_std = 1.0 / np.sqrt(sig2 + BN_EPS)
-            zhat = (z - mu) * inv_std
-            out = gamma * zhat + beta
+            zhat = np.multiply(z, inv_std, out=z)
+            out = np.multiply(gamma, zhat, out=ws.get("out", i, n, w) if cache is not None else z)
+            out += beta
         else:
-            zhat = inv_std = None
             out = z
         if cache is not None:
-            cache.append((a, z, zhat, inv_std, out))
-        a = np.where(out > 0, out, arch.negative_slope * out) if i < len(arch.hidden) else out
-    return a
+            cache.append((a, zhat, inv_std, out))
+        a = np.multiply(out, arch.negative_slope, out=ws.get("a", i, n, w) if cache is not None else tmp)
+        a = np.maximum(out, a, out=a if cache is not None else out)
+    W, b = layers[-1][:2]
+    s = a @ W + b
+    if cache is not None:
+        cache.append((a, None, None, s))
+    return s
 
 
-def scores(h: Hypothesis, X) -> np.ndarray:
-    """n x k score matrix (k = 1 signed score for binary hypotheses)."""
+def scores(h: Hypothesis, X, ws: _Workspace | None = None) -> np.ndarray:
+    """Fresh n x k score matrix (k = 1 signed score for binary hypotheses);
+    a run of calls may share one workspace ``ws``."""
     X = np.asarray(X, dtype=np.float64)
     if X.ndim != 2 or X.shape[1] != h.arch.in_dim:
         raise ContractError(f"feature dim {X.shape} does not match arch in_dim={h.arch.in_dim}")
-    return _forward(h.arch, _layers(h.arch, h.params, h.bn_stats), X, training=False)
+    return _forward(h.arch, _layers(h.arch, h.params, h.bn_stats), X, False, ws or _Workspace())
 
 
 def predict(h: Hypothesis, X) -> np.ndarray:
@@ -191,27 +237,42 @@ def predict(h: Hypothesis, X) -> np.ndarray:
     return np.argmax(s, axis=1).astype(np.int64)
 
 
-def _backward(arch: Arch, layers: list, cache: list, dscores: np.ndarray) -> np.ndarray:
-    grad = np.zeros(arch.param_count())
-    glayers = _layers(arch, grad)
+def _backward(arch: Arch, layers: list, cache: list, dscores: np.ndarray, ws: _Workspace) -> np.ndarray:
+    """Gradient w.r.t. the flat parameters, overwriting ``ws``'s gradient vector."""
+    grad, glayers = ws.grad(arch)
     delta = dscores
     for i in reversed(range(len(layers))):
         W, _, gamma, _, _, _ = layers[i]
         gW, gb, ggamma, gbeta, _, _ = glayers[i]
-        a_in, z, zhat, inv_std, out = cache[i]
-        dout = delta * np.where(out > 0, 1.0, arch.negative_slope) if i < len(arch.hidden) else delta
+        a_in, zhat, inv_std, out = cache[i]
+        n, w = delta.shape
+        if i < len(arch.hidden):
+            # leaky-ReLU derivative: 1 above zero, the slope elsewhere
+            dout = np.greater(out, 0, out=ws.get("dout", i, n, w))
+            dout *= 1 - arch.negative_slope
+            dout += arch.negative_slope
+            dout *= delta
+        else:
+            dout = delta
         if gamma is not None:
             # Batch-norm backward with batch statistics.
-            m = z.shape[0]
-            ggamma[...] = np.sum(dout * zhat, axis=0)
+            tmp = ws.get("tmp", -1, n, w)
+            ggamma[...] = np.sum(np.multiply(dout, zhat, out=tmp), axis=0)
             gbeta[...] = np.sum(dout, axis=0)
-            dzhat = dout * gamma
-            dz = (inv_std / m) * (m * dzhat - dzhat.sum(axis=0) - zhat * np.sum(dzhat * zhat, axis=0))
+            dzhat = np.multiply(dout, gamma, out=dout)
+            sum_dzhat = dzhat.sum(axis=0)
+            sum_dzhat_zhat = np.sum(np.multiply(dzhat, zhat, out=tmp), axis=0)
+            # (inv_std / n) * (n * dzhat - sum_dzhat - zhat * sum_dzhat_zhat)
+            dz = np.multiply(dzhat, n, out=dzhat)
+            dz -= sum_dzhat
+            dz -= np.multiply(zhat, sum_dzhat_zhat, out=tmp)
+            dz *= inv_std / n
         else:
             dz = dout
-        gW[...] = a_in.T @ dz
+        np.matmul(a_in.T, dz, out=gW)
         gb[...] = dz.sum(axis=0)
-        delta = dz @ W.T
+        if i > 0:
+            delta = np.matmul(dz, W.T, out=ws.get("delta", i - 1, n, W.shape[0]))
     return grad
 
 
@@ -345,15 +406,21 @@ class AmsGrad:
         self.v = np.zeros(dim)
         self.vmax = np.zeros(dim)
         self.t = 0
+        self._tmp = np.empty(dim), np.empty(dim)
 
     def step(self, params: np.ndarray, grad: np.ndarray) -> None:
+        # m = b1 m + (1 - b1) g, v = b2 v + ((1 - b2) g) g, params -= (lr mhat) / (sqrt(vhat) + eps)
         self.t += 1
-        self.m = self.beta1 * self.m + (1 - self.beta1) * grad
-        self.v = self.beta2 * self.v + (1 - self.beta2) * grad * grad
+        upd, den = self._tmp
+        self.m *= self.beta1
+        self.m += np.multiply(grad, 1 - self.beta1, out=upd)
+        self.v *= self.beta2
+        self.v += np.multiply(np.multiply(grad, 1 - self.beta2, out=upd), grad, out=upd)
         np.maximum(self.vmax, self.v, out=self.vmax)
-        mhat = self.m / (1 - self.beta1**self.t)
-        vhat = self.vmax / (1 - self.beta2**self.t)
-        params -= self.lr * mhat / (np.sqrt(vhat) + self.eps)
+        den = np.sqrt(np.divide(self.vmax, 1 - self.beta2**self.t, out=den), out=den)
+        den += self.eps
+        upd = np.multiply(np.divide(self.m, 1 - self.beta1**self.t, out=upd), self.lr, out=upd)
+        params -= np.divide(upd, den, out=upd)
 
 
 def _weight_mask(arch: Arch) -> np.ndarray:
@@ -399,6 +466,7 @@ def train_erm_traced(D: Dataset, arch: Arch, cfg: TrainConfig, sample_weight=Non
     params = init_params(arch, cfg.seed)
     bn_stats = init_bn_stats(arch)
     layers = _layers(arch, params, bn_stats)
+    ws = _Workspace()
     opt = AmsGrad(params.shape[0], lr=cfg.lr)
     wd_mask = _weight_mask(arch) if cfg.weight_decay > 0 else None
 
@@ -410,11 +478,11 @@ def train_erm_traced(D: Dataset, arch: Arch, cfg: TrainConfig, sample_weight=Non
         for start in range(0, D.n, cfg.batch_size):
             idx = order[start : start + cfg.batch_size]
             cache: list = []
-            s = _forward(arch, layers, D.X[idx], training=True, cache=cache)
+            s = _forward(arch, layers, D.X[idx], True, ws, cache)
             loss, ds = _loss_and_dscores(kind, s, D.y[idx], w[idx])
             if not math.isfinite(loss):
                 raise TrainingError("training loss diverged to a non-finite value", epoch=epoch)
-            grad = _backward(arch, layers, cache, ds)
+            grad = _backward(arch, layers, cache, ds, ws)
             if wd_mask is not None:
                 grad[wd_mask] += cfg.weight_decay * params[wd_mask]
             opt.step(params, grad)
@@ -449,15 +517,17 @@ def grad_check(arch: Arch, loss: LossSpec, probe: Dataset, eps: float = 1e-5, se
     y = probe.y
     w = np.ones(probe.n)
 
+    ws = _Workspace()
+
     def f(p: np.ndarray) -> float:
-        s = _forward(arch, _layers(arch, p), probe.X, training=True)
+        s = _forward(arch, _layers(arch, p), probe.X, True, ws)
         return _loss_and_dscores(loss.kind, s, y, w)[0]
 
     cache: list = []
     layers = _layers(arch, params)
-    s = _forward(arch, layers, probe.X, training=True, cache=cache)
+    s = _forward(arch, layers, probe.X, True, ws, cache)
     _, ds = _loss_and_dscores(loss.kind, s, y, w)
-    analytic = _backward(arch, layers, cache, ds)
+    analytic = _backward(arch, layers, cache, ds, ws)
 
     worst = 0.0
     for i in range(params.shape[0]):

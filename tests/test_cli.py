@@ -179,6 +179,18 @@ def test_missing_input_gives_exit_2_and_json_error(tmp_path, capsys):
     assert json.loads(err.strip())["error"] in ("FileNotFoundError", "FormatError")
 
 
+def test_phd_with_slope_outside_unit_interval_exits_2(tmp_path, capsys):
+    src, tgt = _gen(tmp_path, capsys)
+    m1 = _train(tmp_path, capsys, src, "h1.bin", 3)
+    sidecar = tmp_path / "h1.bin.json"
+    doc = json.loads(sidecar.read_text())
+    doc["arch"]["negative_slope"] = 2.0
+    sidecar.write_text(json.dumps(doc))
+    code, _, err = run(["phd", "--h1", str(m1), "--h2", str(m1), "--target", str(tgt)], capsys)
+    assert code == 2
+    assert json.loads(err.strip().splitlines()[-1])["error"] == "ContractError"
+
+
 def test_dh_exact_and_w1_commands(tmp_path, capsys):
     src, tgt = _gen(tmp_path, capsys, n=120)
     code, out, _ = run(["dh", "--source", str(src), "--target", str(tgt), "--label-col", "label"], capsys)

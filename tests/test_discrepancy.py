@@ -7,6 +7,8 @@ from phdkit.data import Dataset
 from phdkit.discrepancy import (
     ExplicitClass,
     StumpClass,
+    _scan_plan,
+    _threshold_errors,
     dh_adv,
     dh_exact,
     disc_exact,
@@ -178,6 +180,18 @@ def test_supremum_orderings_hold_on_random_instances():
         dc = disc_exact(S, T, cls).value
         assert dc + 1e-9 >= sd >= 0.0
         assert dc + 1e-9 >= dh
+
+
+def test_scan_plan_counts_equal_brute_force_mistakes():
+    rng = np.random.default_rng(8)
+    x = rng.integers(-5, 6, size=300).astype(float)  # many ties
+    u = np.unique(x)
+    t = np.concatenate([[u[0] - 1.0], (u[:-1] + u[1:]) / 2.0, u, [u[-1] + 1.0]])
+    plan = _scan_plan(x, t)
+    for _ in range(20):
+        ref = rng.integers(0, 2, size=x.shape[0])
+        brute = np.array([np.sum((x >= c).astype(int) != ref) for c in t])
+        assert np.array_equal(_threshold_errors(plan, ref), brute)
 
 
 def test_stump_erm_matches_enumeration():

@@ -1,3 +1,4 @@
+import hashlib
 import math
 
 import numpy as np
@@ -7,9 +8,14 @@ from phdkit.data import Dataset, gen_gaussian_pair
 from phdkit.errors import ConfigError, ContractError, DegenerateInputError, TrainingError
 from phdkit.models import (
     AmsGrad,
+    Arch,
     Hypothesis,
     TrainConfig,
+    _backward,
+    _forward,
+    _layers,
     _weight_mask,
+    _Workspace,
     accuracy,
     constant_hypothesis,
     cross_entropy,
@@ -261,6 +267,76 @@ def test_bad_sample_weight_is_a_contract_error(w):
     D, _ = gen_gaussian_pair(20, 2, seed=0)
     with pytest.raises(ContractError):
         train_erm(D, linear_arch(2), TrainConfig(epochs=1), sample_weight=w)
+
+
+@pytest.mark.parametrize("slope", [-0.1, 1.5, math.nan, math.inf, "0.1"])
+def test_arch_rejects_slope_outside_unit_interval(slope):
+    with pytest.raises(ContractError):
+        Arch(3, (4,), negative_slope=slope)
+
+
+@pytest.mark.parametrize("slope", [0.0, 0.1, 1.0])
+def test_leaky_relu_passes_match_the_select_oracle(slope):
+    X = np.array([[0.0, -0.0, -2.5, 3.0], [-0.0, 1e-300, -1e-300, -7.0], [5.0, 0.0, -0.0, 0.25]])
+    W2 = np.random.default_rng(0).standard_normal((4, 2))
+    head = np.concatenate([W2.ravel(), [0.5, -0.5]])
+    # Forward: identity weights, then batch norm with running mean 0 and a
+    # per-unit gamma of +-1 and beta of +-0, so the pre-activations hold
+    # both signed zeros next to negatives and positives.
+    arch = Arch(4, (4,), 2, batch_norm=True, negative_slope=slope)
+    gamma, beta = np.array([1.0, -1.0, 1.0, -1.0]), np.array([0.0, -0.0, 0.0, -0.0])
+    params = np.concatenate([np.eye(4).ravel(), np.zeros(4), gamma, beta, head])
+    cache: list = []
+    _forward(arch, _layers(arch, params, init_bn_stats(arch)), X, False, _Workspace(), cache)
+    pre = cache[0][3]
+    assert np.signbit(pre[pre == 0]).any() and not np.signbit(pre[pre == 0]).all()
+    assert cache[1][0].tobytes() == np.where(pre > 0, pre, slope * pre).tobytes()  # signs of zeros included
+    # Backward through the same layer without batch norm.
+    arch = Arch(4, (4,), 2, negative_slope=slope)
+    params = np.concatenate([np.eye(4).ravel(), np.zeros(4), head])
+    cache, ws = [], _Workspace()
+    layers = _layers(arch, params)
+    s = _forward(arch, layers, X, True, ws, cache)
+    ds = np.random.default_rng(1).standard_normal(s.shape)
+    grad = _backward(arch, layers, cache, ds, ws)
+    pre = cache[0][3]
+    act = np.where(pre > 0, pre, slope * pre)
+    dout = (ds @ W2.T) * np.where(pre > 0, 1.0, slope)
+    expected = np.concatenate([(X.T @ dout).ravel(), dout.sum(axis=0), (act.T @ ds).ravel(), ds.sum(axis=0)])
+    assert grad.tobytes() == expected.tobytes()
+
+
+def test_scores_with_a_reused_workspace_equal_fresh_scores():
+    arch = mlp_arch(16, (128, 64))
+    rng = np.random.default_rng(3)
+    stats = init_bn_stats(arch) + np.abs(rng.standard_normal(arch.bn_stat_count())) * 0.1
+    h = Hypothesis(arch, init_params(arch, seed=5) + 0.01 * rng.standard_normal(arch.param_count()), stats)
+    ws = _Workspace()
+    first = None
+    for n in (2000, 160, 2000):
+        X = rng.standard_normal((n, 16))
+        got = scores(h, X, ws)
+        assert got.tobytes() == scores(h, X).tobytes()
+        if first is None:
+            first, first_bytes = got, got.tobytes()
+    assert first.tobytes() == first_bytes  # later calls do not write into an earlier result
+
+
+def _params_digest(h):
+    return hashlib.sha256(h.params.tobytes() + h.bn_stats.tobytes()).hexdigest()
+
+
+def test_short_last_batch_training_matches_recorded_digest():
+    # n is not a multiple of the batch size, so every epoch ends with a
+    # shorter batch (a single row for the batch-norm net). The digests were
+    # recorded with fresh arrays for every intermediate.
+    D, _ = gen_gaussian_pair(129, 3, seed=4)
+    h = train_erm(D, mlp_arch(3, (16, 8)), TrainConfig(epochs=3, batch_size=64, seed=2))
+    assert _params_digest(h) == "64bd68848b37403981e1a502e3ce4ed57d7c38d12ea8c9cd72aac57bb124a18a"
+    D3, _ = gen_gaussian_pair(150, 3, k=3, seed=5)
+    h3 = train_erm(D3, mlp_arch(3, (16,), out_dim=3, batch_norm=False),
+                   TrainConfig(epochs=3, batch_size=64, seed=3, weight_decay=1e-3))
+    assert _params_digest(h3) == "a2b4b955442a4362f32aff6633e76463e7635a8590c80864b86230a1de39c797"
 
 
 # --- gradient check ---------------------------------------------------------
