@@ -1,5 +1,6 @@
 #!/usr/bin/env python3
-"""Per-call time and minor page faults of the MLP hot path, written to a BENCH file.
+"""Per-call time and minor page faults of the MLP hot path, plus one table1
+seed end to end, appended to a BENCH file.
 
 Measures, for the adversarial estimators' network (16 -> 128 -> 128 -> 1
 with batch norm):
@@ -8,26 +9,30 @@ with batch norm):
   keeping the cache the backward pass reads
 - ``train_backward``: one backward pass from that cache
 - ``amsgrad_step``: one optimizer step on the full parameter vector
-- ``eval_scores``: scoring 2,000 rows
+- ``eval_scores``: scoring 2,000 rows with a frozen hypothesis (float64)
 - ``witness``: the adversarial witness statistic, i.e. scoring two
   2,000-row samples and scanning every decision threshold
 
-Each kernel runs WARMUP untimed calls, then REPEATS timed blocks of
-CALLS calls; the record holds every block's microseconds per call, their
-median and quartiles, and the minor faults (``ru_minflt``) per call over
-all timed calls. Calls reuse one workspace, as a training run or a
-witness does.
+The training kernels and the witness compute in the dtype the measured
+tree's trainer uses (``models.TRAIN_DTYPE``; float64 in trees without it),
+so one script measures trees on either side of the float32 change. Each
+kernel runs WARMUP untimed calls, then REPEATS timed blocks of CALLS calls;
+the record holds every block's microseconds per call, their median and
+quartiles, and the minor faults (``ru_minflt``) per call over all timed
+calls. Calls reuse one workspace, as a training run or a witness does.
 
-``--src`` selects the source tree ``phdkit`` is imported from, so
-``BENCH_5.json`` can hold the runs of two commits side by side, each
-under its ``--label``:
+The end-to-end row ``table1_seed0`` times ``protocols.run_table1`` at its
+default configuration for seed 0, E2E_REPEATS times after the kernels.
 
-    python3 scripts/bench_layers.py --src /path/to/other/checkout/src --label other
-    python3 scripts/bench_layers.py --label change
+Each run is appended under its ``--label`` to the JSON file ``--out``, whose
+``summary`` holds, per label, the median over runs of each median. For a
+comparison of two trees, alternate the runs:
 
-Only trees that have ``models._Workspace`` can be measured. The ``parent``
-run in ``BENCH_5.json`` comes from the tree before it, measured by an
-earlier form of this script that called the same kernels without one.
+    python3 scripts/bench_layers.py --out BENCH_6.json --src ../parent/src --label parent
+    python3 scripts/bench_layers.py --out BENCH_6.json --label change
+
+``--src`` selects the source tree ``phdkit`` is imported from; it must have
+``models._Workspace``.
 """
 
 import argparse
@@ -41,43 +46,47 @@ import time
 from pathlib import Path
 
 ROOT = Path(__file__).resolve().parent.parent
-OUT = ROOT / "BENCH_5.json"
 THREAD_ENV = ("OPENBLAS_NUM_THREADS", "OMP_NUM_THREADS", "MKL_NUM_THREADS")
 WARMUP, REPEATS, CALLS = 20, 9, 20
+E2E_REPEATS = 3
 
 
-def _measure(fn) -> dict:
-    for _ in range(WARMUP):
+def _measure(fn, warmup: int = WARMUP, repeats: int = REPEATS, calls: int = CALLS) -> dict:
+    for _ in range(warmup):
         fn()
     blocks = []
     f0 = resource.getrusage(resource.RUSAGE_SELF).ru_minflt
-    for _ in range(REPEATS):
+    for _ in range(repeats):
         t0 = time.perf_counter()
-        for _ in range(CALLS):
+        for _ in range(calls):
             fn()
-        blocks.append((time.perf_counter() - t0) / CALLS * 1e6)
+        blocks.append((time.perf_counter() - t0) / calls * 1e6)
     faults = resource.getrusage(resource.RUSAGE_SELF).ru_minflt - f0
     q1, med, q3 = statistics.quantiles(blocks, n=4)
     return {"us_per_call": {"median": med, "q1": q1, "q3": q3, "blocks": blocks},
-            "minflt_per_call": faults / (REPEATS * CALLS)}
+            "minflt_per_call": faults / (repeats * calls)}
 
 
-def run() -> dict:
+def run() -> tuple[dict, dict, str]:
     import numpy as np
-    from phdkit import models
+    from phdkit import models, protocols
     from phdkit.discrepancy import _scan_threshold_gap
+
+    # Trees before float32 training have no TRAIN_DTYPE and no dtype arguments.
+    dt = getattr(models, "TRAIN_DTYPE", np.float64)
+    kw = {"dtype": dt} if hasattr(models, "TRAIN_DTYPE") else {}
 
     rng = np.random.default_rng(0)
     arch = models.Arch(16, (128, 128), 1, batch_norm=True)
     params = models.init_params(arch, seed=0) + 0.01 * rng.standard_normal(arch.param_count())
     bn_stats = models.init_bn_stats(arch)
-    layers = models._layers(arch, params, bn_stats.copy())
+    layers = models._layers(arch, params.astype(dt), bn_stats.astype(dt))
     h = models.Hypothesis(arch, params, bn_stats)
-    batch = rng.standard_normal((256, 16))
+    batch = rng.standard_normal((256, 16)).astype(dt)
     XS, XT = rng.standard_normal((2000, 16)), rng.standard_normal((2000, 16)) + 0.1
     ref_s, ref_t = np.ones(2000, dtype=np.int64), np.ones(2000, dtype=np.int64)
-    ds = rng.standard_normal((256, 1)) / 256
-    ws, eval_ws = models._Workspace(), models._Workspace()
+    ds = (rng.standard_normal((256, 1)) / 256).astype(dt)
+    ws, eval_ws, witness_ws = models._Workspace(**kw), models._Workspace(), models._Workspace(**kw)
 
     cache: list = []
     models._forward(arch, layers, batch, True, ws, cache)
@@ -85,22 +94,25 @@ def run() -> dict:
     def forward():
         models._forward(arch, layers, batch, True, ws, [])
 
-    opt = models.AmsGrad(arch.param_count(), lr=1e-3)
-    p = params.copy()
-    grad = 1e-3 * rng.standard_normal(arch.param_count())
+    opt = models.AmsGrad(arch.param_count(), lr=1e-3, **kw)
+    p = params.astype(dt)
+    grad = (1e-3 * rng.standard_normal(arch.param_count())).astype(dt)
 
     kernels = {
         "train_forward": forward,
         "train_backward": lambda: models._backward(arch, layers, cache, ds, ws),
         "amsgrad_step": lambda: opt.step(p, grad),
         "eval_scores": lambda: models.scores(h, XS, eval_ws),
-        "witness": lambda: _scan_threshold_gap(models.scores(h, XS, eval_ws)[:, 0], ref_s,
-                                               models.scores(h, XT, eval_ws)[:, 0], ref_t),
+        "witness": lambda: _scan_threshold_gap(models.scores(h, XS, witness_ws)[:, 0], ref_s,
+                                               models.scores(h, XT, witness_ws)[:, 0], ref_t),
     }
-    return {name: _measure(fn) for name, fn in kernels.items()}
+    measured = {name: _measure(fn) for name, fn in kernels.items()}
+    table1 = protocols.Table1Config(seeds=(0,))
+    e2e = {"table1_seed0": _measure(lambda: protocols.run_table1(table1), 0, E2E_REPEATS, 1)}
+    return measured, e2e, np.dtype(dt).name
 
 
-def environment() -> dict:
+def environment(train_dtype: str) -> dict:
     import numpy as np
 
     blas = np.show_config(mode="dicts").get("Build Dependencies", {}).get("blas", {})
@@ -108,6 +120,8 @@ def environment() -> dict:
         "warmup": WARMUP,
         "repeats": REPEATS,
         "calls_per_repeat": CALLS,
+        "e2e_repeats": E2E_REPEATS,
+        "train_dtype": train_dtype,
         "nproc": len(os.sched_getaffinity(0)),
         "python": platform.python_version(),
         "numpy": np.__version__,
@@ -116,21 +130,35 @@ def environment() -> dict:
     }
 
 
+def _summary(runs: list) -> dict:
+    out: dict = {}
+    for label in sorted({r["label"] for r in runs}):
+        mine = [r for r in runs if r["label"] == label]
+        out[label] = {"runs": len(mine)}
+        for part in ("kernels", "end_to_end"):
+            for name in mine[0][part]:
+                out[label][name + "_us"] = statistics.median(r[part][name]["us_per_call"]["median"] for r in mine)
+    return out
+
+
 def main() -> int:
     ap = argparse.ArgumentParser(description=__doc__, formatter_class=argparse.RawDescriptionHelpFormatter)
+    ap.add_argument("--out", required=True, help="BENCH JSON file to append this run to")
     ap.add_argument("--src", default=str(ROOT / "src"), help="source tree to import phdkit from")
-    ap.add_argument("--label", required=True, help="name of this run in BENCH_5.json")
+    ap.add_argument("--label", required=True, help="name of the measured tree in the BENCH file")
     args = ap.parse_args()
     src = Path(args.src).resolve()
     if not (src / "phdkit").is_dir():
         ap.error(f"{src} holds no phdkit package")
     sys.path.insert(0, str(src))
 
-    record = {"environment": environment(), "kernels": run()}
-    doc = json.loads(OUT.read_text()) if OUT.exists() else {"runs": {}}
-    doc["runs"][args.label] = record
-    OUT.write_text(json.dumps(doc, indent=2, sort_keys=True) + "\n")
-    for name, r in record["kernels"].items():
+    kernels, e2e, train_dtype = run()
+    record = {"label": args.label, "environment": environment(train_dtype), "kernels": kernels, "end_to_end": e2e}
+    out = Path(args.out)
+    runs = json.loads(out.read_text())["runs"] if out.exists() else []
+    runs.append(record)
+    out.write_text(json.dumps({"summary": _summary(runs), "runs": runs}, indent=2, sort_keys=True) + "\n")
+    for name, r in {**kernels, **e2e}.items():
         print(f"{args.label} {name}: {r['us_per_call']['median']:.1f} us/call, "
               f"{r['minflt_per_call']:.1f} minor faults/call")
     return 0

@@ -258,6 +258,8 @@ def _read_idx_images(path) -> np.ndarray:
     n = _read_be32(buf, 4, "image count")
     rows = _read_be32(buf, 8, "row count")
     cols = _read_be32(buf, 12, "column count")
+    if n == 0:
+        raise FormatError(f"IDX image file {path} holds no images", offset=4)
     need = 16 + n * rows * cols
     if len(buf) < need:
         raise FormatError(f"truncated image payload in {path}: have {len(buf)} bytes, need {need}", offset=len(buf))

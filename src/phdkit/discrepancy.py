@@ -31,6 +31,7 @@ from scipy.spatial.distance import cdist
 from .data import Dataset
 from .errors import CapacityError, ConfigError, ContractError, DegenerateInputError
 from .models import (
+    TRAIN_DTYPE,
     Arch,
     Hypothesis,
     LossSpec,
@@ -409,7 +410,7 @@ def _adversarial_gap(S: Dataset, T: Dataset, ref, arch: Arch, cfg: TrainConfig, 
         T_fit = T_eval = T
     ref_sf, ref_tf = ref(S_fit.X), ref(T_fit.X)
     ref_se, ref_te = ref(S_eval.X), ref(T_eval.X)
-    ws = _Workspace()
+    ws = _Workspace(TRAIN_DTYPE)  # the witnesses are training snapshots
 
     def statistic(h: Hypothesis) -> float:
         # Shifting the output bias keeps the witness inside the class, so

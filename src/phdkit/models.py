@@ -14,6 +14,14 @@ order of the plain expressions, so the bits do not depend on the buffers.
 The leaky ReLU max(x, slope * x) and its derivative slope + (1 - slope) *
 [x > 0] are exact because the slope must lie in [0, 1].
 
+The workspace fixes the compute dtype. Training runs in ``TRAIN_DTYPE``
+(float32): parameters, batch-norm statistics, optimizer state and batches,
+with the loss and its gradient taken in float64. A frozen hypothesis holds
+float64 vectors, which represent the float32 values exactly, and is scored
+in float64 unless the caller passes a float32 workspace, as the adversarial
+witness does for training snapshots. Exact constructions such as stumps, the
+gradient check and model files stay float64.
+
 Binary tasks use labels {0, 1} internally; the signed-score convention
 (+1 at score >= 0) only appears at the loss boundary.
 """
@@ -35,6 +43,7 @@ BN_EPS = 1e-5
 BN_MOMENTUM = 0.9
 BLOB_MAGIC = b"PHYP"
 BLOB_VERSION = 1
+TRAIN_DTYPE = np.float32
 
 
 @dataclass(frozen=True)
@@ -156,23 +165,25 @@ def init_bn_stats(arch: Arch) -> np.ndarray:
 
 
 class _Workspace:
-    """Float64 buffers keyed by (role, layer), of which ``get`` returns the
-    first ``rows`` rows, growing only when needed; plus the gradient vector
-    and its layer table of the one architecture the workspace serves."""
+    """Buffers in the compute ``dtype``, keyed by (role, layer), of which
+    ``get`` returns the first ``rows`` rows, growing only when needed; plus
+    the gradient vector and its layer table of the one architecture the
+    workspace serves. The forward and backward passes compute in ``dtype``."""
 
-    def __init__(self):
+    def __init__(self, dtype=np.float64):
+        self.dtype = np.dtype(dtype)
         self._bufs: dict = {}
         self._grad: tuple | None = None
 
     def get(self, role: str, layer: int, rows: int, cols: int) -> np.ndarray:
         buf = self._bufs.get((role, layer))
         if buf is None or buf.size < rows * cols:
-            buf = self._bufs[(role, layer)] = np.empty(rows * cols)
+            buf = self._bufs[(role, layer)] = np.empty(rows * cols, self.dtype)
         return buf[: rows * cols].reshape(rows, cols)
 
     def grad(self, arch: Arch) -> tuple[np.ndarray, list]:
         if self._grad is None:
-            g = np.empty(arch.param_count())
+            g = np.empty(arch.param_count(), self.dtype)
             self._grad = (g, _layers(arch, g))
         return self._grad
 
@@ -221,12 +232,16 @@ def _forward(arch: Arch, layers: list, X: np.ndarray, training: bool, ws: _Works
 
 
 def scores(h: Hypothesis, X, ws: _Workspace | None = None) -> np.ndarray:
-    """Fresh n x k score matrix (k = 1 signed score for binary hypotheses);
-    a run of calls may share one workspace ``ws``."""
-    X = np.asarray(X, dtype=np.float64)
+    """Fresh float64 n x k score matrix (k = 1 signed score for binary
+    hypotheses), computed in the dtype of ``ws``, which a run of calls may
+    share; without one, in float64."""
+    ws = ws or _Workspace()
+    X = np.asarray(X, dtype=ws.dtype)
     if X.ndim != 2 or X.shape[1] != h.arch.in_dim:
         raise ContractError(f"feature dim {X.shape} does not match arch in_dim={h.arch.in_dim}")
-    return _forward(h.arch, _layers(h.arch, h.params, h.bn_stats), X, False, ws or _Workspace())
+    dt = ws.dtype
+    layers = _layers(h.arch, h.params.astype(dt, copy=False), h.bn_stats.astype(dt, copy=False))
+    return _forward(h.arch, layers, X, False, ws).astype(np.float64, copy=False)
 
 
 def predict(h: Hypothesis, X) -> np.ndarray:
@@ -400,13 +415,14 @@ class AmsGrad:
     ``vmax`` is monotone non-decreasing per parameter across steps.
     """
 
-    def __init__(self, dim: int, lr: float = 1e-3, beta1: float = 0.9, beta2: float = 0.999, eps: float = 1e-8):
+    def __init__(self, dim: int, lr: float = 1e-3, beta1: float = 0.9, beta2: float = 0.999, eps: float = 1e-8,
+                 dtype=np.float64):
         self.lr, self.beta1, self.beta2, self.eps = lr, beta1, beta2, eps
-        self.m = np.zeros(dim)
-        self.v = np.zeros(dim)
-        self.vmax = np.zeros(dim)
+        self.m = np.zeros(dim, dtype)
+        self.v = np.zeros(dim, dtype)
+        self.vmax = np.zeros(dim, dtype)
         self.t = 0
-        self._tmp = np.empty(dim), np.empty(dim)
+        self._tmp = np.empty(dim, dtype), np.empty(dim, dtype)
 
     def step(self, params: np.ndarray, grad: np.ndarray) -> None:
         # m = b1 m + (1 - b1) g, v = b2 v + ((1 - b2) g) g, params -= (lr mhat) / (sqrt(vhat) + eps)
@@ -445,6 +461,8 @@ def train_erm_traced(D: Dataset, arch: Arch, cfg: TrainConfig, sample_weight=Non
     otherwise. ``metric`` is called with a snapshot hypothesis after every
     epoch; the returned hypothesis is then the best-metric checkpoint and
     the recorded trace is the running minimum (hence non-increasing).
+    Training computes in ``TRAIN_DTYPE``; the snapshots and the returned
+    hypothesis hold the trained values widened to float64.
     """
     if D.n == 0:
         raise DegenerateInputError("cannot train on an empty dataset")
@@ -463,11 +481,12 @@ def train_erm_traced(D: Dataset, arch: Arch, cfg: TrainConfig, sample_weight=Non
         raise ContractError("sample_weight must be finite and non-negative with a positive sum")
 
     rng = child_rng(cfg.seed, 5)
-    params = init_params(arch, cfg.seed)
-    bn_stats = init_bn_stats(arch)
+    params = init_params(arch, cfg.seed).astype(TRAIN_DTYPE)
+    bn_stats = init_bn_stats(arch).astype(TRAIN_DTYPE)
     layers = _layers(arch, params, bn_stats)
-    ws = _Workspace()
-    opt = AmsGrad(params.shape[0], lr=cfg.lr)
+    ws = _Workspace(TRAIN_DTYPE)
+    opt = AmsGrad(params.shape[0], lr=cfg.lr, dtype=TRAIN_DTYPE)
+    X = D.X.astype(TRAIN_DTYPE)
     wd_mask = _weight_mask(arch) if cfg.weight_decay > 0 else None
 
     trace: list[float] = []
@@ -478,16 +497,17 @@ def train_erm_traced(D: Dataset, arch: Arch, cfg: TrainConfig, sample_weight=Non
         for start in range(0, D.n, cfg.batch_size):
             idx = order[start : start + cfg.batch_size]
             cache: list = []
-            s = _forward(arch, layers, D.X[idx], True, ws, cache)
-            loss, ds = _loss_and_dscores(kind, s, D.y[idx], w[idx])
+            s = _forward(arch, layers, X[idx], True, ws, cache)
+            loss, ds = _loss_and_dscores(kind, s.astype(np.float64), D.y[idx], w[idx])
             if not math.isfinite(loss):
                 raise TrainingError("training loss diverged to a non-finite value", epoch=epoch)
-            grad = _backward(arch, layers, cache, ds, ws)
+            grad = _backward(arch, layers, cache, ds.astype(TRAIN_DTYPE), ws)
             if wd_mask is not None:
                 grad[wd_mask] += cfg.weight_decay * params[wd_mask]
             opt.step(params, grad)
         if metric is not None:
-            val = float(metric(Hypothesis(arch, params.copy(), bn_stats.copy(), seed=cfg.seed)))
+            val = float(metric(Hypothesis(arch, params.astype(np.float64), bn_stats.astype(np.float64),
+                                          seed=cfg.seed)))
             if val < best_val:
                 best_val = val
                 best_state = (params.copy(), bn_stats.copy())
@@ -617,24 +637,53 @@ def save_hypothesis(h: Hypothesis, path) -> None:
         f.write("\n")
 
 
+# Sidecar arch fields and their JSON types; the slope's range is Arch's check.
+_SIDECAR_ARCH = {"in_dim": int, "hidden": list, "out_dim": int, "batch_norm": bool, "negative_slope": (int, float)}
+
+
+def _is(value, types) -> bool:
+    """isinstance for JSON values, where a bool does not count as an int."""
+    return isinstance(value, types) and (isinstance(value, bool) == (types is bool))
+
+
+def _sidecar_arch(sidecar, path: str) -> Arch:
+    if not (isinstance(sidecar, dict) and sidecar.get("format") == "phdkit-hypothesis"):
+        raise FormatError(f"{path}.json is not a hypothesis sidecar")
+    a = sidecar.get("arch")
+    if not (isinstance(a, dict) and all(_is(a.get(k), t) for k, t in _SIDECAR_ARCH.items())
+            and all(_is(w, int) for w in a["hidden"])):
+        raise FormatError(f"{path}.json: arch needs integer in_dim, out_dim and hidden widths, "
+                          "a boolean batch_norm and a numeric negative_slope")
+    seed = sidecar.get("seed")
+    if not (seed is None or _is(seed, int)) or not _is(sidecar.get("note", ""), str):
+        raise FormatError(f"{path}.json: seed must be an integer or null and note a string")
+    return Arch(a["in_dim"], tuple(a["hidden"]), a["out_dim"], a["batch_norm"], a["negative_slope"])
+
+
 def load_hypothesis(path) -> Hypothesis:
     path = str(path)
-    with open(path + ".json") as f:
-        sidecar = json.load(f)
-    if sidecar.get("format") != "phdkit-hypothesis":
-        raise FormatError(f"{path}.json is not a hypothesis sidecar")
-    a = sidecar["arch"]
-    arch = Arch(a["in_dim"], tuple(a["hidden"]), a["out_dim"], a["batch_norm"], a["negative_slope"])
+    with open(path + ".json", "rb") as f:
+        try:
+            sidecar = json.loads(f.read())
+        except ValueError as e:  # also bad UTF-8
+            raise FormatError(f"{path}.json is not JSON: {e}") from None
+    arch = _sidecar_arch(sidecar, path)
     with open(path, "rb") as f:
         buf = f.read()
+    if len(buf) < 16:
+        raise FormatError(f"truncated hypothesis blob header in {path}", offset=len(buf))
     if buf[:4] != BLOB_MAGIC:
         raise FormatError(f"bad hypothesis blob magic in {path}", offset=0)
     version, n_params, n_bn = struct.unpack_from(">III", buf, 4)
     if version != BLOB_VERSION:
         raise FormatError(f"unsupported hypothesis blob version {version}")
+    if (n_params, n_bn) != (arch.param_count(), arch.bn_stat_count()):
+        raise FormatError(f"{path} holds {n_params} parameters and {n_bn} batch-norm statistics; "
+                          f"its sidecar's arch needs {arch.param_count()} and {arch.bn_stat_count()}")
     need = 16 + 8 * (n_params + n_bn)
-    if len(buf) < need:
-        raise FormatError(f"truncated hypothesis blob {path}", offset=len(buf))
+    if len(buf) != need:
+        raise FormatError(f"hypothesis blob {path} holds {len(buf)} bytes, its header says {need}",
+                          offset=min(len(buf), need))
     params = np.frombuffer(buf, dtype=">f8", count=n_params, offset=16).astype(np.float64)
     bn = np.frombuffer(buf, dtype=">f8", count=n_bn, offset=16 + 8 * n_params).astype(np.float64)
     return Hypothesis(arch, params, bn, seed=sidecar.get("seed"), note=sidecar.get("note", ""))

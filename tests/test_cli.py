@@ -1,7 +1,9 @@
 import io
 import json
 import os
+import struct
 from contextlib import redirect_stderr, redirect_stdout
+from pathlib import Path
 
 import pytest
 from hypothesis import given, settings
@@ -189,6 +191,67 @@ def test_phd_with_slope_outside_unit_interval_exits_2(tmp_path, capsys):
     code, _, err = run(["phd", "--h1", str(m1), "--h2", str(m1), "--target", str(tgt)], capsys)
     assert code == 2
     assert json.loads(err.strip().splitlines()[-1])["error"] == "ContractError"
+
+
+def _good_model(tmp_path) -> Path:
+    from phdkit.models import linear_hypothesis, save_hypothesis
+
+    path = tmp_path / "good.bin"
+    save_hypothesis(linear_hypothesis([1.0, -1.0], 0.25), path)
+    return path
+
+
+def _edit_sidecar(change):
+    def edit(model: Path):
+        sidecar = Path(f"{model}.json")
+        doc = json.loads(sidecar.read_text())
+        change(doc)
+        sidecar.write_text(json.dumps(doc))
+    return edit
+
+
+def _set_arch(key, value):
+    return _edit_sidecar(lambda doc: doc["arch"].__setitem__(key, value))
+
+
+def _write_sidecar(data: bytes):
+    return lambda model: Path(f"{model}.json").write_bytes(data)
+
+
+def _edit_blob(change):
+    return lambda model: model.write_bytes(change(model.read_bytes()))
+
+
+MODEL_EDITS = {
+    "arch-without-in_dim": _edit_sidecar(lambda doc: doc["arch"].pop("in_dim")),
+    "string-hidden": _set_arch("hidden", "x"),
+    "string-width": _set_arch("hidden", [4, "8"]),
+    "float-out_dim": _set_arch("out_dim", 1.5),
+    "bool-in_dim": _set_arch("in_dim", True),
+    "string-batch_norm": _set_arch("batch_norm", "yes"),
+    "list-arch": _edit_sidecar(lambda doc: doc.update(arch=[2, [], 1])),
+    "string-seed": _edit_sidecar(lambda doc: doc.update(seed="7")),
+    "list-note": _edit_sidecar(lambda doc: doc.update(note=["x"])),
+    "list-sidecar": _write_sidecar(b"[1, 2]"),
+    "null-sidecar": _write_sidecar(b"null"),
+    "cut-sidecar": _write_sidecar(b"{"),
+    "non-utf8-sidecar": _write_sidecar(b"\xff\xfe"),
+    "long-blob": _edit_blob(lambda b: b + b"\0" * 8),
+    "short-blob": _edit_blob(lambda b: b[:-1]),
+    "header-only-blob": _edit_blob(lambda b: b[:16]),
+    "cut-header-blob": _edit_blob(lambda b: b[:10]),
+    "bad-magic-blob": _edit_blob(lambda b: b"PHYQ" + b[4:]),
+    "wrong-counts-blob": _edit_blob(lambda b: b[:8] + struct.pack(">II", 2, 1) + b[16:]),
+}
+
+
+@pytest.mark.parametrize("edit", MODEL_EDITS.values(), ids=MODEL_EDITS.keys())
+def test_phd_with_malformed_model_file_exits_2_with_format_error(edit, tmp_path, capsys):
+    model = _good_model(tmp_path)
+    edit(model)
+    code, _, err = run(["phd", "--h1", str(model), "--h2", str(model), "--target", "unread.csv"], capsys)
+    assert code == 2
+    assert json.loads(err.strip())["error"] == "FormatError"
 
 
 def test_dh_exact_and_w1_commands(tmp_path, capsys):
@@ -437,6 +500,97 @@ def test_malformed_input_never_escapes_the_exit_contract(malformed_dir, argv):
             code = main(argv)
     finally:
         os.chdir(cwd)
+    assert code in (0, 2)
+    if code == 2:
+        assert "error" in json.loads(err.getvalue().strip().splitlines()[-1])
+
+
+# --- the exit-code contract under malformed model and IDX files ----------------
+
+JSON_VALUES = st.recursive(st.none() | st.booleans() | st.integers(-3, 2**40) | st.floats() | st.text(max_size=3),
+                           lambda inner: st.lists(inner, max_size=3) | st.dictionaries(st.text(max_size=3), inner,
+                                                                                      max_size=3), max_leaves=6)
+# header fields: boundary values, where sizes multiply past what numpy can hold
+U32 = st.sampled_from([0, 1, 2, 2**31, 2**32 - 1])
+
+
+@st.composite
+def malformed_sidecar(draw, doc: dict) -> bytes:
+    kind = draw(st.sampled_from(["edit", "value", "bytes"]))
+    if kind == "value":
+        return json.dumps(draw(JSON_VALUES)).encode()
+    if kind == "bytes":
+        return draw(st.binary(max_size=24))
+    doc = json.loads(json.dumps(doc))
+    for _ in range(draw(st.integers(1, 3))):
+        target = doc["arch"] if isinstance(doc.get("arch"), dict) and draw(st.booleans()) else doc
+        if not target:
+            break
+        key = draw(st.sampled_from(sorted(target)))
+        if draw(st.booleans()):
+            del target[key]
+        else:
+            target[key] = draw(JSON_VALUES)
+    return json.dumps(doc).encode()
+
+
+@st.composite
+def malformed_blob(draw, blob: bytes) -> bytes:
+    head = bytearray(blob[:16])
+    if draw(st.booleans()):
+        head[:4] = draw(st.binary(min_size=4, max_size=4))
+    for field in draw(st.lists(st.sampled_from([4, 8, 12]), max_size=3)):
+        head[field : field + 4] = struct.pack(">I", draw(U32))
+    body = blob[16:]
+    body = body[: draw(st.integers(0, len(body)))] if draw(st.booleans()) else body + draw(st.binary(max_size=16))
+    if draw(st.booleans()):  # cut anywhere, the header included
+        return (bytes(head) + body)[: draw(st.integers(0, 64))]
+    return bytes(head) + body
+
+
+@st.composite
+def malformed_idx(draw, magic: int, dims: int) -> bytes:
+    head = struct.pack(">I", draw(st.sampled_from([magic, magic, 2049 + 2051 - magic]) | U32))
+    head += b"".join(struct.pack(">I", draw(U32)) for _ in range(dims))
+    if draw(st.integers(0, 4)) == 0:  # cut inside the header
+        return head[: draw(st.integers(0, len(head)))]
+    return head + draw(st.binary(max_size=24))
+
+
+@pytest.fixture(scope="module")
+def reader_dir(tmp_path_factory):
+    """A valid model of in_dim 2 and a valid 2-column labeled IDX pair."""
+    d = tmp_path_factory.mktemp("readers")
+    _good_model(d)
+    (d / "img.idx").write_bytes(struct.pack(">IIII", 2051, 2, 1, 2) + bytes([0, 255, 255, 0]))
+    (d / "lab.idx").write_bytes(struct.pack(">II", 2049, 2) + bytes([0, 1]))
+    return d
+
+
+@settings(max_examples=200, deadline=None)
+@given(data=st.data(), reader=st.sampled_from(["sidecar", "blob", "images", "labels"]))
+def test_malformed_model_and_idx_files_never_escape_the_exit_contract(reader_dir, data, reader):
+    good = reader_dir / "good.bin"
+    files = {
+        "sidecar": ("bad.bin.json", malformed_sidecar(json.loads(Path(f"{good}.json").read_text()))),
+        "blob": ("bad.bin", malformed_blob(good.read_bytes())),
+        "images": ("bad-img.idx", malformed_idx(2051, 3)),
+        "labels": ("bad-lab.idx", malformed_idx(2049, 1)),
+    }
+    name, strategy = files[reader]
+    (reader_dir / name).write_bytes(data.draw(strategy))
+    model = reader_dir / ("bad.bin" if reader in ("sidecar", "blob") else "good.bin")
+    if reader == "blob":
+        (reader_dir / "bad.bin.json").write_bytes(Path(f"{good}.json").read_bytes())
+    elif reader == "sidecar":
+        (reader_dir / "bad.bin").write_bytes(good.read_bytes())
+    images = reader_dir / ("bad-img.idx" if reader == "images" else "img.idx")
+    labels = reader_dir / ("bad-lab.idx" if reader == "labels" else "lab.idx")
+    argv = ["--out", str(reader_dir / "out"), "phd", "--h1", str(model), "--h2", str(good),
+            "--target", str(images), "--labels", str(labels)]
+    err = io.StringIO()
+    with redirect_stdout(io.StringIO()), redirect_stderr(err):
+        code = main(argv)
     assert code in (0, 2)
     if code == 2:
         assert "error" in json.loads(err.getvalue().strip().splitlines()[-1])

@@ -155,6 +155,17 @@ def test_idx_truncated_payload(tmp_path):
     assert e.value.offset is not None
 
 
+@pytest.mark.parametrize("rows", [2, 2**32 - 1])
+def test_idx_without_images_is_a_format_error(rows, tmp_path):
+    # no payload is needed for zero images, so the row width is unchecked;
+    # a huge one used to fail in numpy's reshape with a ValueError
+    img = tmp_path / "img.idx"
+    _write_raw_idx(img, 2051, (0, rows, rows), b"")
+    with pytest.raises(FormatError) as e:
+        read_idx(img)
+    assert e.value.offset == 4
+
+
 def test_idx_round_trip_exact(tmp_path):
     rng = np.random.default_rng(0)
     grid = rng.integers(0, 256, size=(5, 7)).astype(np.float64) / 255.0

@@ -1,4 +1,5 @@
 import hashlib
+import itertools
 import math
 
 import numpy as np
@@ -85,15 +86,18 @@ def test_binary_tie_goes_to_class_one():
 
 
 def test_mlp_forward_matches_unrolled_oracle():
-    for bn in (False, True):
+    # the float64 oracle; float32 scoring gets a tolerance set from its precision
+    for (dtype, tol), bn in itertools.product([(None, 1e-12), (np.float32, 1e-5)], (False, True)):
         arch = mlp_arch(3, (5, 4), out_dim=2, batch_norm=bn)
-        params = init_params(arch, seed=11)
+        # init_params zeroes the output layer, which would score 0 everywhere
+        params = init_params(arch, seed=11) + 0.5 * np.random.default_rng(3).standard_normal(arch.param_count())
         stats = init_bn_stats(arch)
         if bn:
             stats = stats + np.abs(np.random.default_rng(1).standard_normal(stats.shape)) * 0.1
         h = Hypothesis(arch, params, stats)
         x = np.random.default_rng(2).standard_normal((1, 3))
-        assert np.max(np.abs(scores(h, x) - unrolled_forward(arch, params, stats, x))) < 1e-12
+        got = scores(h, x, dtype and _Workspace(dtype))
+        assert np.max(np.abs(got - unrolled_forward(arch, params, stats, x))) < tol
 
 
 def test_dim_mismatch_rejected():
@@ -275,34 +279,41 @@ def test_arch_rejects_slope_outside_unit_interval(slope):
         Arch(3, (4,), negative_slope=slope)
 
 
-@pytest.mark.parametrize("slope", [0.0, 0.1, 1.0])
-def test_leaky_relu_passes_match_the_select_oracle(slope):
-    X = np.array([[0.0, -0.0, -2.5, 3.0], [-0.0, 1e-300, -1e-300, -7.0], [5.0, 0.0, -0.0, 0.25]])
-    W2 = np.random.default_rng(0).standard_normal((4, 2))
+DTYPES = (np.float64, np.float32)
+
+
+@pytest.mark.parametrize("dtype,slope", itertools.product(DTYPES, [0.0, 0.1, 1.0]),
+                         ids=["0.0", "0.1", "1.0", "f32-0.0", "f32-0.1", "f32-1.0"])
+def test_leaky_relu_passes_match_the_select_oracle(slope, dtype):
+    # 1e-300 underflows to a signed zero in float32, which the test also wants
+    X = np.array([[0.0, -0.0, -2.5, 3.0], [-0.0, 1e-300, -1e-300, -7.0], [5.0, 0.0, -0.0, 0.25]], dtype)
+    W2 = np.random.default_rng(0).standard_normal((4, 2)).astype(dtype)
     head = np.concatenate([W2.ravel(), [0.5, -0.5]])
     # Forward: identity weights, then batch norm with running mean 0 and a
     # per-unit gamma of +-1 and beta of +-0, so the pre-activations hold
     # both signed zeros next to negatives and positives.
     arch = Arch(4, (4,), 2, batch_norm=True, negative_slope=slope)
     gamma, beta = np.array([1.0, -1.0, 1.0, -1.0]), np.array([0.0, -0.0, 0.0, -0.0])
-    params = np.concatenate([np.eye(4).ravel(), np.zeros(4), gamma, beta, head])
+    params = np.concatenate([np.eye(4).ravel(), np.zeros(4), gamma, beta, head]).astype(dtype)
     cache: list = []
-    _forward(arch, _layers(arch, params, init_bn_stats(arch)), X, False, _Workspace(), cache)
+    _forward(arch, _layers(arch, params, init_bn_stats(arch).astype(dtype)), X, False, _Workspace(dtype), cache)
     pre = cache[0][3]
+    assert pre.dtype == dtype
     assert np.signbit(pre[pre == 0]).any() and not np.signbit(pre[pre == 0]).all()
     assert cache[1][0].tobytes() == np.where(pre > 0, pre, slope * pre).tobytes()  # signs of zeros included
     # Backward through the same layer without batch norm.
     arch = Arch(4, (4,), 2, negative_slope=slope)
-    params = np.concatenate([np.eye(4).ravel(), np.zeros(4), head])
-    cache, ws = [], _Workspace()
+    params = np.concatenate([np.eye(4).ravel(), np.zeros(4), head]).astype(dtype)
+    cache, ws = [], _Workspace(dtype)
     layers = _layers(arch, params)
     s = _forward(arch, layers, X, True, ws, cache)
-    ds = np.random.default_rng(1).standard_normal(s.shape)
+    ds = np.random.default_rng(1).standard_normal(s.shape).astype(dtype)
     grad = _backward(arch, layers, cache, ds, ws)
     pre = cache[0][3]
     act = np.where(pre > 0, pre, slope * pre)
-    dout = (ds @ W2.T) * np.where(pre > 0, 1.0, slope)
+    dout = (ds @ W2.T) * np.where(pre > 0, dtype(1.0), dtype(slope))
     expected = np.concatenate([(X.T @ dout).ravel(), dout.sum(axis=0), (act.T @ ds).ravel(), ds.sum(axis=0)])
+    assert grad.dtype == expected.dtype == dtype
     assert grad.tobytes() == expected.tobytes()
 
 
@@ -311,15 +322,32 @@ def test_scores_with_a_reused_workspace_equal_fresh_scores():
     rng = np.random.default_rng(3)
     stats = init_bn_stats(arch) + np.abs(rng.standard_normal(arch.bn_stat_count())) * 0.1
     h = Hypothesis(arch, init_params(arch, seed=5) + 0.01 * rng.standard_normal(arch.param_count()), stats)
-    ws = _Workspace()
-    first = None
-    for n in (2000, 160, 2000):
-        X = rng.standard_normal((n, 16))
-        got = scores(h, X, ws)
-        assert got.tobytes() == scores(h, X).tobytes()
-        if first is None:
-            first, first_bytes = got, got.tobytes()
-    assert first.tobytes() == first_bytes  # later calls do not write into an earlier result
+    for dtype in DTYPES:
+        ws = _Workspace(dtype)
+        first = None
+        for n in (2000, 160, 2000):
+            X = rng.standard_normal((n, 16))
+            got = scores(h, X, ws)
+            assert got.dtype == np.float64
+            assert got.tobytes() == scores(h, X, _Workspace(dtype)).tobytes(), dtype
+            if first is None:
+                first, first_bytes = got, got.tobytes()
+        assert first.tobytes() == first_bytes  # later calls do not write into an earlier result
+
+
+def test_scores_without_a_workspace_are_float64_and_exact_at_a_stump_threshold():
+    # The threshold is the midpoint of two values one float32 step apart
+    # near 1, so float32 rounds it onto the lower value and would score that
+    # value 0, flipping it to class 1; float64 scores it exactly.
+    lo, hi = 1.0, 1.0 + 2.0**-23
+    t = (lo + hi) / 2
+    h = stump_hypothesis(0, t, 1, 1)
+    X = np.array([[lo], [t], [hi]])
+    got = scores(h, X)
+    assert got.dtype == np.float64
+    assert got[:, 0].tolist() == [lo - t, 0.0, hi - t]
+    assert predict(h, X).tolist() == [0, 1, 1]
+    assert scores(h, X, _Workspace(np.float32))[0, 0] == 0.0
 
 
 def _params_digest(h):
@@ -328,15 +356,16 @@ def _params_digest(h):
 
 def test_short_last_batch_training_matches_recorded_digest():
     # n is not a multiple of the batch size, so every epoch ends with a
-    # shorter batch (a single row for the batch-norm net). The digests were
-    # recorded with fresh arrays for every intermediate.
+    # shorter batch (a single row for the batch-norm net). The digests are
+    # of float32 training widened to float64, and were cross-checked against
+    # a float32 trainer that allocates fresh arrays for every intermediate.
     D, _ = gen_gaussian_pair(129, 3, seed=4)
     h = train_erm(D, mlp_arch(3, (16, 8)), TrainConfig(epochs=3, batch_size=64, seed=2))
-    assert _params_digest(h) == "64bd68848b37403981e1a502e3ce4ed57d7c38d12ea8c9cd72aac57bb124a18a"
+    assert _params_digest(h) == "798bbc2277d5a3bbe57311a632ada68c2cc05531d04aba3b91d38a4733e1c932"
     D3, _ = gen_gaussian_pair(150, 3, k=3, seed=5)
     h3 = train_erm(D3, mlp_arch(3, (16,), out_dim=3, batch_norm=False),
                    TrainConfig(epochs=3, batch_size=64, seed=3, weight_decay=1e-3))
-    assert _params_digest(h3) == "a2b4b955442a4362f32aff6633e76463e7635a8590c80864b86230a1de39c797"
+    assert _params_digest(h3) == "6b2922ad1db8d8639df3c7dbc419a7c6e885da8392eca11f10596c64378aae9b"
 
 
 # --- gradient check ---------------------------------------------------------
@@ -387,6 +416,20 @@ def test_hypothesis_round_trip(tmp_path):
     assert np.array_equal(back.params, h.params)
     assert np.array_equal(back.bn_stats, h.bn_stats)
     assert back.seed == 12
+
+
+def test_float32_trained_hypothesis_round_trips_bit_exactly_as_f8(tmp_path):
+    D, _ = gen_gaussian_pair(60, 3, seed=2)
+    h = train_erm(D, mlp_arch(3, (6, 5)), TrainConfig(epochs=4, seed=12))
+    assert h.params.dtype == h.bn_stats.dtype == np.float64
+    # the widened float32 values narrow back exactly
+    assert np.array_equal(h.params.astype(np.float32).astype(np.float64), h.params)
+    path = tmp_path / "model.bin"
+    save_hypothesis(h, path)
+    assert path.read_bytes()[16:] == h.params.astype(">f8").tobytes() + h.bn_stats.astype(">f8").tobytes()
+    back = load_hypothesis(path)
+    assert back.params.tobytes() == h.params.tobytes()
+    assert back.bn_stats.tobytes() == h.bn_stats.tobytes()
 
 
 def test_constant_hypothesis_multiclass():
