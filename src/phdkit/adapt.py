@@ -11,7 +11,6 @@ the transport distance works on the raw input space.
 
 from __future__ import annotations
 
-from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass, field, replace
 
 import numpy as np
@@ -55,7 +54,6 @@ class SelectConfig:
     arch: Arch
     base: TrainConfig = field(default_factory=TrainConfig)
     selftrain: SelfTrainConfig = field(default_factory=SelfTrainConfig)
-    ridge: float = 1e-6
     w1_subsample: int = W1_SUBSAMPLE
 
 
@@ -103,8 +101,7 @@ def _subsample(D: Dataset, n: int, rng) -> Dataset:
 
 
 def select_sources(sources, T: Dataset, measure: str, K: int, cfg: SelectConfig, seed: int = 0,
-                   clean_flags=None, oracle: Dataset | None = None, sigma: float | None = None,
-                   jobs: int = 1) -> SelectionOutcome:
+                   clean_flags=None, oracle: Dataset | None = None, sigma: float | None = None) -> SelectionOutcome:
     """Rank sources by discrepancy to the target and evaluate the top-K pool.
 
     For the pair-discrepancy measure each source trains its own supervised
@@ -117,8 +114,8 @@ def select_sources(sources, T: Dataset, measure: str, K: int, cfg: SelectConfig,
     sources = list(sources)
     if len(sources) < 2:
         raise ContractError(f"need at least 2 sources, got {len(sources)}")
-    if K > len(sources):
-        raise ConfigError(f"K={K} exceeds the number of sources {len(sources)}")
+    if not 1 <= K <= len(sources):
+        raise ConfigError(f"K must lie in [1, {len(sources)}] (the number of sources), got {K}")
     if measure not in ("phd", "w1"):
         raise ConfigError(f"unsupported measure {measure!r}; expected phd or w1")
     if any(not s.labeled for s in sources):
@@ -137,12 +134,7 @@ def select_sources(sources, T: Dataset, measure: str, K: int, cfg: SelectConfig,
         return w1_exact(_subsample(sources[i], cfg.w1_subsample, rng),
                         _subsample(T_fit, cfg.w1_subsample, rng), seed=seed + i).value
 
-    if jobs > 1:
-        with ThreadPoolExecutor(max_workers=jobs) as pool:
-            values = list(pool.map(value_for, range(len(sources))))
-    else:
-        values = [value_for(i) for i in range(len(sources))]
-
+    values = [value_for(i) for i in range(len(sources))]
     ranking = rank_ascending(values)
     chosen = ranking[:K]
     score = None
@@ -156,7 +148,7 @@ def select_sources(sources, T: Dataset, measure: str, K: int, cfg: SelectConfig,
     if oracle is not None:
         if not oracle.labeled:
             raise ContractError("oracle target dataset must be labeled")
-        adapted = [coral(sources[i], T_fit, cfg.ridge) for i in chosen]
+        adapted = [coral(sources[i], T_fit) for i in chosen]
         pooled = Dataset(
             np.vstack([a.X for a in adapted]),
             np.concatenate([a.y for a in adapted]),

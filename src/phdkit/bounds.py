@@ -274,15 +274,14 @@ def thm2_dev_report(h1_hat: Hypothesis, h2_hat: Hypothesis, h1_star: Hypothesis,
 
 def bound_thm3(h: Hypothesis, h1_hat: Hypothesis, h2_hat: Hypothesis,
                h1_star: Hypothesis, h2_star: Hypothesis, T: Dataset,
-               rad_h: RademacherEstimate, rad_hprime: RademacherEstimate | None = None,
-               delta: float = DEFAULT_DELTA, h_t_star: Hypothesis | None = None,
-               oracle_T: Dataset | None = None) -> BoundReport:
+               rad_h: RademacherEstimate, delta: float = DEFAULT_DELTA,
+               h_t_star: Hypothesis | None = None, oracle_T: Dataset | None = None) -> BoundReport:
     """Finite-sample bound including the pair's own learning procedure.
 
-    ``rad_hprime`` defaults to ``rad_h`` (one shared class).
+    The pair's class H' is the class H of ``h``, so ``rad_h`` serves both
+    complexity terms.
     """
     loss = zero_one()
-    rad_hprime = rad_hprime or rad_h
     phd_val, n_eff = _phd_term(h1_hat, h2_hat, T, loss)
     terms = [
         Term("target_risk_h_vs_h1_star", empirical_risk(h, h1_star, T, loss), diagnostic=True),
@@ -290,7 +289,7 @@ def bound_thm3(h: Hypothesis, h1_hat: Hypothesis, h2_hat: Hypothesis,
     ]
     terms += _diag_term("infeasible_h2_star_vs_target_star", h2_star, h_t_star, oracle_T, T, loss)
     terms += [
-        Term("complexity_hprime", max(0.0, rad_hprime.value)),
+        Term("complexity_hprime", max(0.0, rad_h.value)),
         Term("complexity_3R", 3.0 * max(0.0, rad_h.value)),
         Term("confidence", _confidence(4.0, 7.0, delta, n_eff)),
         Term("erm_gap_h1", empirical_risk(h1_hat, h1_star, T, loss), diagnostic=True),
@@ -340,6 +339,6 @@ def bound_thm6_margin(h: Hypothesis, h1: Hypothesis, h2: Hypothesis, T: Dataset,
     return _report("thm6-margin", terms, n_eff, delta)
 
 
-def lemma1_report(M: float, n: int, delta: float, two_sided: bool = True) -> BoundReport:
-    """The concentration penalty alone, packaged as a report."""
-    return _report("lemma1", [Term("hoeffding", hoeffding_term(M, n, delta, two_sided))], n, delta)
+def lemma1_report(M: float, n: int, delta: float) -> BoundReport:
+    """The two-sided concentration penalty alone, packaged as a report."""
+    return _report("lemma1", [Term("hoeffding", hoeffding_term(M, n, delta, two_sided=True))], n, delta)

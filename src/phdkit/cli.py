@@ -112,11 +112,13 @@ def _train_cfg(args, seed: int) -> TrainConfig:
 
 def _emit(args, name: str, payload: dict, csv_rows: tuple[list[str], list[list[str]]] | None = None) -> None:
     # output location and config-file path are plumbing, not configuration:
-    # they go to the meta sidecar so report bytes match across reruns
+    # they go to the meta sidecar so report bytes match across reruns. The
+    # retired --jobs stays as "jobs": 1 (serial) until stored digests drop it
+    run_config = {k: v for k, v in vars(args).items() if k not in ("func", "out", "config")}
     doc = {
         "artifact_version": __version__,
         "command": name,
-        "run_config": {k: v for k, v in sorted(vars(args).items()) if k not in ("func", "out", "config")},
+        "run_config": {"jobs": 1, **run_config},
         "result": payload,
     }
     text = json.dumps(doc, sort_keys=True, indent=2, default=_jsonable) + "\n"
@@ -270,7 +272,7 @@ def cmd_bounds(args) -> None:
         "ineq2": lambda: supremum(bound_ineq2, lambda S, T, cls: sdisc_exact(S, T, h1, cls)),
         "ineq3": lambda: supremum(bound_ineq3, disc_exact),
         "thm2": lambda: thm2_dev_report(h1, h2, h1_star, h2_star, T, rad, args.delta),
-        "thm3": lambda: bound_thm3(h, h1, h2, h1_star, h2_star, T, rad, None, args.delta, **diag),
+        "thm3": lambda: bound_thm3(h, h1, h2, h1_star, h2_star, T, rad, args.delta, **diag),
         "thm4": lambda: bound_thm4(h, h1, h2, T, rad, args.delta, **diag),
         "thm6": lambda: bound_thm6_margin(h, h1, h2, T, args.rho, args.k_classes, rad, args.delta, **diag),
     }
@@ -319,7 +321,7 @@ def cmd_select(args) -> None:
     cfg = SelectConfig(arch=arch, base=base,
                        selftrain=SelfTrainConfig(max_rounds=args.ssl_rounds, base=base))
     out = select_sources(sources, T, args.measure, args.top_k, cfg, seed=args.seed,
-                         clean_flags=flags, oracle=oracle, jobs=args.jobs)
+                         clean_flags=flags, oracle=oracle)
     _emit(args, "select", out.to_dict())
 
 
@@ -447,7 +449,6 @@ def build_parser() -> tuple[argparse.ArgumentParser, dict]:
     root.add_argument("--config", default=None, help="INI config file with sections per command")
     root.add_argument("--out", default=None, help="output directory (stdout if omitted)")
     root.add_argument("--format", choices=("json", "csv"), default="json")
-    root.add_argument("--jobs", type=int, default=1)
     sub = root.add_subparsers(dest="command", required=True)
 
     p = sub.add_parser("gen", help="generate a synthetic source/target pair")

@@ -279,7 +279,7 @@ def _read_idx_labels(path) -> np.ndarray:
     return np.frombuffer(buf, dtype=np.uint8, count=n, offset=8).astype(np.int64)
 
 
-def read_idx(images_path, labels_path=None, domain_tag: str = "") -> Dataset:
+def read_idx(images_path, labels_path=None) -> Dataset:
     """Read an IDX image file (pixels scaled to b/255) plus optional labels."""
     X = _read_idx_images(images_path)
     y = None
@@ -292,7 +292,7 @@ def read_idx(images_path, labels_path=None, domain_tag: str = "") -> Dataset:
                 offset=4,
             )
         k = max(2, int(y.max()) + 1) if y.size else 2
-    return Dataset(X, y, k, domain_tag=domain_tag)
+    return Dataset(X, y, k)
 
 
 def write_idx(D: Dataset, images_path, labels_path=None) -> None:
@@ -315,12 +315,11 @@ def write_idx(D: Dataset, images_path, labels_path=None) -> None:
             f.write(D.y.astype(np.uint8).tobytes())
 
 
-def read_csv(path, label_col=None, k: int | None = None, channels: int = 1, domain_tag: str = "") -> Dataset:
+def read_csv(path, label_col=None) -> Dataset:
     """Parse a header-row CSV into a Dataset.
 
-    ``label_col`` picks the label column by header name or index. With
-    ``channels`` > 1 the feature columns are channel-major planes that get
-    averaged into one grayscale plane per row.
+    ``label_col`` picks the label column by header name or index; the class
+    count is one more than the largest label, and at least 2.
     """
     with open(path, "rb") as f:
         raw = f.read()
@@ -367,14 +366,10 @@ def read_csv(path, label_col=None, k: int | None = None, channels: int = 1, doma
     if not rows:
         raise FormatError(f"CSV file {path} has a header but no data rows", offset=offset)
     X = np.asarray(rows, dtype=np.float64)
-    if channels > 1:
-        if X.shape[1] % channels:
-            raise FormatError(f"{X.shape[1]} feature columns not divisible by {channels} channels")
-        X = X.reshape(X.shape[0], channels, -1).mean(axis=1)
-    y = np.asarray(labels, dtype=np.int64) if label_idx is not None else None
-    if y is not None and k is None:
-        k = max(2, int(y.max()) + 1)
-    return Dataset(X, y, k or 2, domain_tag=domain_tag)
+    if label_idx is None:
+        return Dataset(X)
+    y = np.asarray(labels, dtype=np.int64)
+    return Dataset(X, y, max(2, int(y.max()) + 1))
 
 
 def write_csv(D: Dataset, path) -> None:

@@ -44,6 +44,7 @@ BN_MOMENTUM = 0.9
 BLOB_MAGIC = b"PHYP"
 BLOB_VERSION = 1
 TRAIN_DTYPE = np.float32
+ADAM_BETA1, ADAM_BETA2, ADAM_EPS = 0.9, 0.999, 1e-8
 
 
 @dataclass(frozen=True)
@@ -403,8 +404,10 @@ class TrainConfig:
     def __post_init__(self):
         if self.epochs < 1:
             raise ConfigError(f"epochs must be >= 1, got {self.epochs}")
-        if not self.lr > 0:
-            raise ConfigError(f"learning rate must be > 0, got {self.lr}")
+        if not (self.lr > 0 and math.isfinite(self.lr)):
+            raise ConfigError(f"learning rate must be finite and > 0, got {self.lr}")
+        if not (self.weight_decay >= 0 and math.isfinite(self.weight_decay)):
+            raise ConfigError(f"weight decay must be finite and >= 0, got {self.weight_decay}")
         if self.batch_size < 1:
             raise ConfigError(f"batch size must be >= 1, got {self.batch_size}")
 
@@ -415,9 +418,8 @@ class AmsGrad:
     ``vmax`` is monotone non-decreasing per parameter across steps.
     """
 
-    def __init__(self, dim: int, lr: float = 1e-3, beta1: float = 0.9, beta2: float = 0.999, eps: float = 1e-8,
-                 dtype=np.float64):
-        self.lr, self.beta1, self.beta2, self.eps = lr, beta1, beta2, eps
+    def __init__(self, dim: int, lr: float = 1e-3, dtype=np.float64):
+        self.lr = lr
         self.m = np.zeros(dim, dtype)
         self.v = np.zeros(dim, dtype)
         self.vmax = np.zeros(dim, dtype)
@@ -428,14 +430,14 @@ class AmsGrad:
         # m = b1 m + (1 - b1) g, v = b2 v + ((1 - b2) g) g, params -= (lr mhat) / (sqrt(vhat) + eps)
         self.t += 1
         upd, den = self._tmp
-        self.m *= self.beta1
-        self.m += np.multiply(grad, 1 - self.beta1, out=upd)
-        self.v *= self.beta2
-        self.v += np.multiply(np.multiply(grad, 1 - self.beta2, out=upd), grad, out=upd)
+        self.m *= ADAM_BETA1
+        self.m += np.multiply(grad, 1 - ADAM_BETA1, out=upd)
+        self.v *= ADAM_BETA2
+        self.v += np.multiply(np.multiply(grad, 1 - ADAM_BETA2, out=upd), grad, out=upd)
         np.maximum(self.vmax, self.v, out=self.vmax)
-        den = np.sqrt(np.divide(self.vmax, 1 - self.beta2**self.t, out=den), out=den)
-        den += self.eps
-        upd = np.multiply(np.divide(self.m, 1 - self.beta1**self.t, out=upd), self.lr, out=upd)
+        den = np.sqrt(np.divide(self.vmax, 1 - ADAM_BETA2**self.t, out=den), out=den)
+        den += ADAM_EPS
+        upd = np.multiply(np.divide(self.m, 1 - ADAM_BETA1**self.t, out=upd), self.lr, out=upd)
         params -= np.divide(upd, den, out=upd)
 
 
@@ -486,32 +488,34 @@ def train_erm_traced(D: Dataset, arch: Arch, cfg: TrainConfig, sample_weight=Non
     layers = _layers(arch, params, bn_stats)
     ws = _Workspace(TRAIN_DTYPE)
     opt = AmsGrad(params.shape[0], lr=cfg.lr, dtype=TRAIN_DTYPE)
-    X = D.X.astype(TRAIN_DTYPE)
     wd_mask = _weight_mask(arch) if cfg.weight_decay > 0 else None
 
     trace: list[float] = []
     best_val = math.inf
     best_state: tuple[np.ndarray, np.ndarray] | None = None
-    for epoch in range(cfg.epochs):
-        order = rng.permutation(D.n)
-        for start in range(0, D.n, cfg.batch_size):
-            idx = order[start : start + cfg.batch_size]
-            cache: list = []
-            s = _forward(arch, layers, X[idx], True, ws, cache)
-            loss, ds = _loss_and_dscores(kind, s.astype(np.float64), D.y[idx], w[idx])
-            if not math.isfinite(loss):
-                raise TrainingError("training loss diverged to a non-finite value", epoch=epoch)
-            grad = _backward(arch, layers, cache, ds.astype(TRAIN_DTYPE), ws)
-            if wd_mask is not None:
-                grad[wd_mask] += cfg.weight_decay * params[wd_mask]
-            opt.step(params, grad)
-        if metric is not None:
-            val = float(metric(Hypothesis(arch, params.astype(np.float64), bn_stats.astype(np.float64),
-                                          seed=cfg.seed)))
-            if val < best_val:
-                best_val = val
-                best_state = (params.copy(), bn_stats.copy())
-            trace.append(best_val)
+    # Overflow and NaN end in a TrainingError below; numpy's warnings would only precede it.
+    with np.errstate(over="ignore", invalid="ignore"):
+        X = D.X.astype(TRAIN_DTYPE)
+        for epoch in range(cfg.epochs):
+            order = rng.permutation(D.n)
+            for start in range(0, D.n, cfg.batch_size):
+                idx = order[start : start + cfg.batch_size]
+                cache: list = []
+                s = _forward(arch, layers, X[idx], True, ws, cache)
+                loss, ds = _loss_and_dscores(kind, s.astype(np.float64), D.y[idx], w[idx])
+                if not math.isfinite(loss):
+                    raise TrainingError("training loss diverged to a non-finite value", epoch=epoch)
+                grad = _backward(arch, layers, cache, ds.astype(TRAIN_DTYPE), ws)
+                if wd_mask is not None:
+                    grad[wd_mask] += cfg.weight_decay * params[wd_mask]
+                opt.step(params, grad)
+            if metric is not None:
+                val = float(metric(Hypothesis(arch, params.astype(np.float64), bn_stats.astype(np.float64),
+                                              seed=cfg.seed)))
+                if val < best_val:
+                    best_val = val
+                    best_state = (params.copy(), bn_stats.copy())
+                trace.append(best_val)
     if not np.all(np.isfinite(params)):
         raise TrainingError("parameters diverged to non-finite values", epoch=cfg.epochs - 1)
     if best_state is not None:

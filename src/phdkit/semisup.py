@@ -23,11 +23,10 @@ PSEUDO_WEIGHT = 0.5
 
 @dataclass(frozen=True)
 class SelfTrainConfig:
-    """Threshold tau in (0.5, 1); rounds and per-round cap bound the loop."""
+    """Threshold tau in (0.5, 1); max_rounds bounds the loop."""
 
     tau: float = 0.95
     max_rounds: int = 5
-    round_cap: int | None = None
     base: TrainConfig = field(default_factory=TrainConfig)
 
     def __post_init__(self):
@@ -35,8 +34,6 @@ class SelfTrainConfig:
             raise ConfigError(f"confidence threshold must lie in (0.5, 1), got {self.tau}")
         if self.max_rounds < 1:
             raise ConfigError(f"max_rounds must be >= 1, got {self.max_rounds}")
-        if self.round_cap is not None and self.round_cap < 1:
-            raise ConfigError(f"round_cap must be >= 1, got {self.round_cap}")
 
 
 @dataclass(frozen=True)
@@ -73,10 +70,10 @@ def train_self(S: Dataset, T: Dataset, arch: Arch, cfg: SelfTrainConfig, seed: i
     """Iterative self-training.
 
     Round 0 is plain ERM on the source (bit-identical to ``train_erm`` with
-    the same seed). Each later round pseudo-labels the still-unused target
-    rows whose confidence reaches tau (most confident first under the cap),
-    then retrains on source plus all pseudo-labeled rows at PSEUDO_WEIGHT.
-    Stops early once no new row qualifies.
+    the same seed). Each later round pseudo-labels every still-unused target
+    row whose confidence reaches tau, then retrains on source plus all
+    pseudo-labeled rows at PSEUDO_WEIGHT. Stops early once no new row
+    qualifies.
     """
     if not S.labeled:
         raise ContractError("source must be labeled")
@@ -97,19 +94,11 @@ def train_self(S: Dataset, T: Dataset, arch: Arch, cfg: SelfTrainConfig, seed: i
         if remaining.size == 0:
             break
         labels, conf = _confidence(h, T.X[remaining])
-        label_at = np.zeros(T.n, dtype=np.int64)
-        conf_at = np.full(T.n, -1.0)
-        label_at[remaining] = labels
-        conf_at[remaining] = conf
-        cand = remaining[conf >= cfg.tau]
+        take = conf >= cfg.tau
+        cand = remaining[take]
         if cand.size == 0:
             break
-        if cfg.round_cap is not None and cand.size > cfg.round_cap:
-            # Most confident first; ties resolved by row index for determinism.
-            order = np.lexsort((cand, -conf_at[cand]))
-            cand = cand[order[: cfg.round_cap]]
-        cand = np.sort(cand)
-        pseudo_labels[cand] = label_at[cand]
+        pseudo_labels[cand] = labels[take]
         consumed[cand] = True
         rounds_run += 1
         added_per_round.append(int(cand.size))

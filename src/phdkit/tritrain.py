@@ -33,6 +33,9 @@ from .models import (
 from .numkit import child_rng
 from .semisup import train_with_pseudo
 
+RAD_DRAWS = 8
+"""Rademacher draws for the per-round bound's complexity term, estimated once per run."""
+
 
 @dataclass(frozen=True)
 class AgreementSet:
@@ -61,7 +64,6 @@ def build_tpl(h1: Hypothesis, h2: Hypothesis, T: Dataset) -> AgreementSet:
 class TriTrainConfig:
     base: TrainConfig = field(default_factory=TrainConfig)
     holdout_frac: float = 0.25
-    rad_draws: int = 8
     emit_bounds: bool = True
 
     def __post_init__(self):
@@ -114,9 +116,8 @@ def _bootstrap(S: Dataset, rng) -> Dataset:
     return S.take(np.sort(rng.integers(0, S.n, size=S.n)))
 
 
-def tritrain_round(S: Dataset, T: Dataset, archs, cfg: TriTrainConfig, rounds: int,
-                   seed: int = 0, h_t_star: Hypothesis | None = None,
-                   h1: Hypothesis | None = None, h2: Hypothesis | None = None) -> TriTrainResult:
+def tritrain_round(S: Dataset, T: Dataset, arch: Arch, cfg: TriTrainConfig, rounds: int,
+                   seed: int = 0, h1: Hypothesis | None = None, h2: Hypothesis | None = None) -> TriTrainResult:
     """Run the agreement/pseudo-label loop for a number of rounds.
 
     Each round retrains the two labeling hypotheses on their bootstrap
@@ -130,9 +131,6 @@ def tritrain_round(S: Dataset, T: Dataset, archs, cfg: TriTrainConfig, rounds: i
         raise ConfigError(f"rounds must be >= 1, got {rounds}")
     if not S.labeled:
         raise ContractError("source must be labeled")
-    if isinstance(archs, Arch):
-        archs = (archs, archs, archs)
-    arch1, arch2, arch_h = archs
     supplied_pair = h1 is not None and h2 is not None
 
     rng = child_rng(seed, 10)
@@ -157,10 +155,10 @@ def tritrain_round(S: Dataset, T: Dataset, archs, cfg: TriTrainConfig, rounds: i
         if not supplied_pair:
             cfg1, cfg2 = (replace(cfg.base, seed=seed * 2 + j) for j in (1, 2))
             if tpl is None or tpl.size == 0:
-                h1, h2 = train_erm(boot1, arch1, cfg1), train_erm(boot2, arch2, cfg2)
+                h1, h2 = train_erm(boot1, arch, cfg1), train_erm(boot2, arch, cfg2)
             else:
                 X, y = T_pool.X[tpl.indices], tpl.pseudo_labels
-                h1, h2 = train_with_pseudo(boot1, X, y, arch1, cfg1), train_with_pseudo(boot2, X, y, arch2, cfg2)
+                h1, h2 = train_with_pseudo(boot1, X, y, arch, cfg1), train_with_pseudo(boot2, X, y, arch, cfg2)
 
         tpl = build_tpl(h1, h2, T_pool)
         if tpl.size > 0:
@@ -177,14 +175,14 @@ def tritrain_round(S: Dataset, T: Dataset, archs, cfg: TriTrainConfig, rounds: i
         D_tpl = Dataset(T_pool.X[tpl.indices], tpl.pseudo_labels, S.k, "agreement")
         h1_ref = h1
         metric = lambda hyp: empirical_risk(hyp, h1_ref, D_tpl, zero_one())  # noqa: E731
-        h, trace = train_erm_traced(D_tpl, arch_h, replace(cfg.base, seed=seed * 2 + 3 + r), metric=metric)
+        h, trace = train_erm_traced(D_tpl, arch, replace(cfg.base, seed=seed * 2 + 3 + r), metric=metric)
 
         bound = None
         if cfg.emit_bounds:
             if rad_est is None:
-                rad_est = rademacher(T_hold, arch_h, draws=cfg.rad_draws, seed=seed,
+                rad_est = rademacher(T_hold, arch, draws=RAD_DRAWS, seed=seed,
                                      train_cfg=replace(cfg.base, epochs=min(cfg.base.epochs, 30)))
-            bound = bound_thm4(h, h1, h2, T_hold, rad_est, DEFAULT_DELTA, h_t_star=h_t_star,
+            bound = bound_thm4(h, h1, h2, T_hold, rad_est, DEFAULT_DELTA,
                                oracle_T=T_hold if T_hold.labeled else None)
 
         acc = accuracy(h, T_hold) if T_hold.labeled else None

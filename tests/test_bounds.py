@@ -217,7 +217,7 @@ def test_thm4_tighter_than_thm3_same_inputs():
     T, h, h1, h2, ht = _toy()
     rad = rad_const(0.12)
     r4 = bound_thm4(h, h1, h2, T, rad, 0.05, h_t_star=ht)
-    r3 = bound_thm3(h, h1, h2, h1, h2, T, rad, None, 0.05, h_t_star=ht)
+    r3 = bound_thm3(h, h1, h2, h1, h2, T, rad, 0.05, h_t_star=ht)
     assert r4.total < r3.total
 
 
@@ -294,7 +294,7 @@ def test_every_report_total_is_exact_term_sum():
         bound_ineq2(h, h1, T, T, 0.3, h_t_star=ht),
         bound_ineq3(h, h1, T, T, 0.4, h_t_star=ht),
         thm2_dev_report(h1, h2, h1, h2, T, rad),
-        bound_thm3(h, h1, h2, h1, h2, T, rad, None, 0.05, h_t_star=ht),
+        bound_thm3(h, h1, h2, h1, h2, T, rad, 0.05, h_t_star=ht),
         bound_thm4(h, h1, h2, T, rad, 0.05, h_t_star=ht),
     ]
     for rep in reports:

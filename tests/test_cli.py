@@ -2,6 +2,8 @@ import io
 import json
 import os
 import struct
+import subprocess
+import sys
 from contextlib import redirect_stderr, redirect_stdout
 from pathlib import Path
 
@@ -9,6 +11,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+import phdkit
 from phdkit.cli import main
 
 
@@ -105,7 +108,7 @@ def _library_bound(bound, src, tgt, models):
         "ineq2": lambda: bound_ineq2(h, h1, S, T, sdisc_exact(S, T, h1, cls).value, **diag),
         "ineq3": lambda: bound_ineq3(h, h1, S, T, disc_exact(S, T, cls).value, **diag),
         "thm2": lambda: thm2_dev_report(h1, h2, h1_star, h2_star, T, rad, 0.05),
-        "thm3": lambda: bound_thm3(h, h1, h2, h1_star, h2_star, T, rad, None, 0.05, **diag),
+        "thm3": lambda: bound_thm3(h, h1, h2, h1_star, h2_star, T, rad, 0.05, **diag),
         "thm4": lambda: bound_thm4(h, h1, h2, T, rad, 0.05, **diag),
         "thm6": lambda: bound_thm6_margin(h, h1, h2, T, 1.0, 2, rad, 0.05, **diag),
     }[bound]().to_dict()
@@ -159,19 +162,35 @@ def test_sdisc_without_model_is_config_error(tmp_path, capsys):
 
 
 def test_divergence_gives_exit_3(tmp_path, capsys):
-    import numpy as np
-
-    from phdkit.data import Dataset, write_csv
-
-    rng = np.random.default_rng(0)
-    big = Dataset(rng.standard_normal((16, 2)) * 1e150, np.array([0, 1] * 8), 2)
-    path = tmp_path / "big.csv"
-    write_csv(big, path)
-    with np.errstate(over="ignore", invalid="ignore"):
-        code, _, err = run(["train", "--data", str(path), "--hidden", "", "--epochs", "2",
-                            "--lr", "1e280"], capsys)
+    # finite features and a finite step that overflows float32 once the first epoch's updates land
+    src, _ = _gen(tmp_path, capsys, n=200, seed=0)
+    code, _, err = run(["train", "--data", str(src), "--hidden", "8", "--no-batch-norm", "--epochs", "3",
+                        "--lr", "1e38"], capsys)
     assert code == 3
-    assert json.loads(err.strip())["error"] == "TrainingError"
+    doc = json.loads(err.strip())
+    assert doc["error"] == "TrainingError" and doc["epoch"] >= 1
+
+
+def test_features_beyond_float32_give_one_json_line_on_stderr(tmp_path):
+    # a subprocess, because pytest's warning capture keeps numpy's RuntimeWarnings out of capsys
+    (tmp_path / "big.csv").write_text("x0,x1,label\n1e39,0,0\n1,2,1\n3,4,0\n5,6,1\n")
+    src = str(Path(phdkit.__file__).parents[1])
+    env = dict(os.environ, PYTHONWARNINGS="default",
+               PYTHONPATH=os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")])))
+    proc = subprocess.run([sys.executable, "-m", "phdkit.cli", "train", "--data", "big.csv", "--hidden", ""],
+                          env=env, cwd=tmp_path, capture_output=True, text=True, timeout=300)
+    assert proc.returncode == 3
+    lines = proc.stderr.splitlines()
+    assert len(lines) == 1, proc.stderr
+    assert json.loads(lines[0])["error"] == "TrainingError"
+
+
+@pytest.mark.parametrize("flag,value", [("--weight-decay", "-1"), ("--weight-decay", "nan"), ("--lr", "inf")])
+def test_train_with_a_step_setting_that_does_nothing_or_overflows_exits_2(flag, value, tmp_path, capsys):
+    src, _ = _gen(tmp_path, capsys, n=40)
+    code, _, err = run(["train", "--data", str(src), "--hidden", "", "--epochs", "1", flag, value], capsys)
+    assert code == 2
+    assert json.loads(err.strip())["error"] == "ConfigError"
 
 
 def test_missing_input_gives_exit_2_and_json_error(tmp_path, capsys):
@@ -335,9 +354,11 @@ def test_config_file_supplies_required_flags_and_explicit_flags_win(tmp_path, ca
     ["--conf", "d.ini", "gen"],
     ["repro", "table3", "--set", "seeds="],
     ["repro", "fig2", "--set", "sigmas="],
+    ["repro", "fig2", "--set", "top_k=0"],
+    ["--jobs", "2", "gen"],
 ], ids=["no-command", "config-without-value", "unknown-command", "bad-int", "bad-shift", "negative-seed",
         "set-bad-int", "set-without-equals", "unknown-protocol", "abbreviated-root-flag", "set-no-seeds",
-        "set-no-sigmas"])
+        "set-no-sigmas", "set-top-k-0", "removed-jobs-flag"])
 def test_usage_errors_exit_2_with_json(argv, tmp_path, capsys):
     code, _, err = run(["--out", str(tmp_path)] + argv, capsys)
     assert code == 2
@@ -472,7 +493,7 @@ FIXED_ARGS = {"repro": ["table3"], "gradcheck": ["--hidden", ""]}
 def malformed_argv(draw):
     values = st.sampled_from(BAD_VALUES)
     argv = ["--out", "out"]
-    for flag in draw(st.lists(st.sampled_from(("--seed", "--config", "--format", "--jobs")), max_size=2)):
+    for flag in draw(st.lists(st.sampled_from(("--seed", "--config", "--format")), max_size=2)):
         argv += [flag, draw(values)]
     command = draw(st.sampled_from(sorted(COMMAND_FLAGS)))
     argv += [command] + FIXED_ARGS.get(command, [])

@@ -211,13 +211,6 @@ def test_csv_ragged_row_reports_offset(tmp_path):
     assert e.value.offset == len("a,b\n1,2\n")
 
 
-def test_csv_channel_mean(tmp_path):
-    p = tmp_path / "d.csv"
-    p.write_text("r0,r1,g0,g1\n0,2,4,6\n")
-    D = read_csv(p, channels=2)
-    assert np.allclose(D.X, [[2.0, 4.0]])
-
-
 def test_csv_empty_file(tmp_path):
     p = tmp_path / "d.csv"
     p.write_text("")

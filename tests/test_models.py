@@ -202,12 +202,11 @@ def test_training_loss_does_not_increase():
 
 
 def test_divergence_raises_training_error_with_epoch():
-    D, _ = gen_gaussian_pair(50, 2, seed=0)
-    big = Dataset(D.X * 1e150, D.y, 2)
-    with np.errstate(over="ignore", invalid="ignore"):
-        with pytest.raises(TrainingError) as e:
-            train_erm(big, linear_arch(2), TrainConfig(epochs=3, lr=1e280, seed=0))
-    assert e.value.epoch is not None
+    # finite features and a finite step that overflows float32 once the first epoch's updates land
+    D, _ = gen_gaussian_pair(200, 2, seed=0)
+    with pytest.raises(TrainingError) as e:
+        train_erm(D, mlp_arch(2, (8,), batch_norm=False), TrainConfig(epochs=3, lr=1e38, seed=0))
+    assert e.value.epoch >= 1
 
 
 def test_deterministic_replay():
@@ -255,8 +254,10 @@ def test_amsgrad_second_moment_max_is_monotone():
 def test_bad_configs_rejected():
     with pytest.raises(ConfigError):
         TrainConfig(epochs=0)
-    with pytest.raises(ConfigError):
-        TrainConfig(lr=0.0)
+    for bad in ({"lr": 0.0}, {"lr": math.inf}, {"weight_decay": -1.0}, {"weight_decay": math.nan},
+                {"weight_decay": math.inf}):
+        with pytest.raises(ConfigError):
+            TrainConfig(**bad)
     with pytest.raises(ContractError):
         margin(0.0)
     D, _ = gen_gaussian_pair(20, 2, seed=0)

@@ -18,8 +18,8 @@ from phdkit.numkit import rng_from
 from phdkit.tritrain import TriTrainConfig, build_tpl, tritrain_round
 
 
-def _cfg(epochs=40, emit_bounds=False, **kw):
-    return TriTrainConfig(base=TrainConfig(epochs=epochs, batch_size=64), emit_bounds=emit_bounds, **kw)
+def _cfg(epochs=40, emit_bounds=False):
+    return TriTrainConfig(base=TrainConfig(epochs=epochs, batch_size=64), emit_bounds=emit_bounds)
 
 
 def test_equal_hypotheses_full_coverage():
@@ -105,7 +105,7 @@ def test_tpl_risk_trace_non_increasing():
 
 def test_round_bound_reports_use_heldout_pair_term():
     S, T = gen_gaussian_pair(240, 2, seed=7)
-    res = tritrain_round(S, T, linear_arch(2), _cfg(emit_bounds=True, rad_draws=4),
+    res = tritrain_round(S, T, linear_arch(2), _cfg(emit_bounds=True),
                          rounds=1, seed=3)
     rec = res.rounds[0]
     assert rec.bound is not None
@@ -116,7 +116,7 @@ def test_round_bound_reports_use_heldout_pair_term():
 
 def test_csv_trace_shape():
     S, T = gen_gaussian_pair(200, 2, seed=8)
-    res = tritrain_round(S, T, linear_arch(2), _cfg(emit_bounds=True, rad_draws=2),
+    res = tritrain_round(S, T, linear_arch(2), _cfg(emit_bounds=True),
                          rounds=2, seed=4)
     header, rows = res.csv_rows()
     assert header[0] == "round" and len(rows) == 2
