@@ -76,5 +76,5 @@ from .models import (
     train_erm,
     zero_one,
 )
-from .semisup import SelfTrainConfig, SelfTrainResult, train_self
+from .semisup import SelfTrainResult, train_self
 from .tritrain import AgreementSet, TriTrainConfig, TriTrainResult, build_tpl, tritrain_round

@@ -20,7 +20,7 @@ from .discrepancy import phd, w1_exact
 from .errors import ConfigError, ContractError
 from .models import Arch, TrainConfig, accuracy, train_erm
 from .numkit import child_rng, covariance, sym_inv_sqrt, sym_sqrt
-from .semisup import SelfTrainConfig, train_self
+from .semisup import train_self
 
 W1_SUBSAMPLE = 256
 EVAL_FRAC = 0.3
@@ -40,7 +40,7 @@ def coral(S: Dataset, T: Dataset, ridge: float = 1e-6) -> Dataset:
     mu_t = T.X.mean(axis=0)
     A = sym_inv_sqrt(covariance(S.X), ridge) @ sym_sqrt(covariance(T.X), ridge)
     X = (S.X - mu_s) @ A + mu_t
-    return Dataset(X, S.y, S.k, S.domain_tag + "+coral", S.consumed)
+    return Dataset(X, S.y, S.k, S.domain_tag + "+coral")
 
 
 def rank_ascending(values) -> tuple[int, ...]:
@@ -51,10 +51,20 @@ def rank_ascending(values) -> tuple[int, ...]:
 
 @dataclass(frozen=True)
 class SelectConfig:
+    """Training settings of a selection run.
+
+    ``base`` trains every hypothesis, each under its own per-source seed;
+    ``ssl_rounds`` caps the self-training rounds of the pair measure.
+    """
+
     arch: Arch
     base: TrainConfig = field(default_factory=TrainConfig)
-    selftrain: SelfTrainConfig = field(default_factory=SelfTrainConfig)
+    ssl_rounds: int = 5
     w1_subsample: int = W1_SUBSAMPLE
+
+    def __post_init__(self):
+        if self.ssl_rounds < 1:
+            raise ConfigError(f"self-training rounds must be >= 1, got {self.ssl_rounds}")
 
 
 def _zscore(D: Dataset, ref: Dataset | None = None) -> Dataset:
@@ -63,7 +73,7 @@ def _zscore(D: Dataset, ref: Dataset | None = None) -> Dataset:
     mu = R.X.mean(axis=0)
     sd = R.X.std(axis=0)
     sd = np.where(sd < 1e-12, 1.0, sd)
-    return Dataset((D.X - mu) / sd, D.y, D.k, D.domain_tag, D.consumed)
+    return Dataset((D.X - mu) / sd, D.y, D.k, D.domain_tag)
 
 
 @dataclass(frozen=True)
@@ -105,8 +115,9 @@ def select_sources(sources, T: Dataset, measure: str, K: int, cfg: SelectConfig,
     """Rank sources by discrepancy to the target and evaluate the top-K pool.
 
     For the pair-discrepancy measure each source trains its own supervised
-    hypothesis and a self-trained target-aware one; the discrepancy is their
-    disagreement on target rows held out from self-training. The score
+    hypothesis and a target-aware one, self-trained from a second source
+    hypothesis under its own seed; the discrepancy is their disagreement on
+    target rows held out from self-training. The score
     counts clean sources inside the top-K (requires ``clean_flags``); the
     downstream accuracy trains one classifier on the CORAL-adapted chosen
     pool and grades it on oracle-labeled target data. Both are diagnostics.
@@ -128,8 +139,9 @@ def select_sources(sources, T: Dataset, measure: str, K: int, cfg: SelectConfig,
         if measure == "phd":
             src = _zscore(sources[i])
             h_s = train_erm(src, cfg.arch, replace(cfg.base, seed=seed + 10 * i + 1))
-            res = train_self(src, fit, cfg.arch, cfg.selftrain, seed=seed + 10 * i + 2)
-            return phd(h_s, res.hypothesis, ev).value
+            ssl_cfg = replace(cfg.base, seed=seed + 10 * i + 2)
+            h_ssl = train_self(src, fit, train_erm(src, cfg.arch, ssl_cfg), ssl_cfg, cfg.ssl_rounds).hypothesis
+            return phd(h_s, h_ssl, ev).value
         rng = child_rng(seed, 12, i)
         return w1_exact(_subsample(sources[i], cfg.w1_subsample, rng),
                         _subsample(T_fit, cfg.w1_subsample, rng), seed=seed + i).value

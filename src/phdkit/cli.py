@@ -67,7 +67,6 @@ from .models import (
 )
 from .numkit import rng_from
 from .protocols import PROTOCOLS
-from .semisup import SelfTrainConfig
 from .tritrain import TriTrainConfig, tritrain_round
 
 EXIT_OK = 0
@@ -316,10 +315,8 @@ def cmd_select(args) -> None:
     T = _load_dataset(args.target).without_labels()
     oracle = _load_dataset(args.oracle, args.label_col) if args.oracle else None
     flags = [bool(v) for v in _numbers(args.clean_flags, int)] if args.clean_flags else None
-    arch = _arch_from_args(args, sources[0].d)
-    base = _train_cfg(args, args.seed)
-    cfg = SelectConfig(arch=arch, base=base,
-                       selftrain=SelfTrainConfig(max_rounds=args.ssl_rounds, base=base))
+    cfg = SelectConfig(arch=_arch_from_args(args, sources[0].d), base=_train_cfg(args, args.seed),
+                       ssl_rounds=args.ssl_rounds)
     out = select_sources(sources, T, args.measure, args.top_k, cfg, seed=args.seed,
                          clean_flags=flags, oracle=oracle)
     _emit(args, "select", out.to_dict())
@@ -424,11 +421,15 @@ class _Parser(argparse.ArgumentParser):
         raise ConfigError(message)
 
 
-def _add_train_flags(p: argparse.ArgumentParser, epochs: int = 50) -> None:
+def _add_arch_flags(p: argparse.ArgumentParser) -> None:
     p.add_argument("--hidden", default="64,64", help="comma widths; empty for linear")
     p.add_argument("--out-dim", type=int, default=1)
-    p.add_argument("--batch-norm", action="store_true", default=True)
     p.add_argument("--no-batch-norm", dest="batch_norm", action="store_false")
+
+
+def _add_train_flags(p: argparse.ArgumentParser, epochs: int = 50) -> None:
+    """Architecture and optimizer flags of a command that trains."""
+    _add_arch_flags(p)
     p.add_argument("--epochs", type=int, default=epochs)
     p.add_argument("--batch-size", type=int, default=64)
     p.add_argument("--lr", type=float, default=1e-3)
@@ -545,7 +546,7 @@ def build_parser() -> tuple[argparse.ArgumentParser, dict]:
     p.add_argument("--d", type=int, default=3)
     p.add_argument("--probe-n", type=int, default=4)
     p.add_argument("--eps", type=float, default=1e-5)
-    _add_train_flags(p)
+    _add_arch_flags(p)
     p.set_defaults(func=cmd_gradcheck)
 
     p = sub.add_parser("repro", help="rerun a whole experiment protocol")

@@ -31,15 +31,13 @@ class Dataset:
     """Feature matrix with optional labels.
 
     ``y`` holds integers in {0..k-1} when present (None for unlabeled
-    target data). ``consumed`` is a bookkeeping mask set by semi-supervised
-    training: rows it used must be excluded from discrepancy estimation.
+    target data).
     """
 
     X: np.ndarray
     y: np.ndarray | None = None
     k: int = 2
     domain_tag: str = ""
-    consumed: np.ndarray | None = None
 
     def __post_init__(self):
         X = np.asarray(self.X, dtype=np.float64)
@@ -57,11 +55,6 @@ class Dataset:
             object.__setattr__(self, "y", y)
         if self.k < 1:
             raise ContractError(f"class count must be >= 1, got {self.k}")
-        if self.consumed is not None:
-            m = np.asarray(self.consumed, dtype=bool)
-            if m.shape != (X.shape[0],):
-                raise ContractError("consumed mask length does not match n")
-            object.__setattr__(self, "consumed", m)
 
     @property
     def n(self) -> int:
@@ -78,18 +71,9 @@ class Dataset:
     def without_labels(self) -> "Dataset":
         return replace(self, y=None)
 
-    def with_consumed(self, mask) -> "Dataset":
-        return replace(self, consumed=np.asarray(mask, dtype=bool))
-
     def take(self, indices) -> "Dataset":
         idx = np.asarray(indices, dtype=np.int64)
-        return Dataset(
-            self.X[idx],
-            None if self.y is None else self.y[idx],
-            self.k,
-            self.domain_tag,
-            None if self.consumed is None else self.consumed[idx],
-        )
+        return Dataset(self.X[idx], None if self.y is None else self.y[idx], self.k, self.domain_tag)
 
 
 @dataclass(frozen=True)

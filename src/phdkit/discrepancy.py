@@ -243,15 +243,14 @@ def phd(h1: Hypothesis, h2: Hypothesis, T: Dataset, loss: LossSpec | None = None
         exclude=None) -> DiscrepancyReport:
     """Empirical loss between two fixed hypotheses on target rows.
 
-    Rows flagged as consumed by semi-supervised training (or listed in
-    ``exclude``) are dropped so the estimate only sees unseen data.
+    Rows listed in ``exclude`` (such as ``SelfTrainResult.consumed``, the
+    rows self-training fitted on) are dropped so the estimate only sees
+    unseen data.
     """
     loss = loss or zero_one()
     if T.n == 0:
         raise DegenerateInputError("target dataset is empty")
     keep = np.ones(T.n, dtype=bool)
-    if T.consumed is not None:
-        keep &= ~T.consumed
     if exclude is not None:
         exclude = np.asarray(exclude, dtype=np.int64)
         if exclude.size and not (0 <= exclude.min() and exclude.max() < T.n):

@@ -317,40 +317,37 @@ def _loss_and_dscores(kind: str, s: np.ndarray, y: np.ndarray, w: np.ndarray) ->
 
 @dataclass(frozen=True)
 class LossSpec:
-    """Loss selector with its bound M and triangle-inequality flag."""
+    """Loss selector; ``rho`` is the margin of the margin loss."""
 
     kind: str
     rho: float = 0.0
-    bound: float = 1.0
-    triangle: bool = False
 
     def __post_init__(self):
         if self.kind not in ("zero_one", "margin", "logistic", "cross_entropy"):
             raise ConfigError(f"unknown loss kind {self.kind!r}")
         if self.kind == "margin" and not self.rho > 0:
             raise ContractError(f"margin loss needs rho > 0, got {self.rho}")
-        if self.kind == "zero_one" and not (self.bound == 1.0 and self.triangle):
-            raise ConfigError("zero-one loss is bounded by 1 and satisfies the triangle inequality")
-        if self.kind == "margin" and self.bound != 1.0:
-            raise ConfigError("margin loss is bounded by 1")
-        if self.kind in ("logistic", "cross_entropy") and self.triangle:
-            raise ConfigError("training surrogates do not satisfy the triangle inequality")
+
+    @property
+    def triangle(self) -> bool:
+        """Whether the loss satisfies the triangle inequality (zero-one only)."""
+        return self.kind == "zero_one"
 
 
 def zero_one() -> LossSpec:
-    return LossSpec("zero_one", bound=1.0, triangle=True)
+    return LossSpec("zero_one")
 
 
 def margin(rho: float) -> LossSpec:
-    return LossSpec("margin", rho=rho, bound=1.0, triangle=False)
+    return LossSpec("margin", rho=rho)
 
 
 def logistic() -> LossSpec:
-    return LossSpec("logistic", bound=math.inf, triangle=False)
+    return LossSpec("logistic")
 
 
 def cross_entropy() -> LossSpec:
-    return LossSpec("cross_entropy", bound=math.inf, triangle=False)
+    return LossSpec("cross_entropy")
 
 
 def _reference_labels(labeler, D: Dataset) -> np.ndarray:
@@ -535,8 +532,8 @@ def grad_check(arch: Arch, loss: LossSpec, probe: Dataset, eps: float = 1e-5, se
         raise ContractError(f"probe must be small (n <= 8), got n={probe.n}")
     if probe.y is None:
         raise ContractError("probe must be labeled")
-    if not eps > 0:
-        raise ContractError(f"eps must be > 0, got {eps}")
+    if not 0 < eps < math.inf:
+        raise ContractError(f"eps must be finite and > 0, got {eps}")
     params = init_params(arch, seed)
     y = probe.y
     w = np.ones(probe.n)

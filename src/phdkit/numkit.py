@@ -64,8 +64,8 @@ def _check_symmetric(A: np.ndarray, name: str) -> np.ndarray:
 
 def _sym_power(A: np.ndarray, ridge: float, power: float, name: str) -> np.ndarray:
     A = _check_symmetric(A, name)
-    if not ridge > 0:
-        raise ContractError(f"ridge must be > 0, got {ridge}")
+    if not 0 < ridge < np.inf:
+        raise ContractError(f"ridge must be finite and > 0, got {ridge}")
     w, V = np.linalg.eigh(A + ridge * np.eye(A.shape[0]))
     # PSD input plus a positive ridge keeps eigenvalues positive; clip guards
     # against tiny negative round-off from eigh.

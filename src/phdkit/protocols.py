@@ -20,7 +20,7 @@ from .data import Dataset, SplitSpec, add_feature_noise, gen_gaussian_pair, spli
 from .discrepancy import StumpClass, dh_adv, dh_exact, phd, sdisc_adv, sdisc_exact, stump_erm
 from .models import TrainConfig, accuracy, empirical_risk, mlp_arch, train_erm, zero_one
 from .numkit import child_rng
-from .semisup import SelfTrainConfig, train_self
+from .semisup import train_self
 
 
 def _row_mean(rows: list[dict], key: str) -> float:
@@ -67,7 +67,7 @@ def run_table1(cfg: Table1Config = Table1Config()) -> dict:
         base = TrainConfig(epochs=cfg.epochs, batch_size=cfg.batch_size, seed=seed)
         h_s = train_erm(S, arch, base)
         T_fit, T_eval = split(T.without_labels(), SplitSpec((0.5, 0.5), seed=seed + 1))
-        ssl = train_self(S, T_fit, arch, SelfTrainConfig(max_rounds=cfg.ssl_rounds, base=base), seed=seed)
+        ssl = train_self(S, T_fit, h_s, base, cfg.ssl_rounds)
         phd_mlp = phd(h_s, ssl.hypothesis, T_eval).value
 
         adv_arch = mlp_arch(cfg.d, cfg.adv_hidden, batch_norm=True)
@@ -141,9 +141,7 @@ def run_table2(cfg: Table2Config = Table2Config()) -> dict:
         arch = mlp_arch(cfg.d, cfg.hidden, batch_norm=True)
         base = TrainConfig(epochs=cfg.epochs, batch_size=cfg.batch_size, seed=seed)
         h_s = train_erm(S, arch, base)
-        ssl = train_self(S, T_fit.without_labels(), arch, SelfTrainConfig(max_rounds=cfg.ssl_rounds, base=base),
-                         seed=seed)
-        h_ssl = ssl.hypothesis
+        h_ssl = train_self(S, T_fit.without_labels(), h_s, base, cfg.ssl_rounds).hypothesis
         h_t_star = train_erm(T_star, arch, replace(base, seed=seed + 7))
 
         thm1 = bound_thm1(h_s, h_s, h_ssl, T_eval.without_labels(), zero_one(),
@@ -213,9 +211,10 @@ def _table3_case(cfg: Table3Config, seed: int, unrelated: bool) -> dict:
     base = TrainConfig(epochs=cfg.epochs, batch_size=cfg.batch_size, seed=seed)
     T_fit, T_eval, T_star = split(T, SplitSpec((0.4, 0.3, 0.3), seed=seed))
     h_s = train_erm(S, arch, base)
-    ssl = train_self(S, T_fit.without_labels(), arch, SelfTrainConfig(max_rounds=cfg.ssl_rounds, base=base),
-                     seed=seed + 1)
-    h_ssl = ssl.hypothesis
+    # self-training runs under its own seed, so it starts from its own source model
+    ssl_cfg = replace(base, seed=seed + 1)
+    h0 = train_erm(S, arch, ssl_cfg)
+    h_ssl = train_self(S, T_fit.without_labels(), h0, ssl_cfg, cfg.ssl_rounds).hypothesis
     h_t_star = train_erm(T_star, arch, replace(base, seed=seed + 7))
     return {
         "seed": seed,
@@ -332,12 +331,7 @@ def run_fig2(cfg: Fig2Config = Fig2Config()) -> dict:
     Wasserstein-1, plus downstream accuracy after correlation alignment."""
     arch = mlp_arch(cfg.d, cfg.hidden, out_dim=cfg.k, batch_norm=True)
     base = TrainConfig(epochs=cfg.epochs, batch_size=cfg.batch_size)
-    sel_cfg = SelectConfig(
-        arch=arch,
-        base=base,
-        selftrain=SelfTrainConfig(max_rounds=cfg.ssl_rounds, base=base),
-        w1_subsample=cfg.w1_subsample,
-    )
+    sel_cfg = SelectConfig(arch=arch, base=base, ssl_rounds=cfg.ssl_rounds, w1_subsample=cfg.w1_subsample)
     rows = []
     for sigma in cfg.sigmas:
         for seed in cfg.seeds:

@@ -8,7 +8,6 @@ from phdkit.data import Dataset, add_feature_noise, gen_gaussian_pair
 from phdkit.errors import ConfigError, ContractError
 from phdkit.models import TrainConfig, mlp_arch
 from phdkit.numkit import covariance, rng_from
-from phdkit.semisup import SelfTrainConfig
 
 
 def test_coral_identity_when_moments_match():
@@ -56,9 +55,8 @@ def test_ranking_ties_broken_by_index():
 
 
 def _select_cfg(d, k=2):
-    base = TrainConfig(epochs=15, batch_size=64)
-    return SelectConfig(arch=mlp_arch(d, (16,), out_dim=k, batch_norm=True), base=base,
-                        selftrain=SelfTrainConfig(max_rounds=1, base=base))
+    return SelectConfig(arch=mlp_arch(d, (16,), out_dim=k, batch_norm=True),
+                        base=TrainConfig(epochs=15, batch_size=64), ssl_rounds=1)
 
 
 def test_all_clean_sources_score_is_k():
@@ -106,3 +104,5 @@ def test_selection_validation():
         select_sources(pool, T, "mmd", 1, _select_cfg(2), seed=0)
     with pytest.raises(ContractError):
         select_sources(pool[:1], T, "phd", 1, _select_cfg(2), seed=0)
+    with pytest.raises(ConfigError, match="rounds"):
+        SelectConfig(arch=mlp_arch(2, (16,)), ssl_rounds=0)

@@ -1,3 +1,4 @@
+import csv
 import io
 import json
 import os
@@ -64,6 +65,41 @@ def test_bounds_thm4_terms_sum_to_total(tmp_path, capsys):
     assert code == 0
     doc = json.loads(out)["result"]
     assert doc["total"] == pytest.approx(sum(t["value"] for t in doc["terms"]), abs=1e-12)
+
+
+def _csv_and_json(out, name):
+    with open(out / f"{name}_report.csv", newline="") as f:
+        header, *rows = csv.reader(f)
+    return header, rows, json.loads((out / f"{name}_report.json").read_text())["result"]
+
+
+def test_csv_reports_agree_with_the_json_result(tmp_path, capsys):
+    src, tgt = _gen(tmp_path, capsys)
+    m1 = _train(tmp_path, capsys, src, "h1.bin", 3)
+    m2 = _train(tmp_path, capsys, src, "h2.bin", 4)
+    out = tmp_path / "csv"
+    for argv in (["phd", "--h1", str(m1), "--h2", str(m2), "--target", str(tgt)],
+                 ["bounds", "--bound", "thm4", "--target", str(tgt), "--h", str(m1), "--h1", str(m1),
+                  "--h2", str(m2), "--rad-draws", "8"],
+                 ["repro", "fig2", "--set", "seeds=0", "--set", "sigmas=0.1,0.5", "--set", "n_source=80",
+                  "--set", "n_target=200", "--set", "epochs=4", "--set", "ssl_rounds=1"]):
+        assert run(["--out", str(out), "--format", "csv", *argv], capsys)[0] == 0
+
+    header, rows, res = _csv_and_json(out, "phd")
+    assert header == ["measure", "value", "method", "n_source", "n_target", "seeds"]
+    assert rows == [["phd", repr(res["value"]), res["method"], "", str(res["n_target"]), ""]]
+
+    header, rows, res = _csv_and_json(out, "bounds")
+    terms = {t["name"]: repr(t["value"]) for t in res["terms"]}
+    assert header == ["bound_id", "delta", "n_target", *terms, "total"]
+    assert rows == [[res["bound_id"], repr(res["delta"]), str(res["n_target"]), *terms.values(),
+                     repr(res["total"])]]
+
+    header, rows, res = _csv_and_json(out, "repro_fig2")
+    assert header == ["sigma", "phd_score", "w1_score", "phd_accuracy", "w1_accuracy"]
+    by_sigma = {m: res["summary"][m] for m in ("phd", "w1")}
+    assert rows == [[sig, *(repr(by_sigma[m][f"{q}_by_sigma"][sig]) for q in ("score", "accuracy")
+                            for m in ("phd", "w1"))] for sig in ("0.1", "0.5")]
 
 
 @pytest.fixture(scope="module")
@@ -171,18 +207,37 @@ def test_divergence_gives_exit_3(tmp_path, capsys):
     assert doc["error"] == "TrainingError" and doc["epoch"] >= 1
 
 
-def test_features_beyond_float32_give_one_json_line_on_stderr(tmp_path):
-    # a subprocess, because pytest's warning capture keeps numpy's RuntimeWarnings out of capsys
-    (tmp_path / "big.csv").write_text("x0,x1,label\n1e39,0,0\n1,2,1\n3,4,0\n5,6,1\n")
+def _run_subprocess(argv, cwd):
+    """The CLI in a subprocess with warnings shown: pytest's warning capture keeps
+    numpy's RuntimeWarnings out of capsys."""
     src = str(Path(phdkit.__file__).parents[1])
     env = dict(os.environ, PYTHONWARNINGS="default",
                PYTHONPATH=os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")])))
-    proc = subprocess.run([sys.executable, "-m", "phdkit.cli", "train", "--data", "big.csv", "--hidden", ""],
-                          env=env, cwd=tmp_path, capture_output=True, text=True, timeout=300)
+    return subprocess.run([sys.executable, "-m", "phdkit.cli", *argv],
+                          env=env, cwd=cwd, capture_output=True, text=True, timeout=300)
+
+
+def test_features_beyond_float32_give_one_json_line_on_stderr(tmp_path):
+    (tmp_path / "big.csv").write_text("x0,x1,label\n1e39,0,0\n1,2,1\n3,4,0\n5,6,1\n")
+    proc = _run_subprocess(["train", "--data", "big.csv", "--hidden", ""], tmp_path)
     assert proc.returncode == 3
     lines = proc.stderr.splitlines()
     assert len(lines) == 1, proc.stderr
     assert json.loads(lines[0])["error"] == "TrainingError"
+
+
+@pytest.mark.parametrize("argv,named", [
+    (["gradcheck", "--eps", "inf"], "eps"),
+    (["coral", "--source", "pair_source.csv", "--target", "pair_target.csv", "--ridge", "inf"], "ridge"),
+], ids=["gradcheck-eps-inf", "coral-ridge-inf"])
+def test_infinite_step_or_ridge_exits_2_with_one_json_line(argv, named, tmp_path, capsys):
+    _gen(tmp_path, capsys, n=40)
+    proc = _run_subprocess(argv, tmp_path)
+    assert proc.returncode == 2
+    lines = proc.stderr.splitlines()
+    assert len(lines) == 1, proc.stderr
+    doc = json.loads(lines[0])
+    assert doc["error"] == "ContractError" and named in doc["message"]
 
 
 @pytest.mark.parametrize("flag,value", [("--weight-decay", "-1"), ("--weight-decay", "nan"), ("--lr", "inf")])
@@ -356,9 +411,11 @@ def test_config_file_supplies_required_flags_and_explicit_flags_win(tmp_path, ca
     ["repro", "fig2", "--set", "sigmas="],
     ["repro", "fig2", "--set", "top_k=0"],
     ["--jobs", "2", "gen"],
+    ["gradcheck", "--epochs", "1"],
+    ["train", "--data", "missing.csv", "--batch-norm"],
 ], ids=["no-command", "config-without-value", "unknown-command", "bad-int", "bad-shift", "negative-seed",
         "set-bad-int", "set-without-equals", "unknown-protocol", "abbreviated-root-flag", "set-no-seeds",
-        "set-no-sigmas", "set-top-k-0", "removed-jobs-flag"])
+        "set-no-sigmas", "set-top-k-0", "removed-jobs-flag", "gradcheck-training-flag", "removed-batch-norm-flag"])
 def test_usage_errors_exit_2_with_json(argv, tmp_path, capsys):
     code, _, err = run(["--out", str(tmp_path)] + argv, capsys)
     assert code == 2

@@ -77,14 +77,14 @@ def test_phd_symmetric_and_triangle():
 
 
 def test_phd_excludes_consumed_rows():
-    T = d1(1.0, 2.0, 3.0, 4.0).with_consumed([True, True, False, False])
+    T = d1(1.0, 2.0, 3.0, 4.0)
     h1 = stump_hypothesis(0, 2.5, -1, 1)
     h2 = constant_hypothesis(1, 1)
-    rep = phd(h1, h2, T)
+    rep = phd(h1, h2, T, exclude=[0, 1])
     assert rep.n_target == 2
     assert rep.value == 1.0  # rows 3,4 predicted 0 by h1
     with pytest.raises(DegenerateInputError):
-        phd(h1, h2, T, exclude=[2, 3])
+        phd(h1, h2, T, exclude=[0, 1, 2, 3])
 
 
 @pytest.mark.parametrize("exclude", [[99], [4], [-1]])

@@ -88,6 +88,11 @@ def test_sym_inv_sqrt_rejects_nonpositive_ridge():
         sym_inv_sqrt(np.eye(2), 0.0)
 
 
+def test_sym_inv_sqrt_rejects_infinite_ridge():
+    with pytest.raises(ContractError, match="ridge"):
+        sym_inv_sqrt(np.eye(2), ridge=np.inf)
+
+
 @given(st.lists(st.floats(0.1, 50), min_size=2, max_size=5))
 @settings(max_examples=40, deadline=None)
 def test_sym_inv_sqrt_commutes_with_diagonal_input(diag):
