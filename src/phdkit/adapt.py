@@ -18,7 +18,7 @@ import numpy as np
 from .data import Dataset, SplitSpec, split
 from .discrepancy import phd, w1_exact
 from .errors import ConfigError, ContractError
-from .models import Arch, TrainConfig, accuracy, train_erm
+from .models import Arch, TrainConfig, accuracy, train_erm, train_erm_many
 from .numkit import child_rng, covariance, sym_inv_sqrt, sym_sqrt
 from .semisup import train_self
 
@@ -135,18 +135,25 @@ def select_sources(sources, T: Dataset, measure: str, K: int, cfg: SelectConfig,
     T_fit, T_eval = split(T.without_labels(), SplitSpec((1.0 - EVAL_FRAC, EVAL_FRAC), seed=seed))
     fit, ev = _zscore(T_fit), _zscore(T_eval, ref=T_fit)
 
-    def value_for(i: int) -> float:
-        if measure == "phd":
-            src = _zscore(sources[i])
-            h_s = train_erm(src, cfg.arch, replace(cfg.base, seed=seed + 10 * i + 1))
-            ssl_cfg = replace(cfg.base, seed=seed + 10 * i + 2)
-            h_ssl = train_self(src, fit, train_erm(src, cfg.arch, ssl_cfg), ssl_cfg, cfg.ssl_rounds).hypothesis
-            return phd(h_s, h_ssl, ev).value
-        rng = child_rng(seed, 12, i)
-        return w1_exact(_subsample(sources[i], cfg.w1_subsample, rng),
-                        _subsample(T_fit, cfg.w1_subsample, rng), seed=seed + i).value
-
-    values = [value_for(i) for i in range(len(sources))]
+    values = []
+    if measure == "phd":
+        # run 2i (seed + 10 i + 1) is source i's own hypothesis and run 2i + 1 (seed + 10 i + 2)
+        # starts its self-training; the runs of all sources of one row count train in one call
+        runs = [(_zscore(S), replace(cfg.base, seed=seed + 10 * i + j), None)
+                for i, S in enumerate(sources) for j in (1, 2)]
+        hs = {}
+        for n in {S.n for S in sources}:
+            group = [r for r, run in enumerate(runs) if run[0].n == n]
+            hs.update(zip(group, train_erm_many([runs[r] for r in group], cfg.arch)))
+        for i in range(len(sources)):
+            (S, _, _), (_, ssl_cfg, _) = runs[2 * i : 2 * i + 2]
+            h_ssl = train_self(S, fit, hs[2 * i + 1], ssl_cfg, cfg.ssl_rounds).hypothesis
+            values.append(phd(hs[2 * i], h_ssl, ev).value)
+    else:
+        for i, S in enumerate(sources):
+            rng = child_rng(seed, 12, i)
+            values.append(w1_exact(_subsample(S, cfg.w1_subsample, rng),
+                                   _subsample(T_fit, cfg.w1_subsample, rng), seed=seed + i).value)
     ranking = rank_ascending(values)
     chosen = ranking[:K]
     score = None

@@ -28,7 +28,8 @@ from .models import (
     empirical_risk,
     margin,
     predict,
-    train_erm,
+    train_erm,  # noqa: F401  (uncalled; perfbench's layer tracer wraps this name)
+    train_erm_many,
     zero_one,
 )
 from .numkit import child_rng
@@ -162,12 +163,10 @@ def rademacher(T: Dataset, cls, draws: int = DEFAULT_DRAWS, seed: int = 0,
         method, descr = "exact-finite", f"explicit({cls.size})"
     elif isinstance(cls, Arch):
         cfg = train_cfg or TrainConfig(epochs=FIT_TO_NOISE_EPOCHS, seed=seed)
-        vals = []
-        for k, sigma in enumerate(sigmas):
-            D = Dataset(T.X, ((sigma + 1) // 2).astype(np.int64), 2, "noise-fit")
-            h = train_erm(D, cls, replace(cfg, seed=seed + 1000 * k))
-            signed = 2.0 * predict(h, T.X) - 1.0
-            vals.append(float(np.mean(sigma * signed)))
+        sigmas = list(sigmas)
+        hs = train_erm_many([(Dataset(T.X, ((sigma + 1) // 2).astype(np.int64), 2, "noise-fit"),
+                              replace(cfg, seed=seed + 1000 * k), None) for k, sigma in enumerate(sigmas)], cls)
+        vals = [float(np.mean(sigma * (2.0 * predict(h, T.X) - 1.0))) for h, sigma in zip(hs, sigmas)]
         method, descr = "fit-to-noise", f"arch{cls.widths}"
     else:
         raise ContractError(f"unsupported class descriptor {type(cls).__name__}")
@@ -176,14 +175,19 @@ def rademacher(T: Dataset, cls, draws: int = DEFAULT_DRAWS, seed: int = 0,
     return RademacherEstimate(est, draws, stderr, descr, method)
 
 
-def hoeffding_term(M: float, n: int, delta: float, two_sided: bool = False) -> float:
-    """Concentration penalty M * sqrt(log(a/delta) / (2n)), a = 2 if two-sided."""
-    if not M > 0:
-        raise ContractError(f"M must be > 0, got {M}")
-    if n < 1:
-        raise ContractError(f"n must be >= 1, got {n}")
+def check_delta(delta: float) -> None:
+    """Reject a confidence parameter outside (0, 1), NaN and infinities included."""
     if not 0.0 < delta < 1.0:
         raise ContractError(f"delta must lie in (0,1), got {delta}")
+
+
+def hoeffding_term(M: float, n: int, delta: float, two_sided: bool = False) -> float:
+    """Concentration penalty M * sqrt(log(a/delta) / (2n)), a = 2 if two-sided."""
+    if not 0 < M < math.inf:
+        raise ContractError(f"M must be finite and > 0, got {M}")
+    if n < 1:
+        raise ContractError(f"n must be >= 1, got {n}")
+    check_delta(delta)
     a = 2.0 if two_sided else 1.0
     return M * math.sqrt(math.log(a / delta) / (2.0 * n))
 
@@ -260,9 +264,8 @@ def bound_ineq3(h: Hypothesis, hS: Hypothesis, S: Dataset, T: Dataset, disc,
 def thm2_dev_report(h1_hat: Hypothesis, h2_hat: Hypothesis, h1_star: Hypothesis,
                     h2_star: Hypothesis, T: Dataset, rad: RademacherEstimate,
                     delta: float = DEFAULT_DELTA) -> BoundReport:
+    check_delta(delta)
     loss = zero_one()
-    if not 0.0 < delta < 1.0:
-        raise ContractError(f"delta must lie in (0,1), got {delta}")
     terms = [
         Term("complexity_3R", 3.0 * max(0.0, rad.value)),
         Term("confidence", _confidence(3.0, 12.0, delta, T.n)),
@@ -281,6 +284,7 @@ def bound_thm3(h: Hypothesis, h1_hat: Hypothesis, h2_hat: Hypothesis,
     The pair's class H' is the class H of ``h``, so ``rad_h`` serves both
     complexity terms.
     """
+    check_delta(delta)
     loss = zero_one()
     phd_val, n_eff = _phd_term(h1_hat, h2_hat, T, loss)
     terms = [
@@ -302,6 +306,7 @@ def bound_thm4(h: Hypothesis, h1: Hypothesis, h2: Hypothesis, T: Dataset,
                rad: RademacherEstimate, delta: float = DEFAULT_DELTA,
                h_t_star: Hypothesis | None = None, oracle_T: Dataset | None = None) -> BoundReport:
     """Finite-sample bound for hypotheses fixed before estimation."""
+    check_delta(delta)
     loss = zero_one()
     phd_val, n_eff = _phd_term(h1, h2, T, loss)
     terms = [
@@ -325,6 +330,7 @@ def bound_thm6_margin(h: Hypothesis, h1: Hypothesis, h2: Hypothesis, T: Dataset,
         raise ContractError(f"rho must be > 0, got {rho}")
     if k < 2:
         raise ContractError(f"k must be >= 2, got {k}")
+    check_delta(delta)
     loss01 = zero_one()
     phd_val, n_eff = _phd_term(h1, h2, T, loss01)
     terms = [

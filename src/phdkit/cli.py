@@ -33,6 +33,7 @@ from .bounds import (
     bound_thm3,
     bound_thm4,
     bound_thm6_margin,
+    check_delta,
     lemma1_report,
     rademacher,
     thm2_dev_report,
@@ -246,14 +247,16 @@ def cmd_bounds(args) -> None:
     missing = ["--" + k.replace("_", "-") for k in need if getattr(args, k) is None]
     if missing:
         raise ConfigError(f"bounds --bound {args.bound} needs {', '.join(missing)}")
+    # the bounds with a complexity and a confidence term
+    finite_sample = args.bound in ("thm2", "thm3", "thm4", "thm6")
+    if finite_sample:
+        check_delta(args.delta)
     T = _load_dataset(args.target, args.label_col, args.labels)
     h, h1, h2, h1_star, h2_star = (load_hypothesis(getattr(args, k)) if k in need else None
                                    for k in ("h", "h1", "h2", "h1_star", "h2_star"))
     h_t_star = load_hypothesis(args.ht_star) if args.ht_star else None
     diag = {"h_t_star": h_t_star, "oracle_T": T if T.labeled else None}
-    rad = None
-    if args.bound in ("thm2", "thm3", "thm4", "thm6"):
-        rad = rademacher(T, StumpClass.from_data(T), draws=args.rad_draws, seed=args.seed)
+    rad = rademacher(T, StumpClass.from_data(T), draws=args.rad_draws, seed=args.seed) if finite_sample else None
 
     def supremum(bound, measure):
         S = _load_dataset(args.source, args.label_col)

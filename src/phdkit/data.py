@@ -189,6 +189,8 @@ def gen_gaussian_pair(
         if np.ndim(shift) == 0 else np.asarray(shift, dtype=np.float64)
     if shift_vec.shape != (d,):
         raise ContractError(f"shift must be scalar or length {d}, got shape {shift_vec.shape}")
+    if not math.isfinite(rotate):
+        raise ConfigError(f"rotation must be a finite angle, got {rotate}")
     if rotate != 0.0 and d < 2:
         raise ContractError("rotation needs d >= 2")
 

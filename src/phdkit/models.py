@@ -3,16 +3,26 @@
 Hypotheses are linear models or small MLPs (leaky-ReLU slope 0.1, optional
 batch normalization before each hidden activation) scored by a manual
 forward pass; gradients come from hand-written backpropagation validated by
-:func:`grad_check`. Both passes read one layer table of views into the flat
-parameter and statistic vectors, built once per training run or scoring
-call, and write hidden-layer arrays into a workspace of buffers reused for
-one training run or one caller's run of scoring calls. Training minimizes
-the logistic loss for a single score and cross-entropy otherwise, with Adam
-and the AMSGrad correction (in place), which keeps a per-parameter running
-maximum of the second-moment estimate. In-place steps keep the operand
-order of the plain expressions, so the bits do not depend on the buffers.
-The leaky ReLU max(x, slope * x) and its derivative slope + (1 - slope) *
-[x > 0] are exact because the slope must lie in [0, 1].
+:func:`grad_check`. Training minimizes the logistic loss for a single score
+and cross-entropy otherwise, with Adam and the AMSGrad correction (in
+place), which keeps a per-parameter running maximum of the second-moment
+estimate. In-place steps keep the operand order of the plain expressions,
+so the bits do not depend on the buffers. The leaky ReLU max(x, slope * x)
+and its derivative slope + (1 - slope) * [x > 0] are exact because the
+slope must lie in [0, 1].
+
+Every array of the passes and the optimizer carries a leading replica
+axis: :func:`train_erm_many` trains R runs of one architecture that share
+the row count and every setting but the seed in lockstep, one step of
+every run per step of the loop, which saves R - 1 of each step's numpy
+calls on small networks; :func:`train_erm` is its R = 1 case and scoring
+runs one replica. Each run's slice is computed as that run alone would
+compute it: per-slice stacked matmuls and per-run reductions over rows
+give the same bits as the single-run arrays. Both passes read one layer
+table of views into the R x count parameter and statistic arrays, built
+once per training call or scoring call, and write hidden-layer arrays into
+a workspace of buffers reused for one training call or one caller's run of
+scoring calls.
 
 The workspace fixes the compute dtype. Training runs in ``TRAIN_DTYPE``
 (float32): parameters, batch-norm statistics, optimizer state and batches,
@@ -31,7 +41,7 @@ from __future__ import annotations
 import json
 import math
 import struct
-from dataclasses import dataclass, field
+from dataclasses import dataclass, field, replace
 
 import numpy as np
 
@@ -119,26 +129,30 @@ class Hypothesis:
 
 
 def _layers(arch: Arch, params: np.ndarray, bn_stats: np.ndarray | None = None):
-    """The layer table: views (W, b, gamma, beta, mean, var) into the flat
-    parameter and batch-norm statistic vectors, one tuple per layer.
+    """The layer table: views (W, b, gamma, beta, mean, var) into the
+    R x param_count parameter and R x bn_stat_count statistic arrays of R
+    runs, one tuple per layer.
 
+    W is R x fan_in x fan_out; b, gamma, beta, mean and var are
+    R x 1 x fan_out, so they broadcast over the rows of each run's batch.
     gamma/beta are None without batch norm, mean/var also without
-    statistics. The views stay valid while the vectors are updated in place.
+    statistics. The views stay valid while the arrays are updated in place.
     """
-    ws = arch.widths
+    ws, R = arch.widths, params.shape[0]
     out, off, soff = [], 0, 0
     for i in range(len(ws) - 1):
         fan_in, fan_out = ws[i], ws[i + 1]
-        W = params[off : off + fan_in * fan_out].reshape(fan_in, fan_out)
+        W = params[:, off : off + fan_in * fan_out].reshape(R, fan_in, fan_out)
         off += fan_in * fan_out
-        b = params[off : off + fan_out]
+        b = params[:, None, off : off + fan_out]
         off += fan_out
         gamma = beta = mean = var = None
         if arch.batch_norm and i < len(arch.hidden):
-            gamma, beta = params[off : off + fan_out], params[off + fan_out : off + 2 * fan_out]
+            gamma, beta = params[:, None, off : off + fan_out], params[:, None, off + fan_out : off + 2 * fan_out]
             off += 2 * fan_out
             if bn_stats is not None:
-                mean, var = bn_stats[soff : soff + fan_out], bn_stats[soff + fan_out : soff + 2 * fan_out]
+                mean = bn_stats[:, None, soff : soff + fan_out]
+                var = bn_stats[:, None, soff + fan_out : soff + 2 * fan_out]
                 soff += 2 * fan_out
         out.append((W, b, gamma, beta, mean, var))
     return out
@@ -150,9 +164,9 @@ def init_params(arch: Arch, seed: int = 0) -> np.ndarray:
     rng = child_rng(seed, 4)
     params = np.zeros(arch.param_count())
     gain = math.sqrt(2.0 / (1.0 + arch.negative_slope**2))
-    for i, (W, b, gamma, beta, _, _) in enumerate(_layers(arch, params)):
+    for i, (W, b, gamma, beta, _, _) in enumerate(_layers(arch, params[None])):
         if i < len(arch.hidden):
-            W[...] = gain / math.sqrt(W.shape[0]) * rng.standard_normal(W.shape)
+            W[0] = gain / math.sqrt(W.shape[1]) * rng.standard_normal(W.shape[1:])
         b[...] = 0.0
         if gamma is not None:
             gamma[...] = 1.0
@@ -167,48 +181,53 @@ def init_bn_stats(arch: Arch) -> np.ndarray:
 
 class _Workspace:
     """Buffers in the compute ``dtype``, keyed by (role, layer), of which
-    ``get`` returns the first ``rows`` rows, growing only when needed; plus
-    the gradient vector and its layer table of the one architecture the
-    workspace serves. The forward and backward passes compute in ``dtype``."""
+    ``get`` returns the first elements in a given shape, growing only when
+    needed; plus the R x param_count gradient array and its layer table of
+    the one architecture and run count the workspace serves. The forward
+    and backward passes compute in ``dtype``."""
 
     def __init__(self, dtype=np.float64):
         self.dtype = np.dtype(dtype)
         self._bufs: dict = {}
         self._grad: tuple | None = None
 
-    def get(self, role: str, layer: int, rows: int, cols: int) -> np.ndarray:
+    def get(self, role: str, layer: int, shape: tuple[int, ...]) -> np.ndarray:
+        size = math.prod(shape)
         buf = self._bufs.get((role, layer))
-        if buf is None or buf.size < rows * cols:
-            buf = self._bufs[(role, layer)] = np.empty(rows * cols, self.dtype)
-        return buf[: rows * cols].reshape(rows, cols)
+        if buf is None or buf.size < size:
+            buf = self._bufs[(role, layer)] = np.empty(size, self.dtype)
+        return buf[:size].reshape(shape)
 
-    def grad(self, arch: Arch) -> tuple[np.ndarray, list]:
+    def grad(self, arch: Arch, runs: int) -> tuple[np.ndarray, list]:
         if self._grad is None:
-            g = np.empty(arch.param_count(), self.dtype)
+            g = np.empty((runs, arch.param_count()), self.dtype)
             self._grad = (g, _layers(arch, g))
         return self._grad
 
 
 def _forward(arch: Arch, layers: list, X: np.ndarray, training: bool, ws: _Workspace,
              cache: list | None = None) -> np.ndarray:
-    """Scores of X as a fresh array. Batch norm uses batch statistics in
+    """Scores of the R x n x in_dim stack X (one batch per run) as a fresh
+    R x n x out_dim array. Batch norm uses each run's batch statistics in
     training mode, folding them into the running ``mean``/``var`` when the
     table has them, and the running statistics otherwise. Hidden layers are
     computed in ``ws``: in one buffer each plus a shared temporary, or with
     a ``cache`` in separate buffers for what the backward pass reads."""
-    a, n = X, X.shape[0]
+    a, (R, n) = X, X.shape[:2]
     for i, (W, b, gamma, beta, mean, var) in enumerate(layers[:-1]):
-        w = W.shape[1]
-        tmp = ws.get("tmp", -1, n, w)
-        z = np.matmul(a, W, out=ws.get("z", i, n, w))
+        shape, stat = (R, n, W.shape[2]), (R, 1, W.shape[2])
+        tmp = ws.get("tmp", -1, shape)
+        z = np.matmul(a, W, out=ws.get("z", i, shape))
         z += b
         zhat = inv_std = None
         if gamma is not None:
             if training:
-                mu = z.mean(axis=0)
+                # the batch mean and z.var over rows in numpy's own order: sums of rows, then / n
+                mu = np.add.reduce(z, axis=1, keepdims=True, out=ws.get("mu", i, stat))
+                mu /= n
                 z -= mu
-                # z.var(axis=0) in numpy's own order: mean of squared deviations
-                sig2 = np.add.reduce(np.square(z, out=tmp), axis=0) / n
+                sig2 = np.add.reduce(np.square(z, out=tmp), axis=1, keepdims=True, out=ws.get("sig2", i, stat))
+                sig2 /= n
                 if mean is not None:
                     mean[...] = BN_MOMENTUM * mean + (1 - BN_MOMENTUM) * mu
                     var[...] = BN_MOMENTUM * var + (1 - BN_MOMENTUM) * sig2
@@ -217,13 +236,13 @@ def _forward(arch: Arch, layers: list, X: np.ndarray, training: bool, ws: _Works
                 sig2 = var
             inv_std = 1.0 / np.sqrt(sig2 + BN_EPS)
             zhat = np.multiply(z, inv_std, out=z)
-            out = np.multiply(gamma, zhat, out=ws.get("out", i, n, w) if cache is not None else z)
+            out = np.multiply(gamma, zhat, out=ws.get("out", i, shape) if cache is not None else z)
             out += beta
         else:
             out = z
         if cache is not None:
             cache.append((a, zhat, inv_std, out))
-        a = np.multiply(out, arch.negative_slope, out=ws.get("a", i, n, w) if cache is not None else tmp)
+        a = np.multiply(out, arch.negative_slope, out=ws.get("a", i, shape) if cache is not None else tmp)
         a = np.maximum(out, a, out=a if cache is not None else out)
     W, b = layers[-1][:2]
     s = a @ W + b
@@ -241,8 +260,8 @@ def scores(h: Hypothesis, X, ws: _Workspace | None = None) -> np.ndarray:
     if X.ndim != 2 or X.shape[1] != h.arch.in_dim:
         raise ContractError(f"feature dim {X.shape} does not match arch in_dim={h.arch.in_dim}")
     dt = ws.dtype
-    layers = _layers(h.arch, h.params.astype(dt, copy=False), h.bn_stats.astype(dt, copy=False))
-    return _forward(h.arch, layers, X, False, ws).astype(np.float64, copy=False)
+    layers = _layers(h.arch, h.params.astype(dt, copy=False)[None], h.bn_stats.astype(dt, copy=False)[None])
+    return _forward(h.arch, layers, X[None], False, ws)[0].astype(np.float64, copy=False)
 
 
 def predict(h: Hypothesis, X) -> np.ndarray:
@@ -254,17 +273,19 @@ def predict(h: Hypothesis, X) -> np.ndarray:
 
 
 def _backward(arch: Arch, layers: list, cache: list, dscores: np.ndarray, ws: _Workspace) -> np.ndarray:
-    """Gradient w.r.t. the flat parameters, overwriting ``ws``'s gradient vector."""
-    grad, glayers = ws.grad(arch)
+    """Gradient w.r.t. each run's parameters, overwriting ``ws``'s R x
+    param_count gradient array."""
+    grad, glayers = ws.grad(arch, dscores.shape[0])
     delta = dscores
     for i in reversed(range(len(layers))):
         W, _, gamma, _, _, _ = layers[i]
         gW, gb, ggamma, gbeta, _, _ = glayers[i]
         a_in, zhat, inv_std, out = cache[i]
-        n, w = delta.shape
+        shape = delta.shape
+        n = shape[1]
         if i < len(arch.hidden):
             # leaky-ReLU derivative: 1 above zero, the slope elsewhere
-            dout = np.greater(out, 0, out=ws.get("dout", i, n, w))
+            dout = np.greater(out, 0, out=ws.get("dout", i, shape))
             dout *= 1 - arch.negative_slope
             dout += arch.negative_slope
             dout *= delta
@@ -272,12 +293,12 @@ def _backward(arch: Arch, layers: list, cache: list, dscores: np.ndarray, ws: _W
             dout = delta
         if gamma is not None:
             # Batch-norm backward with batch statistics.
-            tmp = ws.get("tmp", -1, n, w)
-            ggamma[...] = np.sum(np.multiply(dout, zhat, out=tmp), axis=0)
-            gbeta[...] = np.sum(dout, axis=0)
+            tmp = ws.get("tmp", -1, shape)
+            np.add.reduce(np.multiply(dout, zhat, out=tmp), axis=1, keepdims=True, out=ggamma)
+            np.add.reduce(dout, axis=1, keepdims=True, out=gbeta)
             dzhat = np.multiply(dout, gamma, out=dout)
-            sum_dzhat = dzhat.sum(axis=0)
-            sum_dzhat_zhat = np.sum(np.multiply(dzhat, zhat, out=tmp), axis=0)
+            sum_dzhat = np.add.reduce(dzhat, axis=1, keepdims=True)
+            sum_dzhat_zhat = np.add.reduce(np.multiply(dzhat, zhat, out=tmp), axis=1, keepdims=True)
             # (inv_std / n) * (n * dzhat - sum_dzhat - zhat * sum_dzhat_zhat)
             dz = np.multiply(dzhat, n, out=dzhat)
             dz -= sum_dzhat
@@ -285,33 +306,35 @@ def _backward(arch: Arch, layers: list, cache: list, dscores: np.ndarray, ws: _W
             dz *= inv_std / n
         else:
             dz = dout
-        np.matmul(a_in.T, dz, out=gW)
-        gb[...] = dz.sum(axis=0)
+        np.matmul(a_in.transpose(0, 2, 1), dz, out=gW)
+        np.add.reduce(dz, axis=1, keepdims=True, out=gb)
         if i > 0:
-            delta = np.matmul(dz, W.T, out=ws.get("delta", i - 1, n, W.shape[0]))
+            delta = np.matmul(dz, W.transpose(0, 2, 1), out=ws.get("delta", i - 1, (*shape[:2], W.shape[1])))
     return grad
 
 
-def _loss_and_dscores(kind: str, s: np.ndarray, y: np.ndarray, w: np.ndarray) -> tuple[float, np.ndarray]:
-    """Weighted surrogate loss and its gradient w.r.t. the score matrix."""
-    wsum = float(w.sum())
+def _loss_and_dscores(kind: str, s: np.ndarray, y: np.ndarray, w: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """Per-run weighted surrogate losses of the R x n x k score stack and
+    their gradient w.r.t. it; y and w are R x n."""
+    wsum = np.add.reduce(w, axis=1)
     if kind == "logistic":
         t = 2.0 * y - 1.0
-        margin = t * s[:, 0]
-        loss = float(np.sum(w * np.logaddexp(0.0, -margin)) / wsum)
+        margin = t * s[..., 0]
+        loss = np.add.reduce(w * np.logaddexp(0.0, -margin), axis=1) / wsum
         # d/ds log(1+exp(-t s)) = -t * sigmoid(-t s)
         sig = 1.0 / (1.0 + np.exp(np.clip(margin, -500, 500)))
         ds = np.zeros_like(s)
-        ds[:, 0] = -t * sig * w / wsum
+        ds[..., 0] = -t * sig * w / wsum[:, None]
         return loss, ds
     if kind == "cross_entropy":
-        shifted = s - s.max(axis=1, keepdims=True)
-        logz = np.log(np.sum(np.exp(shifted), axis=1))
-        logp = shifted[np.arange(s.shape[0]), y] - logz
-        loss = float(np.sum(-w * logp) / wsum)
-        p = np.exp(shifted - logz[:, None])
-        p[np.arange(s.shape[0]), y] -= 1.0
-        return loss, p * (w / wsum)[:, None]
+        picked = np.arange(y.shape[0])[:, None], np.arange(y.shape[1]), y
+        shifted = s - s.max(axis=2, keepdims=True)
+        logz = np.log(np.add.reduce(np.exp(shifted), axis=2))
+        logp = shifted[picked] - logz
+        loss = np.add.reduce(-w * logp, axis=1) / wsum
+        p = np.exp(shifted - logz[..., None])
+        p[picked] -= 1.0
+        return loss, p * (w / wsum[:, None])[..., None]
     raise ContractError(f"loss kind {kind!r} is not a differentiable training surrogate")
 
 
@@ -380,8 +403,8 @@ def empirical_risk(h: Hypothesis, labeler, D: Dataset, loss: LossSpec) -> float:
     w = np.ones(D.n)
     if loss.kind == "logistic" and s.shape[1] != 1:
         raise ContractError("logistic loss applies to single-score binary hypotheses")
-    val, _ = _loss_and_dscores(loss.kind, s, ref, w)
-    return val
+    val, _ = _loss_and_dscores(loss.kind, s[None], ref[None], w[None])
+    return float(val[0])
 
 
 def accuracy(h: Hypothesis, D: Dataset) -> float:
@@ -412,16 +435,18 @@ class TrainConfig:
 class AmsGrad:
     """Adam with the AMSGrad max-of-second-moment correction.
 
-    ``vmax`` is monotone non-decreasing per parameter across steps.
+    The state has the ``shape`` of the parameters it steps (R x
+    param_count in training). ``vmax`` is monotone non-decreasing per
+    parameter across steps.
     """
 
-    def __init__(self, dim: int, lr: float = 1e-3, dtype=np.float64):
+    def __init__(self, shape, lr: float = 1e-3, dtype=np.float64):
         self.lr = lr
-        self.m = np.zeros(dim, dtype)
-        self.v = np.zeros(dim, dtype)
-        self.vmax = np.zeros(dim, dtype)
+        self.m = np.zeros(shape, dtype)
+        self.v = np.zeros(shape, dtype)
+        self.vmax = np.zeros(shape, dtype)
         self.t = 0
-        self._tmp = np.empty(dim, dtype), np.empty(dim, dtype)
+        self._tmp = np.empty(shape, dtype), np.empty(shape, dtype)
 
     def step(self, params: np.ndarray, grad: np.ndarray) -> None:
         # m = b1 m + (1 - b1) g, v = b2 v + ((1 - b2) g) g, params -= (lr mhat) / (sqrt(vhat) + eps)
@@ -441,84 +466,130 @@ class AmsGrad:
 def _weight_mask(arch: Arch) -> np.ndarray:
     """True on weight-matrix entries; weight decay skips biases and BN."""
     mask = np.zeros(arch.param_count(), dtype=bool)
-    for W, *_ in _layers(arch, mask):
+    for W, *_ in _layers(arch, mask[None]):
         W[...] = True
     return mask
 
 
 def train_erm(D: Dataset, arch: Arch, cfg: TrainConfig, sample_weight=None) -> Hypothesis:
     """Seeded minibatch ERM with Adam-AMSGrad; returns a frozen hypothesis."""
-    h, _ = train_erm_traced(D, arch, cfg, sample_weight)
-    return h
+    return train_erm_many([(D, cfg, sample_weight)], arch)[0]
 
 
 def train_erm_traced(D: Dataset, arch: Arch, cfg: TrainConfig, sample_weight=None, metric=None
                      ) -> tuple[Hypothesis, tuple[float, ...]]:
     """ERM with an optional per-epoch metric trace.
 
-    The surrogate is logistic for a single score and cross-entropy
-    otherwise. ``metric`` is called with a snapshot hypothesis after every
-    epoch; the returned hypothesis is then the best-metric checkpoint and
-    the recorded trace is the running minimum (hence non-increasing).
-    Training computes in ``TRAIN_DTYPE``; the snapshots and the returned
-    hypothesis hold the trained values widened to float64.
+    ``metric`` is called with a snapshot hypothesis after every epoch; the
+    returned hypothesis is then the best-metric checkpoint and the recorded
+    trace is the running minimum (hence non-increasing).
     """
-    if D.n == 0:
-        raise DegenerateInputError("cannot train on an empty dataset")
-    if not D.labeled:
-        raise ContractError("train_erm needs a labeled dataset")
-    if arch.in_dim != D.d:
-        raise ContractError(f"arch in_dim={arch.in_dim} does not match data d={D.d}")
+    ((h, trace),) = _train_runs([(D, cfg, sample_weight)], arch, metric)
+    return h, trace
+
+
+def train_erm_many(runs, arch: Arch) -> list[Hypothesis]:
+    """Train several runs of ``arch`` in lockstep; one hypothesis per run.
+
+    Each run is a ``(Dataset, TrainConfig, sample_weight | None)`` tuple.
+    The runs must share the row count, the feature count and every
+    ``TrainConfig`` field but ``seed``. Each run's hypothesis holds the
+    same bits as ``train_erm`` gives for that run alone.
+    """
+    return [h for h, _ in _train_runs(runs, arch, None)]
+
+
+def _train_runs(runs, arch: Arch, metric) -> list[tuple[Hypothesis, tuple[float, ...]]]:
+    """The training loop behind ``train_erm_many`` and ``train_erm_traced``.
+
+    The surrogate is logistic for a single score and cross-entropy
+    otherwise. The R runs are stacked on a leading axis of every array:
+    each keeps its own ``init_params(seed)``, permutation stream
+    ``child_rng(seed, 5)``, batch-norm statistics, optimizer moments,
+    sample weights and best-metric checkpoint, and every per-run slice is
+    computed as one run alone would compute it. Training computes in
+    ``TRAIN_DTYPE``; the snapshots and the returned hypotheses hold the
+    trained values widened to float64.
+    """
+    runs = list(runs)
+    if not runs:
+        raise ContractError("no training runs given")
     kind = "logistic" if arch.out_dim == 1 else "cross_entropy"
-    if kind == "cross_entropy" and D.y.size and D.y.max() >= arch.out_dim:
-        raise ContractError("labels exceed the architecture's output count")
+    weights = []
+    for D, run_cfg, sample_weight in runs:
+        if D.n == 0:
+            raise DegenerateInputError("cannot train on an empty dataset")
+        if not D.labeled:
+            raise ContractError("train_erm needs a labeled dataset")
+        if arch.in_dim != D.d:
+            raise ContractError(f"arch in_dim={arch.in_dim} does not match data d={D.d}")
+        if kind == "cross_entropy" and D.y.size and D.y.max() >= arch.out_dim:
+            raise ContractError("labels exceed the architecture's output count")
+        w = np.ones(D.n) if sample_weight is None else np.asarray(sample_weight, dtype=np.float64)
+        if w.shape != (D.n,):
+            raise ContractError("sample_weight length does not match n")
+        if not (np.all(np.isfinite(w)) and np.all(w >= 0) and w.sum() > 0):
+            raise ContractError("sample_weight must be finite and non-negative with a positive sum")
+        weights.append(w)
+    D0, cfg, _ = runs[0]
+    if any(D.n != D0.n or replace(run_cfg, seed=cfg.seed) != cfg for D, run_cfg, _ in runs):
+        raise ContractError("runs trained together must share the row count and every training setting "
+                            "but the seed")
+    seeds = [run_cfg.seed for _, run_cfg, _ in runs]
 
-    w = np.ones(D.n) if sample_weight is None else np.asarray(sample_weight, dtype=np.float64)
-    if w.shape != (D.n,):
-        raise ContractError("sample_weight length does not match n")
-    if not (np.all(np.isfinite(w)) and np.all(w >= 0) and w.sum() > 0):
-        raise ContractError("sample_weight must be finite and non-negative with a positive sum")
-
-    rng = child_rng(cfg.seed, 5)
-    params = init_params(arch, cfg.seed).astype(TRAIN_DTYPE)
-    bn_stats = init_bn_stats(arch).astype(TRAIN_DTYPE)
+    n, R = D0.n, len(runs)
+    rngs = [child_rng(seed, 5) for seed in seeds]
+    params = np.stack([init_params(arch, seed) for seed in seeds]).astype(TRAIN_DTYPE)
+    bn_stats = np.tile(init_bn_stats(arch), (R, 1)).astype(TRAIN_DTYPE)
     layers = _layers(arch, params, bn_stats)
     ws = _Workspace(TRAIN_DTYPE)
-    opt = AmsGrad(params.shape[0], lr=cfg.lr, dtype=TRAIN_DTYPE)
+    opt = AmsGrad(params.shape, lr=cfg.lr, dtype=TRAIN_DTYPE)
     wd_mask = _weight_mask(arch) if cfg.weight_decay > 0 else None
+    y = np.stack([D.y for D, _, _ in runs])
+    w = np.stack(weights)
+    y_e, w_e = np.empty_like(y), np.empty_like(w)
+    offsets = np.arange(R)[:, None] * n  # of each run's rows in the flattened stacks
 
-    trace: list[float] = []
-    best_val = math.inf
-    best_state: tuple[np.ndarray, np.ndarray] | None = None
+    traces: list[list[float]] = [[] for _ in runs]
+    best: list = [(math.inf, None)] * R
     # Overflow and NaN end in a TrainingError below; numpy's warnings would only precede it.
     with np.errstate(over="ignore", invalid="ignore"):
-        X = D.X.astype(TRAIN_DTYPE)
+        X = np.stack([D.X.astype(TRAIN_DTYPE) for D, _, _ in runs])
+        X_e = np.empty_like(X)
         for epoch in range(cfg.epochs):
-            order = rng.permutation(D.n)
-            for start in range(0, D.n, cfg.batch_size):
-                idx = order[start : start + cfg.batch_size]
+            # each epoch's permuted rows, gathered once; "clip" (the indices are valid)
+            # writes straight into the buffers, where "raise" would copy through a temporary
+            order = np.stack([rng.permutation(n) for rng in rngs])
+            order += offsets
+            np.take(X.reshape(R * n, -1), order, axis=0, out=X_e, mode="clip")
+            np.take(y, order, out=y_e, mode="clip")
+            np.take(w, order, out=w_e, mode="clip")
+            for start in range(0, n, cfg.batch_size):
+                batch = slice(start, start + cfg.batch_size)
                 cache: list = []
-                s = _forward(arch, layers, X[idx], True, ws, cache)
-                loss, ds = _loss_and_dscores(kind, s.astype(np.float64), D.y[idx], w[idx])
-                if not math.isfinite(loss):
+                s = _forward(arch, layers, X_e[:, batch], True, ws, cache)
+                loss, ds = _loss_and_dscores(kind, s.astype(np.float64), y_e[:, batch], w_e[:, batch])
+                if not np.all(np.isfinite(loss)):
                     raise TrainingError("training loss diverged to a non-finite value", epoch=epoch)
                 grad = _backward(arch, layers, cache, ds.astype(TRAIN_DTYPE), ws)
                 if wd_mask is not None:
-                    grad[wd_mask] += cfg.weight_decay * params[wd_mask]
+                    grad[:, wd_mask] += cfg.weight_decay * params[:, wd_mask]
                 opt.step(params, grad)
             if metric is not None:
-                val = float(metric(Hypothesis(arch, params.astype(np.float64), bn_stats.astype(np.float64),
-                                              seed=cfg.seed)))
-                if val < best_val:
-                    best_val = val
-                    best_state = (params.copy(), bn_stats.copy())
-                trace.append(best_val)
+                for r, seed in enumerate(seeds):
+                    val = float(metric(Hypothesis(arch, params[r].astype(np.float64),
+                                                  bn_stats[r].astype(np.float64), seed=seed)))
+                    if val < best[r][0]:
+                        best[r] = (val, (params[r].copy(), bn_stats[r].copy()))
+                    traces[r].append(best[r][0])
     if not np.all(np.isfinite(params)):
         raise TrainingError("parameters diverged to non-finite values", epoch=cfg.epochs - 1)
-    if best_state is not None:
-        params, bn_stats = best_state
     meta = f"erm {kind} epochs={cfg.epochs} batch={cfg.batch_size} lr={cfg.lr} wd={cfg.weight_decay}"
-    return Hypothesis(arch, params, bn_stats, seed=cfg.seed, note=meta), tuple(trace)
+    out = []
+    for r, seed in enumerate(seeds):
+        p, stats = best[r][1] or (params[r], bn_stats[r])
+        out.append((Hypothesis(arch, p, stats, seed=seed, note=meta), tuple(traces[r])))
+    return out
 
 
 def grad_check(arch: Arch, loss: LossSpec, probe: Dataset, eps: float = 1e-5, seed: int = 0) -> float:
@@ -535,20 +606,19 @@ def grad_check(arch: Arch, loss: LossSpec, probe: Dataset, eps: float = 1e-5, se
     if not 0 < eps < math.inf:
         raise ContractError(f"eps must be finite and > 0, got {eps}")
     params = init_params(arch, seed)
-    y = probe.y
-    w = np.ones(probe.n)
+    X, y, w = probe.X[None], probe.y[None], np.ones((1, probe.n))
 
     ws = _Workspace()
 
     def f(p: np.ndarray) -> float:
-        s = _forward(arch, _layers(arch, p), probe.X, True, ws)
-        return _loss_and_dscores(loss.kind, s, y, w)[0]
+        s = _forward(arch, _layers(arch, p[None]), X, True, ws)
+        return float(_loss_and_dscores(loss.kind, s, y, w)[0][0])
 
     cache: list = []
-    layers = _layers(arch, params)
-    s = _forward(arch, layers, probe.X, True, ws, cache)
+    layers = _layers(arch, params[None])
+    s = _forward(arch, layers, X, True, ws, cache)
     _, ds = _loss_and_dscores(loss.kind, s, y, w)
-    analytic = _backward(arch, layers, cache, ds, ws)
+    analytic = _backward(arch, layers, cache, ds, ws)[0]
 
     worst = 0.0
     for i in range(params.shape[0]):

@@ -18,7 +18,7 @@ from .adapt import SelectConfig, select_sources
 from .bounds import bound_ineq2, bound_thm1
 from .data import Dataset, SplitSpec, add_feature_noise, gen_gaussian_pair, split
 from .discrepancy import StumpClass, dh_adv, dh_exact, phd, sdisc_adv, sdisc_exact, stump_erm
-from .models import TrainConfig, accuracy, empirical_risk, mlp_arch, train_erm, zero_one
+from .models import TrainConfig, accuracy, empirical_risk, mlp_arch, train_erm, train_erm_many, zero_one
 from .numkit import child_rng
 from .semisup import train_self
 
@@ -210,10 +210,9 @@ def _table3_case(cfg: Table3Config, seed: int, unrelated: bool) -> dict:
     arch = mlp_arch(cfg.d, cfg.hidden, out_dim=cfg.k, batch_norm=True)
     base = TrainConfig(epochs=cfg.epochs, batch_size=cfg.batch_size, seed=seed)
     T_fit, T_eval, T_star = split(T, SplitSpec((0.4, 0.3, 0.3), seed=seed))
-    h_s = train_erm(S, arch, base)
     # self-training runs under its own seed, so it starts from its own source model
     ssl_cfg = replace(base, seed=seed + 1)
-    h0 = train_erm(S, arch, ssl_cfg)
+    h_s, h0 = train_erm_many([(S, base, None), (S, ssl_cfg, None)], arch)
     h_ssl = train_self(S, T_fit.without_labels(), h0, ssl_cfg, cfg.ssl_rounds).hypothesis
     h_t_star = train_erm(T_star, arch, replace(base, seed=seed + 7))
     return {

@@ -4,8 +4,9 @@ Produces the target-aware second hypothesis of a discrepancy pair by
 continuing from a source hypothesis the caller trained. Target
 rows that enter any retraining round are recorded as consumed so that
 downstream discrepancy estimation can exclude them (``phd(exclude=...)``)
-and only score unseen target data. The retrain on source plus pseudo-labeled
-rows, :func:`train_with_pseudo`, is shared with tri-training's labelers.
+and only score unseen target data. The training set of source plus
+pseudo-labeled rows, :func:`with_pseudo`, is shared with tri-training's
+labelers.
 """
 
 from __future__ import annotations
@@ -16,7 +17,7 @@ import numpy as np
 
 from .data import Dataset
 from .errors import ConfigError, ContractError
-from .models import Arch, Hypothesis, TrainConfig, scores, train_erm
+from .models import Hypothesis, TrainConfig, scores, train_erm
 
 PSEUDO_WEIGHT = 0.5
 """Sample weight of a pseudo-labeled row against 1 for a labeled one."""
@@ -49,11 +50,11 @@ def _confidence(h: Hypothesis, X: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     return np.argmax(s, axis=1).astype(np.int64), p.max(axis=1)
 
 
-def train_with_pseudo(S: Dataset, X: np.ndarray, y: np.ndarray, arch: Arch, cfg: TrainConfig) -> Hypothesis:
-    """ERM on the labeled rows of S plus pseudo-labeled rows (X, y) at PSEUDO_WEIGHT."""
+def with_pseudo(S: Dataset, X: np.ndarray, y: np.ndarray) -> tuple[Dataset, np.ndarray]:
+    """The labeled rows of S plus pseudo-labeled rows (X, y), and their
+    sample weights: 1 and PSEUDO_WEIGHT."""
     w = np.concatenate([np.ones(S.n), np.full(len(y), PSEUDO_WEIGHT)])
-    D = Dataset(np.vstack([S.X, X]), np.concatenate([S.y, y]), S.k, S.domain_tag)
-    return train_erm(D, arch, cfg, sample_weight=w)
+    return Dataset(np.vstack([S.X, X]), np.concatenate([S.y, y]), S.k, S.domain_tag), w
 
 
 def train_self(S: Dataset, T: Dataset, h: Hypothesis, cfg: TrainConfig, rounds: int,
@@ -92,6 +93,7 @@ def train_self(S: Dataset, T: Dataset, h: Hypothesis, cfg: TrainConfig, rounds: 
         consumed[cand] = True
         added_per_round.append(int(cand.size))
         used = np.flatnonzero(consumed)
-        h = train_with_pseudo(S, T.X[used], pseudo_labels[used], h.arch, cfg)
+        D, w = with_pseudo(S, T.X[used], pseudo_labels[used])
+        h = train_erm(D, h.arch, cfg, sample_weight=w)
 
     return SelfTrainResult(h, np.flatnonzero(consumed), tuple(added_per_round))

@@ -2,8 +2,9 @@
 
 Two source-trained hypotheses (diversified by bootstrap resampling and
 seeds) pseudo-label the target rows they agree on; a third model trains on
-that agreement set. The labelers retrain each round on their bootstrap
-samples plus the agreement set with self-training's pseudo-label retrain.
+that agreement set. The labelers retrain each round, in lockstep, on their
+bootstrap samples plus the agreement set at self-training's pseudo-label
+weight.
 On the agreement set the empirical pair discrepancy is zero by
 construction, so each round also reports the bound (at the default delta)
 evaluated with the pair discrepancy on held-out target rows, where it is
@@ -26,12 +27,13 @@ from .models import (
     accuracy,
     empirical_risk,
     predict,
-    train_erm,
+    train_erm,  # noqa: F401  (uncalled; perfbench's layer tracer wraps this name)
+    train_erm_many,
     train_erm_traced,
     zero_one,
 )
 from .numkit import child_rng
-from .semisup import train_with_pseudo
+from .semisup import with_pseudo
 
 RAD_DRAWS = 8
 """Rademacher draws for the per-round bound's complexity term, estimated once per run."""
@@ -153,12 +155,12 @@ def tritrain_round(S: Dataset, T: Dataset, arch: Arch, cfg: TriTrainConfig, roun
 
     for r in range(rounds):
         if not supplied_pair:
-            cfg1, cfg2 = (replace(cfg.base, seed=seed * 2 + j) for j in (1, 2))
             if tpl is None or tpl.size == 0:
-                h1, h2 = train_erm(boot1, arch, cfg1), train_erm(boot2, arch, cfg2)
+                data = [(boot1, None), (boot2, None)]
             else:
-                X, y = T_pool.X[tpl.indices], tpl.pseudo_labels
-                h1, h2 = train_with_pseudo(boot1, X, y, arch, cfg1), train_with_pseudo(boot2, X, y, arch, cfg2)
+                data = [with_pseudo(boot, T_pool.X[tpl.indices], tpl.pseudo_labels) for boot in (boot1, boot2)]
+            h1, h2 = train_erm_many([(D, replace(cfg.base, seed=seed * 2 + j), w)
+                                     for j, (D, w) in enumerate(data, 1)], arch)
 
         tpl = build_tpl(h1, h2, T_pool)
         if tpl.size > 0:

@@ -240,6 +240,27 @@ def test_infinite_step_or_ridge_exits_2_with_one_json_line(argv, named, tmp_path
     assert doc["error"] == "ContractError" and named in doc["message"]
 
 
+# The model files do not exist: the value checks come before any file is read.
+@pytest.mark.parametrize("argv,error,named", [
+    (["bounds", "--bound", "thm4", "--delta", "5"], "ContractError", "delta"),
+    (["bounds", "--bound", "thm4", "--delta", "inf"], "ContractError", "delta"),
+    (["bounds", "--bound", "thm6", "--delta", "nan"], "ContractError", "delta"),
+    (["bounds", "--bound", "lemma1", "--bound-m", "inf"], "ContractError", "M must be finite"),
+    (["gen", "--n", "10", "--rotate", "inf"], "ConfigError", "rotation"),
+    (["gen", "--n", "10", "--rotate", "nan"], "ConfigError", "rotation"),
+], ids=["thm4-delta-5", "thm4-delta-inf", "thm6-delta-nan", "lemma1-m-inf", "gen-rotate-inf", "gen-rotate-nan"])
+def test_out_of_range_delta_m_or_rotation_exits_2_with_one_json_line(argv, error, named, tmp_path, capsys):
+    _gen(tmp_path, capsys, n=40)
+    if argv[0] == "bounds":
+        argv = argv + ["--target", "pair_target.csv", "--h", "none.bin", "--h1", "none.bin", "--h2", "none.bin"]
+    proc = _run_subprocess(argv, tmp_path)
+    assert proc.returncode == 2
+    lines = proc.stderr.splitlines()
+    assert len(lines) == 1, proc.stderr
+    doc = json.loads(lines[0])
+    assert doc["error"] == error and named in doc["message"], doc
+
+
 @pytest.mark.parametrize("flag,value", [("--weight-decay", "-1"), ("--weight-decay", "nan"), ("--lr", "inf")])
 def test_train_with_a_step_setting_that_does_nothing_or_overflows_exits_2(flag, value, tmp_path, capsys):
     src, _ = _gen(tmp_path, capsys, n=40)

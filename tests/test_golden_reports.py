@@ -74,9 +74,11 @@ def test_reduced_report_matches_golden_digest(protocol, tmp_path, capsys):
 
 @pytest.mark.parametrize("threads", ["1", "2"])
 def test_report_is_independent_of_blas_thread_count(threads, tmp_path):
-    _run_cli(_argv("table1", tmp_path), threads, tmp_path)
-    got = _digest("table1", tmp_path)
-    assert got == GOLDEN["table1"], f"table1 with {threads} BLAS thread(s) gave digest {got}"
+    # table1 runs the big adversarial matmuls, fig2 the lockstep source trainings
+    for protocol in ("table1", "fig2"):
+        _run_cli(_argv(protocol, tmp_path), threads, tmp_path)
+        got = _digest(protocol, tmp_path)
+        assert got == GOLDEN[protocol], f"{protocol} with {threads} BLAS thread(s) gave digest {got}"
 
 
 @pytest.mark.parametrize("threads", ["1", "2"])

@@ -1,9 +1,12 @@
 import hashlib
 import itertools
 import math
+from dataclasses import replace
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from phdkit.data import Dataset, gen_gaussian_pair
 from phdkit.errors import ConfigError, ContractError, DegenerateInputError, TrainingError
@@ -36,6 +39,7 @@ from phdkit.models import (
     scores,
     stump_hypothesis,
     train_erm,
+    train_erm_many,
     train_erm_traced,
     zero_one,
 )
@@ -209,6 +213,57 @@ def test_divergence_raises_training_error_with_epoch():
     assert e.value.epoch >= 1
 
 
+def test_one_diverging_run_stops_the_lockstep_call_at_its_epoch():
+    # the same step size trains the unit-scale run and overflows the large-scale one
+    X = np.random.default_rng(0).standard_normal((40, 2))
+    y = (X[:, 0] > 0).astype(np.int64)
+    arch, cfg = mlp_arch(2, (8,), batch_norm=False), TrainConfig(epochs=20, batch_size=16, lr=1e17, seed=0)
+    good, bad = Dataset(X, y, 2, "unit"), Dataset(X * 1e4, y, 2, "large")
+    train_erm(good, arch, replace(cfg, seed=1))
+    with pytest.raises(TrainingError) as alone:
+        train_erm(bad, arch, cfg)
+    assert alone.value.epoch >= 1
+    with pytest.raises(TrainingError) as together:
+        train_erm_many([(good, replace(cfg, seed=1), None), (bad, cfg, None)], arch)
+    assert together.value.epoch == alone.value.epoch
+
+
+@settings(max_examples=30, deadline=None)
+@given(runs=st.integers(1, 5), batch_norm=st.booleans(), out_dim=st.sampled_from([1, 3]),
+       weighted=st.booleans(), batch_size=st.integers(2, 9), full=st.integers(1, 4), rest=st.integers(1, 8),
+       data_seed=st.integers(0, 2**16))
+def test_lockstep_runs_equal_runs_one_at_a_time(runs, batch_norm, out_dim, weighted, batch_size, full, rest,
+                                                data_seed):
+    n = batch_size * full + min(rest, batch_size - 1)  # ends in a partial batch
+    rng = np.random.default_rng(data_seed)
+    arch = Arch(3, (5, 4), out_dim, batch_norm=batch_norm)
+    k = 2 if out_dim == 1 else out_dim
+    cfg = TrainConfig(epochs=2, batch_size=batch_size, lr=1e-2, seed=0)
+    specs = [(Dataset(rng.standard_normal((n, 3)), rng.integers(0, k, n), k, "run"), replace(cfg, seed=seed),
+              rng.uniform(0.1, 2.0, n) if weighted else None) for seed in rng.integers(0, 1000, runs)]
+    together = train_erm_many(specs, arch)
+    for (D, run_cfg, w), h in zip(specs, together):
+        alone = train_erm(D, arch, run_cfg, sample_weight=w)
+        assert (h.params.tobytes(), h.bn_stats.tobytes(), h.seed) == \
+            (alone.params.tobytes(), alone.bn_stats.tobytes(), alone.seed)
+
+
+@pytest.mark.parametrize("field,value", [("n", 39), ("d", 3), ("epochs", 3), ("lr", 2e-3), ("batch_size", 8)])
+def test_mismatched_lockstep_runs_are_rejected_before_training(field, value, monkeypatch):
+    def no_training(*args, **kwargs):
+        raise AssertionError("a forward pass ran before the run check")
+
+    monkeypatch.setattr("phdkit.models._forward", no_training)
+    rng = np.random.default_rng(0)
+    cfg = TrainConfig(epochs=2, batch_size=16, lr=1e-3, seed=0)
+    D = Dataset(rng.standard_normal((40, 2)), rng.integers(0, 2, 40), 2, "a")
+    n, d = (value, 2) if field == "n" else (40, value) if field == "d" else (40, 2)
+    other = Dataset(rng.standard_normal((n, d)), rng.integers(0, 2, n), 2, "b")
+    other_cfg = replace(cfg, seed=1, **({field: value} if field not in ("n", "d") else {}))
+    with pytest.raises(ContractError):
+        train_erm_many([(D, cfg, None), (other, other_cfg, None)], mlp_arch(2, (4,)))
+
+
 def test_deterministic_replay():
     D, _ = gen_gaussian_pair(120, 2, seed=6)
     cfg = TrainConfig(epochs=8, seed=31)
@@ -297,7 +352,8 @@ def test_leaky_relu_passes_match_the_select_oracle(slope, dtype):
     gamma, beta = np.array([1.0, -1.0, 1.0, -1.0]), np.array([0.0, -0.0, 0.0, -0.0])
     params = np.concatenate([np.eye(4).ravel(), np.zeros(4), gamma, beta, head]).astype(dtype)
     cache: list = []
-    _forward(arch, _layers(arch, params, init_bn_stats(arch).astype(dtype)), X, False, _Workspace(dtype), cache)
+    layers = _layers(arch, params[None], init_bn_stats(arch).astype(dtype)[None])
+    _forward(arch, layers, X[None], False, _Workspace(dtype), cache)
     pre = cache[0][3]
     assert pre.dtype == dtype
     assert np.signbit(pre[pre == 0]).any() and not np.signbit(pre[pre == 0]).all()
@@ -306,11 +362,11 @@ def test_leaky_relu_passes_match_the_select_oracle(slope, dtype):
     arch = Arch(4, (4,), 2, negative_slope=slope)
     params = np.concatenate([np.eye(4).ravel(), np.zeros(4), head]).astype(dtype)
     cache, ws = [], _Workspace(dtype)
-    layers = _layers(arch, params)
-    s = _forward(arch, layers, X, True, ws, cache)
-    ds = np.random.default_rng(1).standard_normal(s.shape).astype(dtype)
-    grad = _backward(arch, layers, cache, ds, ws)
-    pre = cache[0][3]
+    layers = _layers(arch, params[None])
+    s = _forward(arch, layers, X[None], True, ws, cache)
+    ds = np.random.default_rng(1).standard_normal(s.shape[1:]).astype(dtype)
+    grad = _backward(arch, layers, cache, ds[None], ws)[0]
+    pre = cache[0][3][0]
     act = np.where(pre > 0, pre, slope * pre)
     dout = (ds @ W2.T) * np.where(pre > 0, dtype(1.0), dtype(slope))
     expected = np.concatenate([(X.T @ dout).ravel(), dout.sum(axis=0), (act.T @ ds).ravel(), ds.sum(axis=0)])
