@@ -32,7 +32,6 @@ from .data import (
 )
 from .discrepancy import (
     DiscrepancyReport,
-    ExplicitClass,
     StumpClass,
     dh_adv,
     dh_exact,
@@ -60,13 +59,11 @@ from .models import (
     TrainConfig,
     accuracy,
     constant_hypothesis,
-    cross_entropy,
     empirical_risk,
     grad_check,
     linear_arch,
     linear_hypothesis,
     load_hypothesis,
-    logistic,
     margin,
     mlp_arch,
     predict,

@@ -40,7 +40,7 @@ def coral(S: Dataset, T: Dataset, ridge: float = 1e-6) -> Dataset:
     mu_t = T.X.mean(axis=0)
     A = sym_inv_sqrt(covariance(S.X), ridge) @ sym_sqrt(covariance(T.X), ridge)
     X = (S.X - mu_s) @ A + mu_t
-    return Dataset(X, S.y, S.k, S.domain_tag + "+coral")
+    return Dataset(X, S.y, S.k)
 
 
 def rank_ascending(values) -> tuple[int, ...]:
@@ -73,7 +73,7 @@ def _zscore(D: Dataset, ref: Dataset | None = None) -> Dataset:
     mu = R.X.mean(axis=0)
     sd = R.X.std(axis=0)
     sd = np.where(sd < 1e-12, 1.0, sd)
-    return Dataset((D.X - mu) / sd, D.y, D.k, D.domain_tag)
+    return Dataset((D.X - mu) / sd, D.y, D.k)
 
 
 @dataclass(frozen=True)
@@ -86,22 +86,8 @@ class SelectionOutcome:
     chosen: tuple[int, ...]
     score: int | None
     accuracy: float | None
-    sigma: float | None
     seed: int
     k_select: int
-
-    def to_dict(self) -> dict:
-        return {
-            "measure": self.measure,
-            "values": list(self.values),
-            "ranking": list(self.ranking),
-            "chosen": list(self.chosen),
-            "score": self.score,
-            "accuracy": self.accuracy,
-            "sigma": self.sigma,
-            "seed": self.seed,
-            "k_select": self.k_select,
-        }
 
 
 def _subsample(D: Dataset, n: int, rng) -> Dataset:
@@ -111,7 +97,7 @@ def _subsample(D: Dataset, n: int, rng) -> Dataset:
 
 
 def select_sources(sources, T: Dataset, measure: str, K: int, cfg: SelectConfig, seed: int = 0,
-                   clean_flags=None, oracle: Dataset | None = None, sigma: float | None = None) -> SelectionOutcome:
+                   clean_flags=None, oracle: Dataset | None = None) -> SelectionOutcome:
     """Rank sources by discrepancy to the target and evaluate the top-K pool.
 
     For the pair-discrepancy measure each source trains its own supervised
@@ -168,14 +154,10 @@ def select_sources(sources, T: Dataset, measure: str, K: int, cfg: SelectConfig,
         if not oracle.labeled:
             raise ContractError("oracle target dataset must be labeled")
         adapted = [coral(sources[i], T_fit) for i in chosen]
-        pooled = Dataset(
-            np.vstack([a.X for a in adapted]),
-            np.concatenate([a.y for a in adapted]),
-            sources[chosen[0]].k,
-            "pooled-selected",
-        )
+        pooled = Dataset(np.vstack([a.X for a in adapted]), np.concatenate([a.y for a in adapted]),
+                         sources[chosen[0]].k)
         clf = train_erm(pooled, cfg.arch, replace(cfg.base, seed=seed + 999))
         acc = accuracy(clf, oracle)
 
     return SelectionOutcome(measure, tuple(float(v) for v in values), ranking, chosen,
-                            score, acc, sigma, seed, K)
+                            score, acc, seed, K)

@@ -18,12 +18,11 @@ from dataclasses import dataclass, replace
 import numpy as np
 
 from .data import Dataset
-from .discrepancy import ExplicitClass, StumpClass, _scan_plan, _threshold_errors, phd
+from .discrepancy import StumpClass, _scan_plan, _threshold_errors, phd
 from .errors import ConfigError, ContractError, DegenerateInputError
 from .models import (
     Arch,
     Hypothesis,
-    LossSpec,
     TrainConfig,
     empirical_risk,
     margin,
@@ -62,8 +61,8 @@ class BoundReport:
     delta: float | None = None
 
     def __post_init__(self):
-        if self.delta is not None and not 0.0 < self.delta < 1.0:
-            raise ContractError(f"delta must lie in (0,1), got {self.delta}")
+        if self.delta is not None:
+            check_delta(self.delta)
 
     @property
     def feasible_total(self) -> float:
@@ -116,15 +115,6 @@ class RademacherEstimate:
     class_descr: str
     method: str  # exact-finite | fit-to-noise
 
-    def to_dict(self) -> dict:
-        return {
-            "value": self.value,
-            "draws": self.draws,
-            "stderr": self.stderr,
-            "class": self.class_descr,
-            "method": self.method,
-        }
-
 
 def _stump_sup_correlation(plans: list, sigma: np.ndarray) -> float:
     """Exact sup over the stump class of (1/n) sum sigma_i h(x_i) from the scan
@@ -143,10 +133,9 @@ def rademacher(T: Dataset, cls, draws: int = DEFAULT_DRAWS, seed: int = 0,
                train_cfg: TrainConfig | None = None) -> RademacherEstimate:
     """Monte Carlo estimate of the empirical Rademacher complexity.
 
-    ``cls`` may be a StumpClass (inner sup exact by enumeration), an
-    ExplicitClass (exact over the listed members, no negation added), or an
-    Arch (sup approximated by fitting the architecture to the signs with
-    the standard surrogate for a few epochs).
+    ``cls`` may be a StumpClass (inner sup exact by enumeration) or an Arch
+    (sup approximated by fitting the architecture to the signs with its
+    training surrogate for a few epochs).
     """
     if draws < 1:
         raise ConfigError(f"draws must be >= 1, got {draws}")
@@ -157,14 +146,10 @@ def rademacher(T: Dataset, cls, draws: int = DEFAULT_DRAWS, seed: int = 0,
         plans = [_scan_plan(T.X[:, j], np.asarray(ths)) for j, ths in enumerate(cls.thresholds) if ths]
         vals = [_stump_sup_correlation(plans, sigma) for sigma in sigmas]
         method, descr = "exact-finite", f"stumps({cls.size})"
-    elif isinstance(cls, ExplicitClass):
-        P = cls.prediction_matrix(T.X).astype(np.float64)
-        vals = [float((P @ sigma).max()) / T.n for sigma in sigmas]
-        method, descr = "exact-finite", f"explicit({cls.size})"
     elif isinstance(cls, Arch):
         cfg = train_cfg or TrainConfig(epochs=FIT_TO_NOISE_EPOCHS, seed=seed)
         sigmas = list(sigmas)
-        hs = train_erm_many([(Dataset(T.X, ((sigma + 1) // 2).astype(np.int64), 2, "noise-fit"),
+        hs = train_erm_many([(Dataset(T.X, ((sigma + 1) // 2).astype(np.int64), 2),
                               replace(cfg, seed=seed + 1000 * k), None) for k, sigma in enumerate(sigmas)], cls)
         vals = [float(np.mean(sigma * (2.0 * predict(h, T.X) - 1.0))) for h, sigma in zip(hs, sigmas)]
         method, descr = "fit-to-noise", f"arch{cls.widths}"
@@ -196,17 +181,17 @@ def _confidence(coeff: float, num: float, delta: float, n: int) -> float:
     return coeff * math.sqrt(math.log(num / delta) / (2.0 * n))
 
 
-def _phd_term(h1: Hypothesis, h2: Hypothesis, T: Dataset, loss: LossSpec) -> tuple[float, int]:
-    rep = phd(h1, h2, T, loss)
+def _phd_term(h1: Hypothesis, h2: Hypothesis, T: Dataset) -> tuple[float, int]:
+    rep = phd(h1, h2, T, zero_one())
     return rep.value, rep.n_target
 
 
 def _diag_term(name: str, h2: Hypothesis, h_t_star: Hypothesis | None,
-               oracle_T: Dataset | None, T: Dataset, loss: LossSpec) -> list[Term]:
+               oracle_T: Dataset | None, T: Dataset) -> list[Term]:
     if h_t_star is None:
         return []
     ev = oracle_T if oracle_T is not None else T
-    return [Term(name, empirical_risk(h2, h_t_star, ev, loss), diagnostic=True)]
+    return [Term(name, empirical_risk(h2, h_t_star, ev, zero_one()), diagnostic=True)]
 
 
 def bound_ineq1(h: Hypothesis, hS: Hypothesis, T: Dataset,
@@ -214,24 +199,25 @@ def bound_ineq1(h: Hypothesis, hS: Hypothesis, T: Dataset,
     """Plain triangle bound: target risk against hS plus the infeasible gap."""
     loss = zero_one()
     terms = [Term("target_risk_h_vs_hS", empirical_risk(h, hS, T, loss))]
-    terms += _diag_term("infeasible_hS_vs_target_star", hS, h_t_star, oracle_T, T, loss)
+    terms += _diag_term("infeasible_hS_vs_target_star", hS, h_t_star, oracle_T, T)
     return _report("ineq1", terms, T.n)
 
 
 def bound_thm1(h: Hypothesis, h1: Hypothesis, h2: Hypothesis, T: Dataset,
-               loss: LossSpec | None = None, h_t_star: Hypothesis | None = None,
-               oracle_T: Dataset | None = None) -> BoundReport:
+               h_t_star: Hypothesis | None = None, oracle_T: Dataset | None = None) -> BoundReport:
     """Paired-hypotheses bound: risk vs h1, the pair discrepancy, and the
-    diagnostic h2-to-target-minimizer gap."""
-    loss = loss or zero_one()
-    if not loss.triangle:
-        raise ContractError("this bound requires a loss satisfying the triangle inequality")
-    phd_val, n_eff = _phd_term(h1, h2, T, loss)
+    diagnostic h2-to-target-minimizer gap.
+
+    Thm. 1 is the zero-one bound: it holds because the zero-one loss
+    satisfies the triangle inequality.
+    """
+    loss = zero_one()
+    phd_val, n_eff = _phd_term(h1, h2, T)
     terms = [
         Term("target_risk_h_vs_h1", empirical_risk(h, h1, T, loss)),
         Term("phd", phd_val),
     ]
-    terms += _diag_term("infeasible_h2_vs_target_star", h2, h_t_star, oracle_T, T, loss)
+    terms += _diag_term("infeasible_h2_vs_target_star", h2, h_t_star, oracle_T, T)
     return _report("thm1-phd", terms, n_eff)
 
 
@@ -243,22 +229,20 @@ def _supremum_bound(bound_id: str, h: Hypothesis, hS: Hypothesis, S: Dataset, T:
         Term("source_risk_h_vs_hS", empirical_risk(h, hS, S, loss)),
         Term(disc_name, disc_value),
     ]
-    terms += _diag_term("infeasible_hS_vs_target_star", hS, h_t_star, oracle_T, T, loss)
+    terms += _diag_term("infeasible_hS_vs_target_star", hS, h_t_star, oracle_T, T)
     return _report(bound_id, terms, T.n)
 
 
-def bound_ineq2(h: Hypothesis, hS: Hypothesis, S: Dataset, T: Dataset, sdisc,
+def bound_ineq2(h: Hypothesis, hS: Hypothesis, S: Dataset, T: Dataset, sdisc: float,
                 h_t_star: Hypothesis | None = None, oracle_T: Dataset | None = None) -> BoundReport:
-    """Source-guided bound: source risk + S-disc + diagnostic gap."""
-    value = sdisc.value if hasattr(sdisc, "value") else float(sdisc)
-    return _supremum_bound("ineq2-sdisc", h, hS, S, T, value, "s_disc", h_t_star, oracle_T)
+    """Source-guided bound: source risk + the S-disc value + diagnostic gap."""
+    return _supremum_bound("ineq2-sdisc", h, hS, S, T, sdisc, "s_disc", h_t_star, oracle_T)
 
 
-def bound_ineq3(h: Hypothesis, hS: Hypothesis, S: Dataset, T: Dataset, disc,
+def bound_ineq3(h: Hypothesis, hS: Hypothesis, S: Dataset, T: Dataset, disc: float,
                 h_t_star: Hypothesis | None = None, oracle_T: Dataset | None = None) -> BoundReport:
-    """Worst-pair bound: source risk + discrepancy distance + diagnostic gap."""
-    value = disc.value if hasattr(disc, "value") else float(disc)
-    return _supremum_bound("ineq3-disc", h, hS, S, T, value, "disc", h_t_star, oracle_T)
+    """Worst-pair bound: source risk + the discrepancy-distance value + diagnostic gap."""
+    return _supremum_bound("ineq3-disc", h, hS, S, T, disc, "disc", h_t_star, oracle_T)
 
 
 def thm2_dev_report(h1_hat: Hypothesis, h2_hat: Hypothesis, h1_star: Hypothesis,
@@ -286,12 +270,12 @@ def bound_thm3(h: Hypothesis, h1_hat: Hypothesis, h2_hat: Hypothesis,
     """
     check_delta(delta)
     loss = zero_one()
-    phd_val, n_eff = _phd_term(h1_hat, h2_hat, T, loss)
+    phd_val, n_eff = _phd_term(h1_hat, h2_hat, T)
     terms = [
         Term("target_risk_h_vs_h1_star", empirical_risk(h, h1_star, T, loss), diagnostic=True),
         Term("phd", phd_val),
     ]
-    terms += _diag_term("infeasible_h2_star_vs_target_star", h2_star, h_t_star, oracle_T, T, loss)
+    terms += _diag_term("infeasible_h2_star_vs_target_star", h2_star, h_t_star, oracle_T, T)
     terms += [
         Term("complexity_hprime", max(0.0, rad_h.value)),
         Term("complexity_3R", 3.0 * max(0.0, rad_h.value)),
@@ -308,12 +292,12 @@ def bound_thm4(h: Hypothesis, h1: Hypothesis, h2: Hypothesis, T: Dataset,
     """Finite-sample bound for hypotheses fixed before estimation."""
     check_delta(delta)
     loss = zero_one()
-    phd_val, n_eff = _phd_term(h1, h2, T, loss)
+    phd_val, n_eff = _phd_term(h1, h2, T)
     terms = [
         Term("target_risk_h_vs_h1", empirical_risk(h, h1, T, loss)),
         Term("phd", phd_val),
     ]
-    terms += _diag_term("infeasible_h2_vs_target_star", h2, h_t_star, oracle_T, T, loss)
+    terms += _diag_term("infeasible_h2_vs_target_star", h2, h_t_star, oracle_T, T)
     terms += [
         Term("complexity_2R", 2.0 * max(0.0, rad.value)),
         Term("confidence", _confidence(2.0, 2.0, delta, n_eff)),
@@ -322,22 +306,23 @@ def bound_thm4(h: Hypothesis, h1: Hypothesis, h2: Hypothesis, T: Dataset,
 
 
 def bound_thm6_margin(h: Hypothesis, h1: Hypothesis, h2: Hypothesis, T: Dataset,
-                      rho: float, k: int, rad_pi1: RademacherEstimate,
+                      rho: float, rad_pi1: RademacherEstimate,
                       delta: float = DEFAULT_DELTA, h_t_star: Hypothesis | None = None,
                       oracle_T: Dataset | None = None) -> BoundReport:
-    """Multiclass margin bound with the scoring-restriction complexity."""
+    """Multiclass margin bound with the scoring-restriction complexity, which
+    scales with the class count k that h, h1 and h2 share."""
     if not rho > 0:
         raise ContractError(f"rho must be > 0, got {rho}")
-    if k < 2:
-        raise ContractError(f"k must be >= 2, got {k}")
+    k = h1.k
+    if h.k != k or h2.k != k:
+        raise ContractError(f"h, h1 and h2 must share one class count, got {h.k}, {k} and {h2.k}")
     check_delta(delta)
-    loss01 = zero_one()
-    phd_val, n_eff = _phd_term(h1, h2, T, loss01)
+    phd_val, n_eff = _phd_term(h1, h2, T)
     terms = [
         Term("target_margin_risk_h_vs_h1", empirical_risk(h, h1, T, margin(rho))),
         Term("phd", phd_val),
     ]
-    terms += _diag_term("infeasible_h2_vs_target_star", h2, h_t_star, oracle_T, T, loss01)
+    terms += _diag_term("infeasible_h2_vs_target_star", h2, h_t_star, oracle_T, T)
     terms += [
         Term("complexity_margin", (4.0 * k / rho) * max(0.0, rad_pi1.value)),
         Term("confidence", _confidence(2.0, 2.0, delta, n_eff)),

@@ -59,7 +59,6 @@ from .models import (
     grad_check,
     linear_arch,
     load_hypothesis,
-    logistic,
     margin,
     mlp_arch,
     save_hypothesis,
@@ -254,6 +253,9 @@ def cmd_bounds(args) -> None:
     T = _load_dataset(args.target, args.label_col, args.labels)
     h, h1, h2, h1_star, h2_star = (load_hypothesis(getattr(args, k)) if k in need else None
                                    for k in ("h", "h1", "h2", "h1_star", "h2_star"))
+    if args.bound == "thm6" and {h.k, h1.k, h2.k} != {args.k_classes}:
+        raise ConfigError(f"--k-classes {args.k_classes} must equal the class count of the model files "
+                          f"(h {h.k}, h1 {h1.k}, h2 {h2.k})")
     h_t_star = load_hypothesis(args.ht_star) if args.ht_star else None
     diag = {"h_t_star": h_t_star, "oracle_T": T if T.labeled else None}
     rad = rademacher(T, StumpClass.from_data(T), draws=args.rad_draws, seed=args.seed) if finite_sample else None
@@ -270,13 +272,13 @@ def cmd_bounds(args) -> None:
     calls = {
         "lemma1": lambda: lemma1_report(args.bound_m, T.n, args.delta),
         "ineq1": lambda: bound_ineq1(h, h1, T, **diag),
-        "thm1": lambda: bound_thm1(h, h1, h2, T, zero_one(), **diag),
+        "thm1": lambda: bound_thm1(h, h1, h2, T, **diag),
         "ineq2": lambda: supremum(bound_ineq2, lambda S, T, cls: sdisc_exact(S, T, h1, cls)),
         "ineq3": lambda: supremum(bound_ineq3, disc_exact),
         "thm2": lambda: thm2_dev_report(h1, h2, h1_star, h2_star, T, rad, args.delta),
         "thm3": lambda: bound_thm3(h, h1, h2, h1_star, h2_star, T, rad, args.delta, **diag),
         "thm4": lambda: bound_thm4(h, h1, h2, T, rad, args.delta, **diag),
-        "thm6": lambda: bound_thm6_margin(h, h1, h2, T, args.rho, args.k_classes, rad, args.delta, **diag),
+        "thm6": lambda: bound_thm6_margin(h, h1, h2, T, args.rho, rad, args.delta, **diag),
     }
     rep = calls[args.bound]()
     header = rep.csv_header([rep])
@@ -322,7 +324,7 @@ def cmd_select(args) -> None:
                        ssl_rounds=args.ssl_rounds)
     out = select_sources(sources, T, args.measure, args.top_k, cfg, seed=args.seed,
                          clean_flags=flags, oracle=oracle)
-    _emit(args, "select", out.to_dict())
+    _emit(args, "select", dataclasses.asdict(out))
 
 
 def cmd_coral(args) -> None:
@@ -341,17 +343,10 @@ def cmd_gradcheck(args) -> None:
         raise ConfigError("gradcheck needs --d, --probe-n and --out-dim >= 1")
     rng = rng_from(args.seed)
     X = rng.standard_normal((args.probe_n, args.d))
-    if args.out_dim == 1:
-        y = rng.integers(0, 2, size=args.probe_n)
-        loss = logistic()
-    else:
-        from .models import cross_entropy
-
-        y = rng.integers(0, args.out_dim, size=args.probe_n)
-        loss = cross_entropy()
-    probe = Dataset(X, y, max(2, args.out_dim))
+    k = max(2, args.out_dim)
+    probe = Dataset(X, rng.integers(0, k, size=args.probe_n), k)
     arch = _arch_from_args(args, args.d)
-    err = grad_check(arch, loss, probe, eps=args.eps, seed=args.seed)
+    err = grad_check(arch, probe, eps=args.eps, seed=args.seed)
     _emit(args, "gradcheck", {"max_relative_error": err, "arch": str(arch.widths),
                               "batch_norm": arch.batch_norm})
 
@@ -380,26 +375,18 @@ def _apply_overrides(cfg, overrides: dict):
             raise ConfigError(f"unknown config key {key!r} for {type(cfg).__name__}")
         current = getattr(cfg, key)
         try:
-            if isinstance(current, bool):
-                casted[key] = raw.lower() in ("1", "true", "yes")
-            elif isinstance(current, (int, float)):
-                casted[key] = type(current)(raw)
-            elif isinstance(current, tuple):
+            if isinstance(current, tuple):
                 casted[key] = _numbers(raw, float if (current and isinstance(current[0], float)) else int)
             else:
-                casted[key] = raw
+                casted[key] = type(current)(raw)
         except ValueError:
             raise ConfigError(f"bad value {raw!r} for config key {key!r}") from None
     return dataclasses.replace(cfg, **casted)
 
 
 def _protocol_csv(report: dict):
-    if "rows" not in report:
-        return None
     rows = report["rows"]
-    if not rows:
-        return None
-    if report.get("protocol") == "fig2":
+    if report["protocol"] == "fig2":
         sigmas = sorted({r["sigma"] for r in rows})
         header = ["sigma", "phd_score", "w1_score", "phd_accuracy", "w1_accuracy"]
         s = report["summary"]

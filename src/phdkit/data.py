@@ -1,10 +1,10 @@
 """Datasets, synthetic two-domain generators, and file ingestion.
 
-A :class:`Dataset` is a feature matrix plus optional integer labels and a
-domain tag. Generators produce source/target pairs where the target is the
-source distribution pushed through a shift plus an in-plane rotation, so
-``shift=0, rotate=0`` yields two independent draws from the same
-distribution. IDX (MNIST layout) and CSV readers let the same estimators
+A :class:`Dataset` is a feature matrix plus optional integer labels and
+their class count. Generators produce source/target pairs where the target
+is the source distribution pushed through a shift plus an in-plane
+rotation, so ``shift=0, rotate=0`` yields two independent draws from the
+same distribution. IDX (MNIST layout) and CSV readers let the same estimators
 run on external files.
 """
 
@@ -37,7 +37,6 @@ class Dataset:
     X: np.ndarray
     y: np.ndarray | None = None
     k: int = 2
-    domain_tag: str = ""
 
     def __post_init__(self):
         X = np.asarray(self.X, dtype=np.float64)
@@ -73,7 +72,7 @@ class Dataset:
 
     def take(self, indices) -> "Dataset":
         idx = np.asarray(indices, dtype=np.int64)
-        return Dataset(self.X[idx], None if self.y is None else self.y[idx], self.k, self.domain_tag)
+        return Dataset(self.X[idx], None if self.y is None else self.y[idx], self.k)
 
 
 @dataclass(frozen=True)
@@ -208,10 +207,7 @@ def gen_gaussian_pair(
     Xt = Xt + shift_vec
 
     kk = 2 if label_rule in ("xor", "moons") else k
-    return (
-        Dataset(Xs, ys, kk, domain_tag="source"),
-        Dataset(Xt, yt, kk, domain_tag="target"),
-    )
+    return Dataset(Xs, ys, kk), Dataset(Xt, yt, kk)
 
 
 def add_feature_noise(D: Dataset, sigma: float, seed: int = 0) -> Dataset:
@@ -301,11 +297,11 @@ def write_idx(D: Dataset, images_path, labels_path=None) -> None:
             f.write(D.y.astype(np.uint8).tobytes())
 
 
-def read_csv(path, label_col=None) -> Dataset:
+def read_csv(path, label_col: str | None = None) -> Dataset:
     """Parse a header-row CSV into a Dataset.
 
-    ``label_col`` picks the label column by header name or index; the class
-    count is one more than the largest label, and at least 2.
+    ``label_col`` names the label column in the header; the class count is
+    one more than the largest label, and at least 2.
     """
     with open(path, "rb") as f:
         raw = f.read()
@@ -319,14 +315,9 @@ def read_csv(path, label_col=None) -> Dataset:
     ncols = len(header)
     label_idx = None
     if label_col is not None:
-        if isinstance(label_col, str):
-            if label_col not in header:
-                raise FormatError(f"label column {label_col!r} not in header {header}")
-            label_idx = header.index(label_col)
-        else:
-            label_idx = int(label_col)
-            if not 0 <= label_idx < ncols:
-                raise FormatError(f"label column index {label_idx} out of range for {ncols} columns")
+        if label_col not in header:
+            raise FormatError(f"label column {label_col!r} not in header {header}")
+        label_idx = header.index(label_col)
 
     rows, labels = [], []
     offset = len(lines[0].encode("utf-8"))

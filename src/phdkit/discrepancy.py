@@ -113,11 +113,12 @@ class StumpClass:
     thresholds: tuple[tuple[float, ...], ...]
 
     @classmethod
-    def from_data(cls, *sources) -> "StumpClass":
-        mats = [s.X if isinstance(s, Dataset) else np.asarray(s, dtype=np.float64) for s in sources]
-        if not mats:
+    def from_data(cls, *samples: Dataset) -> "StumpClass":
+        if not samples:
             raise ContractError("need at least one sample to build a stump class")
-        X = np.vstack(mats)
+        if len({D.d for D in samples}) > 1:
+            raise ContractError(f"samples differ in feature count: {[D.d for D in samples]}")
+        X = np.vstack([D.X for D in samples])
         if X.shape[0] == 0:
             raise DegenerateInputError("cannot build a stump class from empty data")
         ths = []
@@ -164,30 +165,6 @@ class StumpClass:
         rows.append(np.ones((1, X.shape[0]), dtype=np.int8))
         rows.append(-np.ones((1, X.shape[0]), dtype=np.int8))
         return np.vstack(rows)
-
-
-class ExplicitClass:
-    """A finite class given by explicit hypotheses or a prediction matrix."""
-
-    def __init__(self, hypotheses=None, matrix=None):
-        if (hypotheses is None) == (matrix is None):
-            raise ContractError("pass exactly one of hypotheses or matrix")
-        self._hyps = list(hypotheses) if hypotheses is not None else None
-        self._matrix = None if matrix is None else np.asarray(matrix, dtype=np.int8)
-
-    @property
-    def size(self) -> int:
-        return len(self._hyps) if self._hyps is not None else self._matrix.shape[0]
-
-    def prediction_matrix(self, X) -> np.ndarray:
-        if self._matrix is not None:
-            if self._matrix.shape[1] != np.asarray(X).shape[0]:
-                raise ContractError("explicit matrix width does not match sample size")
-            return self._matrix
-        out = np.empty((len(self._hyps), np.asarray(X).shape[0]), dtype=np.int8)
-        for i, h in enumerate(self._hyps):
-            out[i] = np.where(predict(h, X) == 1, 1, -1).astype(np.int8)
-        return out
 
 
 def _scan_plan(x: np.ndarray, thresholds: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
@@ -282,7 +259,7 @@ def _sup_reference_gap(measure: str, S: Dataset, T: Dataset, cls: StumpClass, re
     by 1 - risk, so the gap is polarity invariant; constants are checked
     separately.
     """
-    _require_nonempty(S, T)
+    _require_pair(S, T)
     ref_s, ref_t = ref(S.X), ref(T.X)
     best, info = -1.0, {}
     for j, ths in enumerate(cls.thresholds):
@@ -301,9 +278,11 @@ def _sup_reference_gap(measure: str, S: Dataset, T: Dataset, cls: StumpClass, re
                              n_source=S.n, n_target=T.n)
 
 
-def _require_nonempty(S: Dataset, T: Dataset) -> None:
+def _require_pair(S: Dataset, T: Dataset) -> None:
     if S.n == 0 or T.n == 0:
         raise DegenerateInputError("both samples must be non-empty")
+    if S.d != T.d:
+        raise ContractError(f"feature dims differ: {S.d} vs {T.d}")
 
 
 def _constant_one(X: np.ndarray) -> np.ndarray:
@@ -327,7 +306,7 @@ def disc_exact(S: Dataset, T: Dataset, cls: StumpClass) -> DiscrepancyReport:
     dimensions all pairs are enumerated through prediction matrices, which
     caps the workable class size.
     """
-    _require_nonempty(S, T)
+    _require_pair(S, T)
     if cls.d == 1:
         t = np.asarray(cls.thresholds[0]) if cls.thresholds[0] else np.zeros(0)
         if t.size:
@@ -420,7 +399,7 @@ def _adversarial_gap(S: Dataset, T: Dataset, ref, arch: Arch, cfg: TrainConfig, 
     stats = {}
     for k, direction in enumerate(directions):
         ys, yt = (ref_sf, 1 - ref_tf) if k == 0 else (1 - ref_sf, ref_tf)
-        D = Dataset(np.vstack([S_fit.X, T_fit.X]), np.concatenate([ys, yt]), 2, "domain-pair")
+        D = Dataset(np.vstack([S_fit.X, T_fit.X]), np.concatenate([ys, yt]), 2)
         # Every hypothesis visited during training is a valid witness for the
         # supremum lower bound; keep the best-statistic checkpoint.
         h, _ = train_erm_traced(D, arch, replace(cfg, seed=cfg.seed + k), metric=lambda hyp: -statistic(hyp))
@@ -449,7 +428,7 @@ def dh_adv(S: Dataset, T: Dataset, arch: Arch, cfg: TrainConfig,
     classes inflate. ``eval_mode="heldout"`` instead reports the statistic
     on held-out halves, estimating the population gap.
     """
-    _require_nonempty(S, T)
+    _require_pair(S, T)
     if arch.out_dim != 1:
         raise ContractError("domain discrimination needs a single-score architecture")
     stats, ref_s, ref_t = _adversarial_gap(S, T, _constant_one, arch, cfg, eval_mode, 6,
@@ -465,7 +444,7 @@ def sdisc_adv(S: Dataset, T: Dataset, hS: Hypothesis, arch: Arch, cfg: TrainConf
     their flips on the other (then the roles swap); the reported statistic
     is |risk_T(h, hS) - risk_S(h, hS)| under zero-one loss.
     """
-    _require_nonempty(S, T)
+    _require_pair(S, T)
     if arch.out_dim != 1 or hS.arch.out_dim != 1:
         raise ContractError("source-guided adversarial estimation is binary only")
     stats, ref_s, ref_t = _adversarial_gap(S, T, lambda X: predict(hS, X), arch, cfg, eval_mode, 7,
@@ -497,11 +476,9 @@ def w1_exact(S: Dataset, T: Dataset, seed: int = 0, cap: int = W1_ASSIGNMENT_CAP
     cost matrix; unequal sizes are equalized by seeded subsampling of the
     larger sample and the matching size is capped.
     """
-    _require_nonempty(S, T)
+    _require_pair(S, T)
     if cap < 1:
         raise ConfigError(f"assignment cap must be >= 1, got {cap}")
-    if S.d != T.d:
-        raise ContractError(f"feature dims differ: {S.d} vs {T.d}")
     if S.d == 1:
         value = _w1_1d(S.X[:, 0], T.X[:, 0])
         return DiscrepancyReport("w1", value, "closed-form", n_source=S.n, n_target=T.n)
@@ -522,11 +499,9 @@ def w1_exact(S: Dataset, T: Dataset, seed: int = 0, cap: int = W1_ASSIGNMENT_CAP
 
 def l1_hist(S: Dataset, T: Dataset, bins: int = 10) -> float:
     """L1 distance between per-bin frequencies on a shared pooled grid."""
-    _require_nonempty(S, T)
+    _require_pair(S, T)
     if bins < 1:
         raise ConfigError(f"bins must be >= 1, got {bins}")
-    if S.d != T.d:
-        raise ContractError(f"feature dims differ: {S.d} vs {T.d}")
     # histogramdd adds an outlier bin on each side of every axis
     if (bins + 2) ** S.d > HIST_CELL_CAP:
         raise CapacityError(f"({bins}+2)^{S.d} histogram cells, outlier bins included, exceed the cap "

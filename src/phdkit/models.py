@@ -313,11 +313,12 @@ def _backward(arch: Arch, layers: list, cache: list, dscores: np.ndarray, ws: _W
     return grad
 
 
-def _loss_and_dscores(kind: str, s: np.ndarray, y: np.ndarray, w: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-    """Per-run weighted surrogate losses of the R x n x k score stack and
-    their gradient w.r.t. it; y and w are R x n."""
+def _loss_and_dscores(s: np.ndarray, y: np.ndarray, w: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """Per-run weighted training-surrogate losses of the R x n x k score
+    stack and their gradient w.r.t. it; y and w are R x n. The surrogate is
+    logistic for a single score and cross-entropy otherwise."""
     wsum = np.add.reduce(w, axis=1)
-    if kind == "logistic":
+    if s.shape[-1] == 1:
         t = 2.0 * y - 1.0
         margin = t * s[..., 0]
         loss = np.add.reduce(w * np.logaddexp(0.0, -margin), axis=1) / wsum
@@ -326,35 +327,28 @@ def _loss_and_dscores(kind: str, s: np.ndarray, y: np.ndarray, w: np.ndarray) ->
         ds = np.zeros_like(s)
         ds[..., 0] = -t * sig * w / wsum[:, None]
         return loss, ds
-    if kind == "cross_entropy":
-        picked = np.arange(y.shape[0])[:, None], np.arange(y.shape[1]), y
-        shifted = s - s.max(axis=2, keepdims=True)
-        logz = np.log(np.add.reduce(np.exp(shifted), axis=2))
-        logp = shifted[picked] - logz
-        loss = np.add.reduce(-w * logp, axis=1) / wsum
-        p = np.exp(shifted - logz[..., None])
-        p[picked] -= 1.0
-        return loss, p * (w / wsum[:, None])[..., None]
-    raise ContractError(f"loss kind {kind!r} is not a differentiable training surrogate")
+    picked = np.arange(y.shape[0])[:, None], np.arange(y.shape[1]), y
+    shifted = s - s.max(axis=2, keepdims=True)
+    logz = np.log(np.add.reduce(np.exp(shifted), axis=2))
+    logp = shifted[picked] - logz
+    loss = np.add.reduce(-w * logp, axis=1) / wsum
+    p = np.exp(shifted - logz[..., None])
+    p[picked] -= 1.0
+    return loss, p * (w / wsum[:, None])[..., None]
 
 
 @dataclass(frozen=True)
 class LossSpec:
-    """Loss selector; ``rho`` is the margin of the margin loss."""
+    """Evaluation loss: zero-one, or the margin loss with margin ``rho``."""
 
     kind: str
     rho: float = 0.0
 
     def __post_init__(self):
-        if self.kind not in ("zero_one", "margin", "logistic", "cross_entropy"):
+        if self.kind not in ("zero_one", "margin"):
             raise ConfigError(f"unknown loss kind {self.kind!r}")
         if self.kind == "margin" and not self.rho > 0:
             raise ContractError(f"margin loss needs rho > 0, got {self.rho}")
-
-    @property
-    def triangle(self) -> bool:
-        """Whether the loss satisfies the triangle inequality (zero-one only)."""
-        return self.kind == "zero_one"
 
 
 def zero_one() -> LossSpec:
@@ -363,14 +357,6 @@ def zero_one() -> LossSpec:
 
 def margin(rho: float) -> LossSpec:
     return LossSpec("margin", rho=rho)
-
-
-def logistic() -> LossSpec:
-    return LossSpec("logistic")
-
-
-def cross_entropy() -> LossSpec:
-    return LossSpec("cross_entropy")
 
 
 def _reference_labels(labeler, D: Dataset) -> np.ndarray:
@@ -390,21 +376,14 @@ def empirical_risk(h: Hypothesis, labeler, D: Dataset, loss: LossSpec) -> float:
     ref = _reference_labels(labeler, D)
     if loss.kind == "zero_one":
         return float(np.mean(predict(h, D.X) != ref))
-    if loss.kind == "margin":
-        s = scores(h, D.X)
-        if s.shape[1] < 2:
-            raise ContractError("margin loss needs a multiclass score matrix (out_dim >= 2)")
-        picked = s[np.arange(D.n), ref]
-        masked = s.copy()
-        masked[np.arange(D.n), ref] = -np.inf
-        gap = picked - masked.max(axis=1)
-        return float(np.mean(gap <= loss.rho))
     s = scores(h, D.X)
-    w = np.ones(D.n)
-    if loss.kind == "logistic" and s.shape[1] != 1:
-        raise ContractError("logistic loss applies to single-score binary hypotheses")
-    val, _ = _loss_and_dscores(loss.kind, s[None], ref[None], w[None])
-    return float(val[0])
+    if s.shape[1] < 2:
+        raise ContractError("margin loss needs a multiclass score matrix (out_dim >= 2)")
+    picked = s[np.arange(D.n), ref]
+    masked = s.copy()
+    masked[np.arange(D.n), ref] = -np.inf
+    gap = picked - masked.max(axis=1)
+    return float(np.mean(gap <= loss.rho))
 
 
 def accuracy(h: Hypothesis, D: Dataset) -> float:
@@ -502,19 +481,18 @@ def train_erm_many(runs, arch: Arch) -> list[Hypothesis]:
 def _train_runs(runs, arch: Arch, metric) -> list[tuple[Hypothesis, tuple[float, ...]]]:
     """The training loop behind ``train_erm_many`` and ``train_erm_traced``.
 
-    The surrogate is logistic for a single score and cross-entropy
-    otherwise. The R runs are stacked on a leading axis of every array:
-    each keeps its own ``init_params(seed)``, permutation stream
-    ``child_rng(seed, 5)``, batch-norm statistics, optimizer moments,
-    sample weights and best-metric checkpoint, and every per-run slice is
-    computed as one run alone would compute it. Training computes in
-    ``TRAIN_DTYPE``; the snapshots and the returned hypotheses hold the
-    trained values widened to float64.
+    The surrogate follows the score width (see ``_loss_and_dscores``), so
+    labels must lie below ``max(2, out_dim)``. The R runs are stacked on a
+    leading axis of every array: each keeps its own ``init_params(seed)``,
+    permutation stream ``child_rng(seed, 5)``, batch-norm statistics,
+    optimizer moments, sample weights and best-metric checkpoint, and every
+    per-run slice is computed as one run alone would compute it. Training
+    computes in ``TRAIN_DTYPE``; the snapshots and the returned hypotheses
+    hold the trained values widened to float64.
     """
     runs = list(runs)
     if not runs:
         raise ContractError("no training runs given")
-    kind = "logistic" if arch.out_dim == 1 else "cross_entropy"
     weights = []
     for D, run_cfg, sample_weight in runs:
         if D.n == 0:
@@ -523,8 +501,9 @@ def _train_runs(runs, arch: Arch, metric) -> list[tuple[Hypothesis, tuple[float,
             raise ContractError("train_erm needs a labeled dataset")
         if arch.in_dim != D.d:
             raise ContractError(f"arch in_dim={arch.in_dim} does not match data d={D.d}")
-        if kind == "cross_entropy" and D.y.size and D.y.max() >= arch.out_dim:
-            raise ContractError("labels exceed the architecture's output count")
+        if D.y.size and D.y.max() >= max(2, arch.out_dim):
+            raise ContractError(f"labels must lie below {max(2, arch.out_dim)} for out_dim={arch.out_dim}, "
+                                f"got {D.y.max()}")
         w = np.ones(D.n) if sample_weight is None else np.asarray(sample_weight, dtype=np.float64)
         if w.shape != (D.n,):
             raise ContractError("sample_weight length does not match n")
@@ -568,7 +547,7 @@ def _train_runs(runs, arch: Arch, metric) -> list[tuple[Hypothesis, tuple[float,
                 batch = slice(start, start + cfg.batch_size)
                 cache: list = []
                 s = _forward(arch, layers, X_e[:, batch], True, ws, cache)
-                loss, ds = _loss_and_dscores(kind, s.astype(np.float64), y_e[:, batch], w_e[:, batch])
+                loss, ds = _loss_and_dscores(s.astype(np.float64), y_e[:, batch], w_e[:, batch])
                 if not np.all(np.isfinite(loss)):
                     raise TrainingError("training loss diverged to a non-finite value", epoch=epoch)
                 grad = _backward(arch, layers, cache, ds.astype(TRAIN_DTYPE), ws)
@@ -584,7 +563,8 @@ def _train_runs(runs, arch: Arch, metric) -> list[tuple[Hypothesis, tuple[float,
                     traces[r].append(best[r][0])
     if not np.all(np.isfinite(params)):
         raise TrainingError("parameters diverged to non-finite values", epoch=cfg.epochs - 1)
-    meta = f"erm {kind} epochs={cfg.epochs} batch={cfg.batch_size} lr={cfg.lr} wd={cfg.weight_decay}"
+    surrogate = "logistic" if arch.out_dim == 1 else "cross_entropy"
+    meta = f"erm {surrogate} epochs={cfg.epochs} batch={cfg.batch_size} lr={cfg.lr} wd={cfg.weight_decay}"
     out = []
     for r, seed in enumerate(seeds):
         p, stats = best[r][1] or (params[r], bn_stats[r])
@@ -592,8 +572,9 @@ def _train_runs(runs, arch: Arch, metric) -> list[tuple[Hypothesis, tuple[float,
     return out
 
 
-def grad_check(arch: Arch, loss: LossSpec, probe: Dataset, eps: float = 1e-5, seed: int = 0) -> float:
-    """Central finite differences against the analytic gradient.
+def grad_check(arch: Arch, probe: Dataset, eps: float = 1e-5, seed: int = 0) -> float:
+    """Central finite differences against the analytic gradient of the
+    architecture's training surrogate.
 
     Returns the max over parameters of |analytic - numeric| scaled by
     max(1, |analytic| + |numeric|). The probe is evaluated as one batch in
@@ -612,12 +593,12 @@ def grad_check(arch: Arch, loss: LossSpec, probe: Dataset, eps: float = 1e-5, se
 
     def f(p: np.ndarray) -> float:
         s = _forward(arch, _layers(arch, p[None]), X, True, ws)
-        return float(_loss_and_dscores(loss.kind, s, y, w)[0][0])
+        return float(_loss_and_dscores(s, y, w)[0][0])
 
     cache: list = []
     layers = _layers(arch, params[None])
     s = _forward(arch, layers, X, True, ws, cache)
-    _, ds = _loss_and_dscores(loss.kind, s, y, w)
+    _, ds = _loss_and_dscores(s, y, w)
     analytic = _backward(arch, layers, cache, ds, ws)[0]
 
     worst = 0.0

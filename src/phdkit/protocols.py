@@ -18,6 +18,7 @@ from .adapt import SelectConfig, select_sources
 from .bounds import bound_ineq2, bound_thm1
 from .data import Dataset, SplitSpec, add_feature_noise, gen_gaussian_pair, split
 from .discrepancy import StumpClass, dh_adv, dh_exact, phd, sdisc_adv, sdisc_exact, stump_erm
+from .errors import ConfigError
 from .models import TrainConfig, accuracy, empirical_risk, mlp_arch, train_erm, train_erm_many, zero_one
 from .numkit import child_rng
 from .semisup import train_self
@@ -144,12 +145,11 @@ def run_table2(cfg: Table2Config = Table2Config()) -> dict:
         h_ssl = train_self(S, T_fit.without_labels(), h_s, base, cfg.ssl_rounds).hypothesis
         h_t_star = train_erm(T_star, arch, replace(base, seed=seed + 7))
 
-        thm1 = bound_thm1(h_s, h_s, h_ssl, T_eval.without_labels(), zero_one(),
-                          h_t_star=h_t_star, oracle_T=T_eval)
+        thm1 = bound_thm1(h_s, h_s, h_ssl, T_eval.without_labels(), h_t_star=h_t_star, oracle_T=T_eval)
         adv_arch = mlp_arch(cfg.d, cfg.adv_hidden, batch_norm=True)
         adv_cfg = TrainConfig(epochs=cfg.adv_epochs, batch_size=cfg.adv_batch, lr=cfg.adv_lr, seed=seed)
         sdisc_rep = sdisc_adv(S, T, h_s, adv_arch, adv_cfg)
-        ineq2 = bound_ineq2(h_s, h_s, S, T_eval.without_labels(), sdisc_rep,
+        ineq2 = bound_ineq2(h_s, h_s, S, T_eval.without_labels(), sdisc_rep.value,
                             h_t_star=h_t_star, oracle_T=T_eval)
         rows.append({
             "seed": seed,
@@ -191,6 +191,10 @@ class Table3Config:
     shift_dims: tuple[int, ...] = (2, 3)
     rotate: float = 1.0
     tolerance: float = 0.15
+
+    def __post_init__(self):
+        if not all(0 <= j < self.d for j in self.shift_dims):
+            raise ConfigError(f"shift_dims must lie in [0, d) = [0, {self.d}), got {self.shift_dims}")
 
 
 def _table3_case(cfg: Table3Config, seed: int, unrelated: bool) -> dict:
@@ -274,6 +278,14 @@ class Fig2Config:
     ssl_rounds: int = 2
     w1_subsample: int = 256
 
+    def __post_init__(self):
+        if self.d < 2:
+            raise ConfigError(f"fig2 styles rotate the first two features and need d >= 2, got d={self.d}")
+        for name in ("style_rotate_range", "style_contrast_range"):
+            r = getattr(self, name)
+            if not (len(r) == 2 and r[0] <= r[1]):
+                raise ConfigError(f"{name} must be two values low <= high, got {r}")
+
 
 def _pixelize(X: np.ndarray, span: float) -> np.ndarray:
     """Map latent features into the unit interval like grayscale pixels."""
@@ -299,7 +311,7 @@ def _style_transform(D: Dataset, cfg: Fig2Config, rng) -> Dataset:
     if rng.uniform() < cfg.style_heavy_prob:
         brightness = brightness * cfg.style_heavy_factor
     P = np.clip((P - 0.5) * contrast + 0.5 + brightness, 0.0, 1.0)
-    return Dataset(P, D.y, D.k, D.domain_tag + "+style")
+    return Dataset(P, D.y, D.k)
 
 
 def _fig2_pool(cfg: Fig2Config, seed: int, sigma: float):
@@ -310,7 +322,7 @@ def _fig2_pool(cfg: Fig2Config, seed: int, sigma: float):
         return src
 
     raw_target = draw(0, cfg.n_target)
-    target = Dataset(_pixelize(raw_target.X, cfg.pixel_span), raw_target.y, raw_target.k, "target")
+    target = Dataset(_pixelize(raw_target.X, cfg.pixel_span), raw_target.y, raw_target.k)
     sources, flags = [], []
     for i in range(cfg.n_clean):
         sources.append(_style_transform(draw(i + 1, cfg.n_source), cfg, child_rng(seed, 14, i)))
@@ -320,7 +332,7 @@ def _fig2_pool(cfg: Fig2Config, seed: int, sigma: float):
                                  child_rng(seed, 14, cfg.n_clean + j))
         noisy = add_feature_noise(clean, sigma, seed=seed * 97 + j)
         # Pixels saturate: values pushed outside the unit interval clip back.
-        sources.append(Dataset(np.clip(noisy.X, 0.0, 1.0), noisy.y, noisy.k, noisy.domain_tag + "+noise"))
+        sources.append(Dataset(np.clip(noisy.X, 0.0, 1.0), noisy.y, noisy.k))
         flags.append(False)
     return sources, flags, target
 
@@ -337,8 +349,7 @@ def run_fig2(cfg: Fig2Config = Fig2Config()) -> dict:
             sources, flags, target = _fig2_pool(cfg, seed, sigma)
             for measure in ("phd", "w1"):
                 out = select_sources(sources, target.without_labels(), measure, cfg.top_k,
-                                     sel_cfg, seed=seed, clean_flags=flags, oracle=target,
-                                     sigma=sigma)
+                                     sel_cfg, seed=seed, clean_flags=flags, oracle=target)
                 rows.append({
                     "sigma": sigma,
                     "seed": seed,

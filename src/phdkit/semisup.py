@@ -54,7 +54,7 @@ def with_pseudo(S: Dataset, X: np.ndarray, y: np.ndarray) -> tuple[Dataset, np.n
     """The labeled rows of S plus pseudo-labeled rows (X, y), and their
     sample weights: 1 and PSEUDO_WEIGHT."""
     w = np.concatenate([np.ones(S.n), np.full(len(y), PSEUDO_WEIGHT)])
-    return Dataset(np.vstack([S.X, X]), np.concatenate([S.y, y]), S.k, S.domain_tag), w
+    return Dataset(np.vstack([S.X, X]), np.concatenate([S.y, y]), S.k), w
 
 
 def train_self(S: Dataset, T: Dataset, h: Hypothesis, cfg: TrainConfig, rounds: int,

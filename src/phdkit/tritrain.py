@@ -174,7 +174,7 @@ def tritrain_round(S: Dataset, T: Dataset, arch: Arch, cfg: TriTrainConfig, roun
                                        warning="empty agreement set; round skipped"))
             continue
 
-        D_tpl = Dataset(T_pool.X[tpl.indices], tpl.pseudo_labels, S.k, "agreement")
+        D_tpl = Dataset(T_pool.X[tpl.indices], tpl.pseudo_labels, S.k)
         h1_ref = h1
         metric = lambda hyp: empirical_risk(hyp, h1_ref, D_tpl, zero_one())  # noqa: E731
         h, trace = train_erm_traced(D_tpl, arch, replace(cfg.base, seed=seed * 2 + 3 + r), metric=metric)

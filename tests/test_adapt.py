@@ -72,7 +72,7 @@ def test_selection_deterministic():
     T, _ = gen_gaussian_pair(200, 2, seed=50)
     a = select_sources(pool, T.without_labels(), "phd", 2, _select_cfg(2), seed=3)
     b = select_sources(pool, T.without_labels(), "phd", 2, _select_cfg(2), seed=3)
-    assert a.to_dict() == b.to_dict()
+    assert a == b
 
 
 def test_zero_noise_pool_runs_and_score_in_range():

@@ -130,7 +130,7 @@ def _library_bound(bound, src, tgt, models):
     )
     from phdkit.data import read_csv
     from phdkit.discrepancy import StumpClass, disc_exact, sdisc_exact
-    from phdkit.models import load_hypothesis, zero_one
+    from phdkit.models import load_hypothesis
 
     S, T = read_csv(src, label_col="label"), read_csv(tgt, label_col="label")
     h, h1, h2, h1_star, h2_star = (load_hypothesis(m) for m in models)
@@ -140,13 +140,13 @@ def _library_bound(bound, src, tgt, models):
     return {
         "lemma1": lambda: lemma1_report(1.0, T.n, 0.05),
         "ineq1": lambda: bound_ineq1(h, h1, T, **diag),
-        "thm1": lambda: bound_thm1(h, h1, h2, T, zero_one(), **diag),
+        "thm1": lambda: bound_thm1(h, h1, h2, T, **diag),
         "ineq2": lambda: bound_ineq2(h, h1, S, T, sdisc_exact(S, T, h1, cls).value, **diag),
         "ineq3": lambda: bound_ineq3(h, h1, S, T, disc_exact(S, T, cls).value, **diag),
         "thm2": lambda: thm2_dev_report(h1, h2, h1_star, h2_star, T, rad, 0.05),
         "thm3": lambda: bound_thm3(h, h1, h2, h1_star, h2_star, T, rad, 0.05, **diag),
         "thm4": lambda: bound_thm4(h, h1, h2, T, rad, 0.05, **diag),
-        "thm6": lambda: bound_thm6_margin(h, h1, h2, T, 1.0, 2, rad, 0.05, **diag),
+        "thm6": lambda: bound_thm6_margin(h, h1, h2, T, 1.0, rad, 0.05, **diag),
     }[bound]().to_dict()
 
 
@@ -180,6 +180,20 @@ def test_bounds_missing_input_is_config_error_before_any_work(bound, dropped, bo
     assert code == 2
     doc = json.loads(err.strip())
     assert doc["error"] == "ConfigError" and doc["message"].endswith(f"needs {dropped}")
+
+
+def test_thm6_k_classes_must_equal_the_models_class_count(bound_inputs, capsys, monkeypatch):
+    def no_estimate(*args, **kwargs):
+        raise AssertionError("the Rademacher estimate ran before the class-count check")
+
+    monkeypatch.setattr("phdkit.cli.rademacher", no_estimate)
+    _, tgt, models = bound_inputs
+    code, out, err = run(["bounds", "--bound", "thm6", "--target", str(tgt), "--h", str(models[0]),
+                          "--h1", str(models[1]), "--h2", str(models[2]), "--k-classes", "1000000000"], capsys)
+    assert code == 2 and out == ""
+    (line,) = err.strip().splitlines()
+    doc = json.loads(line)
+    assert doc["error"] == "ConfigError" and "--k-classes" in doc["message"]
 
 
 def test_bounds_nan_disc_value_is_contract_error(bound_inputs, capsys):
@@ -441,6 +455,56 @@ def test_usage_errors_exit_2_with_json(argv, tmp_path, capsys):
     code, _, err = run(["--out", str(tmp_path)] + argv, capsys)
     assert code == 2
     assert json.loads(err.strip())["error"] in ("ConfigError", "ContractError")
+
+
+@pytest.fixture(scope="module")
+def mismatched_inputs(tmp_path_factory):
+    out = tmp_path_factory.mktemp("shapes")
+    for prefix, d, k in (("d2", 2, 2), ("d3", 3, 2), ("k3", 2, 3)):
+        assert main(["--out", str(out), "gen", "--n", "40", "--d", str(d), "--k", str(k), "--prefix", prefix]) == 0
+    from phdkit.models import linear_hypothesis, save_hypothesis
+
+    save_hypothesis(linear_hypothesis([1.0, 1.0], 0.0), out / "h.bin")
+    return out
+
+
+@pytest.mark.parametrize("case", ["dh", "dh-adv", "disc", "bounds-ineq2", "bounds-ineq3", "train-three-class"])
+def test_shape_and_label_faults_exit_2_with_json(case, mismatched_inputs, capsys):
+    out = mismatched_inputs
+    pair = ["--source", str(out / "d2_source.csv"), "--target", str(out / "d3_target.csv")]
+    models = ["--h", str(out / "h.bin"), "--h1", str(out / "h.bin")]
+    argv = {
+        "dh": ["dh", *pair],
+        "dh-adv": ["dh", *pair, "--method", "adv", "--epochs", "1", "--hidden", "4"],
+        "disc": ["disc", *pair],
+        "bounds-ineq2": ["bounds", "--bound", "ineq2", *pair, *models],
+        "bounds-ineq3": ["bounds", "--bound", "ineq3", *pair, *models],
+        "train-three-class": ["train", "--data", str(out / "k3_source.csv"), "--epochs", "1", "--hidden", "4"],
+    }[case]
+    code, _, err = run(["--out", str(out / case)] + argv, capsys)
+    assert code == 2
+    (line,) = err.strip().splitlines()
+    assert json.loads(line)["error"] == "ContractError"
+
+
+@pytest.mark.parametrize("argv", [
+    ["table3", "--set", "shift_dims=9"],
+    ["table3", "--set", "shift_dims=-1"],
+    ["fig2", "--set", "d=1"],
+    ["fig2", "--set", "style_rotate_range=0.1"],
+    ["fig2", "--set", "style_contrast_range=1.2,0.8"],
+], ids=["shift-dim-past-d", "negative-shift-dim", "fig2-d-1", "one-value-range", "reversed-range"])
+def test_bad_repro_overrides_exit_2_before_training(argv, tmp_path, capsys, monkeypatch):
+    def no_training(*args, **kwargs):
+        raise AssertionError("training ran before the config check")
+
+    monkeypatch.setattr("phdkit.models._train_runs", no_training)
+    small = {"table3": ["seeds=0", "n=60", "epochs=1"],
+             "fig2": ["seeds=0", "sigmas=0.5", "n_source=40", "n_target=60", "epochs=1", "ssl_rounds=1"]}[argv[0]]
+    code, _, err = run(["--out", str(tmp_path), "repro", *argv, *[a for s in small for a in ("--set", s)]], capsys)
+    assert code == 2
+    (line,) = err.strip().splitlines()
+    assert json.loads(line)["error"] == "ConfigError"
 
 
 @pytest.mark.parametrize("name,data,error", [

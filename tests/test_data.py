@@ -196,13 +196,6 @@ def test_csv_round_trip(tmp_path):
     assert np.array_equal(back.y, D.y)
 
 
-def test_csv_label_by_index(tmp_path):
-    p = tmp_path / "d.csv"
-    p.write_text("a,b,c\n1,2,0\n3,4,1\n")
-    D = read_csv(p, label_col=2)
-    assert D.d == 2 and list(D.y) == [0, 1]
-
-
 def test_csv_ragged_row_reports_offset(tmp_path):
     p = tmp_path / "d.csv"
     p.write_text("a,b\n1,2\n3\n")

@@ -5,7 +5,6 @@ from scipy.spatial.distance import cdist
 
 from phdkit.data import Dataset
 from phdkit.discrepancy import (
-    ExplicitClass,
     StumpClass,
     _scan_plan,
     _threshold_errors,
@@ -346,6 +345,25 @@ def test_w1_dim_mismatch():
         w1_exact(d1(0.0), Dataset(np.zeros((1, 2))))
 
 
+def test_pair_measures_reject_mismatched_feature_counts():
+    S, T = Dataset(np.zeros((4, 1)), np.array([0, 1, 0, 1]), 2), Dataset(np.ones((4, 2)))
+    cls = StumpClass.from_data(S)
+    hS = stump_hypothesis(0, 0.5, 1, 1)
+    cfg = TrainConfig(epochs=1, batch_size=8)
+    calls = [
+        lambda: StumpClass.from_data(S, T),
+        lambda: dh_exact(S, T, cls),
+        lambda: sdisc_exact(S, T, hS, cls),
+        lambda: disc_exact(S, T, cls),
+        lambda: dh_adv(S, T, linear_arch(1), cfg),
+        lambda: sdisc_adv(S, T, hS, linear_arch(1), cfg),
+        lambda: l1_hist(S, T),
+    ]
+    for call in calls:
+        with pytest.raises(ContractError, match="feature"):
+            call()
+
+
 def brute_l1_hist(S, T, bins):
     pooled = np.vstack([S.X, T.X])
     edges = []
@@ -418,10 +436,3 @@ def test_chain_disc_below_l1_on_discrete_support():
         dc = disc_exact(S, T, cls).value
         l1 = l1_hist(S, T, bins=50)
         assert dc <= l1 + 1e-12
-
-
-def test_explicit_class_matrix():
-    S = d1(0.0, 1.0, 2.0)
-    ec = ExplicitClass(hypotheses=[constant_hypothesis(1, 1), constant_hypothesis(1, 0)])
-    P = ec.prediction_matrix(S.X)
-    assert np.array_equal(P, [[1, 1, 1], [-1, -1, -1]])

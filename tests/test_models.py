@@ -22,7 +22,6 @@ from phdkit.models import (
     _Workspace,
     accuracy,
     constant_hypothesis,
-    cross_entropy,
     empirical_risk,
     grad_check,
     init_bn_stats,
@@ -31,7 +30,6 @@ from phdkit.models import (
     linear_hypothesis,
     linear_multiclass_hypothesis,
     load_hypothesis,
-    logistic,
     margin,
     mlp_arch,
     predict,
@@ -202,7 +200,11 @@ def test_training_loss_does_not_increase():
     cfg = TrainConfig(epochs=25, seed=4)
     h0 = Hypothesis(arch, init_params(arch, cfg.seed), init_bn_stats(arch))
     h = train_erm(D, arch, cfg)
-    assert empirical_risk(h, None, D, logistic()) <= empirical_risk(h0, None, D, logistic())
+
+    def logistic_loss(hyp):
+        return float(np.mean(np.logaddexp(0.0, -(2.0 * D.y - 1.0) * scores(hyp, D.X)[:, 0])))
+
+    assert logistic_loss(h) <= logistic_loss(h0)
 
 
 def test_divergence_raises_training_error_with_epoch():
@@ -218,7 +220,7 @@ def test_one_diverging_run_stops_the_lockstep_call_at_its_epoch():
     X = np.random.default_rng(0).standard_normal((40, 2))
     y = (X[:, 0] > 0).astype(np.int64)
     arch, cfg = mlp_arch(2, (8,), batch_norm=False), TrainConfig(epochs=20, batch_size=16, lr=1e17, seed=0)
-    good, bad = Dataset(X, y, 2, "unit"), Dataset(X * 1e4, y, 2, "large")
+    good, bad = Dataset(X, y, 2), Dataset(X * 1e4, y, 2)
     train_erm(good, arch, replace(cfg, seed=1))
     with pytest.raises(TrainingError) as alone:
         train_erm(bad, arch, cfg)
@@ -239,7 +241,7 @@ def test_lockstep_runs_equal_runs_one_at_a_time(runs, batch_norm, out_dim, weigh
     arch = Arch(3, (5, 4), out_dim, batch_norm=batch_norm)
     k = 2 if out_dim == 1 else out_dim
     cfg = TrainConfig(epochs=2, batch_size=batch_size, lr=1e-2, seed=0)
-    specs = [(Dataset(rng.standard_normal((n, 3)), rng.integers(0, k, n), k, "run"), replace(cfg, seed=seed),
+    specs = [(Dataset(rng.standard_normal((n, 3)), rng.integers(0, k, n), k), replace(cfg, seed=seed),
               rng.uniform(0.1, 2.0, n) if weighted else None) for seed in rng.integers(0, 1000, runs)]
     together = train_erm_many(specs, arch)
     for (D, run_cfg, w), h in zip(specs, together):
@@ -256,9 +258,9 @@ def test_mismatched_lockstep_runs_are_rejected_before_training(field, value, mon
     monkeypatch.setattr("phdkit.models._forward", no_training)
     rng = np.random.default_rng(0)
     cfg = TrainConfig(epochs=2, batch_size=16, lr=1e-3, seed=0)
-    D = Dataset(rng.standard_normal((40, 2)), rng.integers(0, 2, 40), 2, "a")
+    D = Dataset(rng.standard_normal((40, 2)), rng.integers(0, 2, 40), 2)
     n, d = (value, 2) if field == "n" else (40, value) if field == "d" else (40, 2)
-    other = Dataset(rng.standard_normal((n, d)), rng.integers(0, 2, n), 2, "b")
+    other = Dataset(rng.standard_normal((n, d)), rng.integers(0, 2, n), 2)
     other_cfg = replace(cfg, seed=1, **({field: value} if field not in ("n", "d") else {}))
     with pytest.raises(ContractError):
         train_erm_many([(D, cfg, None), (other, other_cfg, None)], mlp_arch(2, (4,)))
@@ -318,6 +320,14 @@ def test_bad_configs_rejected():
     D, _ = gen_gaussian_pair(20, 2, seed=0)
     with pytest.raises(ContractError):
         train_erm(D.without_labels(), linear_arch(2), TrainConfig(epochs=1))
+
+
+@pytest.mark.parametrize("out_dim,k", [(1, 3), (2, 3), (3, 4)])
+def test_labels_beyond_the_architectures_class_count_are_rejected(out_dim, k):
+    # a single score trains against 2y - 1, which is meaningless for y >= 2
+    D = Dataset(np.zeros((k, 2)), np.arange(k), k)
+    with pytest.raises(ContractError, match="labels must lie below"):
+        train_erm(D, linear_arch(2, out_dim), TrainConfig(epochs=1))
 
 
 @pytest.mark.parametrize("w", [np.zeros(20), np.r_[np.ones(19), -1.0], np.r_[np.ones(19), np.nan],
@@ -431,19 +441,19 @@ def test_short_last_batch_training_matches_recorded_digest():
 def test_grad_check_linear_logistic():
     rng = np.random.default_rng(0)
     probe = Dataset(rng.standard_normal((4, 3)), np.array([0, 1, 1, 0]), 2)
-    assert grad_check(linear_arch(3), logistic(), probe) < 1e-6
+    assert grad_check(linear_arch(3), probe) < 1e-6
 
 
 def test_grad_check_mlp_cross_entropy():
     rng = np.random.default_rng(1)
     probe = Dataset(rng.standard_normal((5, 3)), np.array([0, 2, 1, 1, 0]), 3)
     arch = mlp_arch(3, (8, 8), out_dim=3, batch_norm=True)
-    assert grad_check(arch, cross_entropy(), probe) < 1e-4
+    assert grad_check(arch, probe) < 1e-4
 
 
 def test_grad_check_zero_input_probe_is_finite():
     probe = Dataset(np.zeros((4, 3)), np.array([0, 1, 0, 1]), 2)
-    err = grad_check(mlp_arch(3, (6,), batch_norm=True), logistic(), probe)
+    err = grad_check(mlp_arch(3, (6,), batch_norm=True), probe)
     assert math.isfinite(err)
 
 
@@ -451,13 +461,13 @@ def test_grad_check_enforces_small_probe():
     rng = np.random.default_rng(2)
     probe = Dataset(rng.standard_normal((9, 2)), np.zeros(9, dtype=int), 2)
     with pytest.raises(ContractError):
-        grad_check(linear_arch(2), logistic(), probe)
+        grad_check(linear_arch(2), probe)
 
 
 def test_grad_check_rejects_non_positive_step():
     probe = Dataset(np.zeros((4, 2)), np.array([0, 1, 0, 1]), 2)
     with pytest.raises(ContractError):
-        grad_check(linear_arch(2), logistic(), probe, eps=0.0)
+        grad_check(linear_arch(2), probe, eps=0.0)
 
 
 # --- serialization ----------------------------------------------------------
