@@ -14,20 +14,16 @@ with batch norm):
   2,000-row samples and scanning every decision threshold
 - ``train_fig2_sources``: training the 20 source models of one fig2
   (seed, sigma) at the default config (8 -> 32 -> 4 with batch norm, 400
-  rows, 20 epochs of batch 64): in one ``train_erm_many`` call in trees
-  that have it, in 20 ``train_erm`` calls otherwise
+  rows, 20 epochs of batch 64) in one ``train_erm_many`` call
 
-The training kernels and the witness compute in the dtype the measured
-tree's trainer uses (``models.TRAIN_DTYPE``; float64 in trees without it),
-so one script measures trees on either side of the float32 change. Each
-kernel runs WARMUP untimed calls, then REPEATS timed blocks of CALLS calls;
-the record holds every block's microseconds per call, their median and
-quartiles, and the minor faults (``ru_minflt``) per call over all timed
-calls. Calls reuse one workspace, as a training run or a witness does.
-In trees whose passes stack runs on a leading replica axis (those with
-``models.train_erm_many``), the forward and backward kernels run one
-replica. ``train_fig2_sources`` runs one untimed call, then E2E_REPEATS
-single calls.
+The training kernels and the witness compute in the trainer's dtype
+(``models.TRAIN_DTYPE``). Each kernel runs WARMUP untimed calls, then
+REPEATS timed blocks of CALLS calls; the record holds every block's
+microseconds per call, their median and quartiles, and the minor faults
+(``ru_minflt``) per call over all timed calls. Calls reuse one workspace,
+as a training run or a witness does. The forward and backward kernels run
+one replica of the trainer's leading replica axis. ``train_fig2_sources``
+runs one untimed call, then E2E_REPEATS single calls.
 
 The end-to-end rows time, E2E_REPEATS times after the kernels,
 ``protocols.run_table1`` at its default configuration for seed 0
@@ -43,7 +39,7 @@ comparison of two trees, alternate the runs:
     python3 scripts/bench_layers.py --out BENCH_9.json --label change
 
 ``--src`` selects the source tree ``phdkit`` is imported from; it must have
-``models._Workspace``.
+``models.train_erm_many``.
 """
 
 import argparse
@@ -83,25 +79,18 @@ def run() -> tuple[dict, dict, str]:
     from phdkit import models, protocols
     from phdkit.discrepancy import _scan_threshold_gap
 
-    # Trees before float32 training have no TRAIN_DTYPE and no dtype arguments.
-    dt = getattr(models, "TRAIN_DTYPE", np.float64)
-    kw = {"dtype": dt} if hasattr(models, "TRAIN_DTYPE") else {}
-    stacked = hasattr(models, "train_erm_many")
-
-    def one_replica(a):
-        return a[None] if stacked else a
-
+    dt = models.TRAIN_DTYPE
     rng = np.random.default_rng(0)
     arch = models.Arch(16, (128, 128), 1, batch_norm=True)
     params = models.init_params(arch, seed=0) + 0.01 * rng.standard_normal(arch.param_count())
     bn_stats = models.init_bn_stats(arch)
-    layers = models._layers(arch, one_replica(params.astype(dt)), one_replica(bn_stats.astype(dt)))
+    layers = models._layers(arch, params.astype(dt)[None], bn_stats.astype(dt)[None])
     h = models.Hypothesis(arch, params, bn_stats)
-    batch = one_replica(rng.standard_normal((256, 16)).astype(dt))
+    batch = rng.standard_normal((1, 256, 16)).astype(dt)
     XS, XT = rng.standard_normal((2000, 16)), rng.standard_normal((2000, 16)) + 0.1
     ref_s, ref_t = np.ones(2000, dtype=np.int64), np.ones(2000, dtype=np.int64)
-    ds = one_replica((rng.standard_normal((256, 1)) / 256).astype(dt))
-    ws, eval_ws, witness_ws = models._Workspace(**kw), models._Workspace(), models._Workspace(**kw)
+    ds = (rng.standard_normal((1, 256, 1)) / 256).astype(dt)
+    ws, eval_ws, witness_ws = models._Workspace(dt), models._Workspace(), models._Workspace(dt)
 
     cache: list = []
     models._forward(arch, layers, batch, True, ws, cache)
@@ -109,7 +98,7 @@ def run() -> tuple[dict, dict, str]:
     def forward():
         models._forward(arch, layers, batch, True, ws, [])
 
-    opt = models.AmsGrad(arch.param_count(), lr=1e-3, **kw)
+    opt = models.AmsGrad(arch.param_count(), lr=1e-3, dtype=dt)
     p = params.astype(dt)
     grad = (1e-3 * rng.standard_normal(arch.param_count())).astype(dt)
 
@@ -128,14 +117,7 @@ def run() -> tuple[dict, dict, str]:
     src_arch = models.mlp_arch(fig2.d, fig2.hidden, out_dim=fig2.k, batch_norm=True)
     runs = [(S, models.TrainConfig(epochs=fig2.epochs, batch_size=fig2.batch_size, seed=10 * i + j), None)
             for i, S in enumerate(sources) for j in (1, 2)]
-    if stacked:
-        def train_sources():
-            models.train_erm_many(runs, src_arch)
-    else:
-        def train_sources():
-            for D, cfg, _ in runs:
-                models.train_erm(D, src_arch, cfg)
-    measured["train_fig2_sources"] = _measure(train_sources, 1, E2E_REPEATS, 1)
+    measured["train_fig2_sources"] = _measure(lambda: models.train_erm_many(runs, src_arch), 1, E2E_REPEATS, 1)
 
     table1 = protocols.Table1Config(seeds=(0,))
     e2e = {"table1_seed0": _measure(lambda: protocols.run_table1(table1), 0, E2E_REPEATS, 1),

@@ -56,13 +56,16 @@ class BoundReport:
 
     bound_id: str
     terms: tuple[Term, ...]
-    total: float
     n_target: int
     delta: float | None = None
 
     def __post_init__(self):
         if self.delta is not None:
             check_delta(self.delta)
+
+    @property
+    def total(self) -> float:
+        return math.fsum(t.value for t in self.terms)
 
     @property
     def feasible_total(self) -> float:
@@ -87,11 +90,7 @@ class BoundReport:
 
     @staticmethod
     def csv_header(reports) -> list[str]:
-        names = []
-        for r in reports:
-            for t in r.terms:
-                if t.name not in names:
-                    names.append(t.name)
+        names = dict.fromkeys(t.name for r in reports for t in r.terms)  # first-seen order
         return ["bound_id", "delta", "n_target", *names, "total"]
 
     def csv_row(self, header: list[str]) -> list[str]:
@@ -100,11 +99,6 @@ class BoundReport:
         row += [vals.get(name, "") for name in header[3:-1]]
         row.append(repr(self.total))
         return row
-
-
-def _report(bound_id: str, terms: list[Term], n_target: int, delta: float | None = None) -> BoundReport:
-    total = math.fsum(t.value for t in terms)
-    return BoundReport(bound_id, tuple(terms), total, n_target, delta)
 
 
 @dataclass(frozen=True)
@@ -172,35 +166,58 @@ def hoeffding_term(M: float, n: int, delta: float, two_sided: bool = False) -> f
         raise ContractError(f"M must be finite and > 0, got {M}")
     if n < 1:
         raise ContractError(f"n must be >= 1, got {n}")
-    check_delta(delta)
-    a = 2.0 if two_sided else 1.0
-    return M * math.sqrt(math.log(a / delta) / (2.0 * n))
+    return _confidence(M, 2.0 if two_sided else 1.0, delta, n)
 
 
 def _confidence(coeff: float, num: float, delta: float, n: int) -> float:
+    """coeff * sqrt(log(num/delta) / (2n)); delta is checked here, where it enters."""
+    check_delta(delta)
+    if n < 1:
+        raise DegenerateInputError("cannot bound over an empty sample")
     return coeff * math.sqrt(math.log(num / delta) / (2.0 * n))
 
 
-def _phd_term(h1: Hypothesis, h2: Hypothesis, T: Dataset) -> tuple[float, int]:
-    rep = phd(h1, h2, T, zero_one())
-    return rep.value, rep.n_target
+def _risk(name: str, h: Hypothesis, ref: Hypothesis, D: Dataset, diagnostic: bool = False) -> Term:
+    """The zero-one risk of h against ref, another member of h's class, on D."""
+    if h.k != ref.k:
+        raise ContractError(f"{name} compares hypotheses of {h.k} and {ref.k} classes")
+    return Term(name, empirical_risk(h, ref, D, zero_one()), diagnostic)
 
 
-def _diag_term(name: str, h2: Hypothesis, h_t_star: Hypothesis | None,
+def _diag_term(name: str, member: Hypothesis, h_t_star: Hypothesis | None,
                oracle_T: Dataset | None, T: Dataset) -> list[Term]:
     if h_t_star is None:
         return []
-    ev = oracle_T if oracle_T is not None else T
-    return [Term(name, empirical_risk(h2, h_t_star, ev, zero_one()), diagnostic=True)]
+    return [_risk(name, member, h_t_star, oracle_T if oracle_T is not None else T, diagnostic=True)]
+
+
+def _paired_bound(bound_id: str, first: Term, h1: Hypothesis, h2: Hypothesis, member: tuple[str, Hypothesis],
+                  T: Dataset, h_t_star: Hypothesis | None, oracle_T: Dataset | None, *own: Term,
+                  delta: float | None = None) -> BoundReport:
+    """A paired-hypotheses bound (Thm. 1, 3, 4, 6): the first risk term, the
+    PHD of (h1, h2) on T, the diagnostic gap between the named pair member
+    and the target minimizer, then the bound's own terms."""
+    terms = [first, Term("phd", phd(h1, h2, T).value), *_diag_term(*member, h_t_star, oracle_T, T), *own]
+    return BoundReport(bound_id, tuple(terms), T.n, delta)
+
+
+def _hs_bound(bound_id: str, first: Term, hS: Hypothesis, T: Dataset, h_t_star: Hypothesis | None,
+              oracle_T: Dataset | None, *value: Term) -> BoundReport:
+    """A bound around hS (ineq1-3): the risk against hS, the supremum value
+    (ineq2, ineq3), then the diagnostic hS-to-target-minimizer gap."""
+    terms = [first, *value, *_diag_term("infeasible_hS_vs_target_star", hS, h_t_star, oracle_T, T)]
+    return BoundReport(bound_id, tuple(terms), T.n)
+
+
+def _erm_gaps(h1_hat: Hypothesis, h2_hat: Hypothesis, h1_star: Hypothesis, h2_star: Hypothesis,
+              T: Dataset) -> list[Term]:
+    return [_risk("erm_gap_h1", h1_hat, h1_star, T, True), _risk("erm_gap_h2", h2_hat, h2_star, T, True)]
 
 
 def bound_ineq1(h: Hypothesis, hS: Hypothesis, T: Dataset,
                 h_t_star: Hypothesis | None = None, oracle_T: Dataset | None = None) -> BoundReport:
     """Plain triangle bound: target risk against hS plus the infeasible gap."""
-    loss = zero_one()
-    terms = [Term("target_risk_h_vs_hS", empirical_risk(h, hS, T, loss))]
-    terms += _diag_term("infeasible_hS_vs_target_star", hS, h_t_star, oracle_T, T)
-    return _report("ineq1", terms, T.n)
+    return _hs_bound("ineq1", _risk("target_risk_h_vs_hS", h, hS, T), hS, T, h_t_star, oracle_T)
 
 
 def bound_thm1(h: Hypothesis, h1: Hypothesis, h2: Hypothesis, T: Dataset,
@@ -211,52 +228,33 @@ def bound_thm1(h: Hypothesis, h1: Hypothesis, h2: Hypothesis, T: Dataset,
     Thm. 1 is the zero-one bound: it holds because the zero-one loss
     satisfies the triangle inequality.
     """
-    loss = zero_one()
-    phd_val, n_eff = _phd_term(h1, h2, T)
-    terms = [
-        Term("target_risk_h_vs_h1", empirical_risk(h, h1, T, loss)),
-        Term("phd", phd_val),
-    ]
-    terms += _diag_term("infeasible_h2_vs_target_star", h2, h_t_star, oracle_T, T)
-    return _report("thm1-phd", terms, n_eff)
-
-
-def _supremum_bound(bound_id: str, h: Hypothesis, hS: Hypothesis, S: Dataset, T: Dataset,
-                    disc_value: float, disc_name: str,
-                    h_t_star: Hypothesis | None, oracle_T: Dataset | None) -> BoundReport:
-    loss = zero_one()
-    terms = [
-        Term("source_risk_h_vs_hS", empirical_risk(h, hS, S, loss)),
-        Term(disc_name, disc_value),
-    ]
-    terms += _diag_term("infeasible_hS_vs_target_star", hS, h_t_star, oracle_T, T)
-    return _report(bound_id, terms, T.n)
+    return _paired_bound("thm1-phd", _risk("target_risk_h_vs_h1", h, h1, T), h1, h2,
+                         ("infeasible_h2_vs_target_star", h2), T, h_t_star, oracle_T)
 
 
 def bound_ineq2(h: Hypothesis, hS: Hypothesis, S: Dataset, T: Dataset, sdisc: float,
                 h_t_star: Hypothesis | None = None, oracle_T: Dataset | None = None) -> BoundReport:
     """Source-guided bound: source risk + the S-disc value + diagnostic gap."""
-    return _supremum_bound("ineq2-sdisc", h, hS, S, T, sdisc, "s_disc", h_t_star, oracle_T)
+    return _hs_bound("ineq2-sdisc", _risk("source_risk_h_vs_hS", h, hS, S), hS, T, h_t_star, oracle_T,
+                     Term("s_disc", sdisc))
 
 
 def bound_ineq3(h: Hypothesis, hS: Hypothesis, S: Dataset, T: Dataset, disc: float,
                 h_t_star: Hypothesis | None = None, oracle_T: Dataset | None = None) -> BoundReport:
     """Worst-pair bound: source risk + the discrepancy-distance value + diagnostic gap."""
-    return _supremum_bound("ineq3-disc", h, hS, S, T, disc, "disc", h_t_star, oracle_T)
+    return _hs_bound("ineq3-disc", _risk("source_risk_h_vs_hS", h, hS, S), hS, T, h_t_star, oracle_T,
+                     Term("disc", disc))
 
 
 def thm2_dev_report(h1_hat: Hypothesis, h2_hat: Hypothesis, h1_star: Hypothesis,
                     h2_star: Hypothesis, T: Dataset, rad: RademacherEstimate,
                     delta: float = DEFAULT_DELTA) -> BoundReport:
-    check_delta(delta)
-    loss = zero_one()
     terms = [
         Term("complexity_3R", 3.0 * max(0.0, rad.value)),
         Term("confidence", _confidence(3.0, 12.0, delta, T.n)),
-        Term("erm_gap_h1", empirical_risk(h1_hat, h1_star, T, loss), diagnostic=True),
-        Term("erm_gap_h2", empirical_risk(h2_hat, h2_star, T, loss), diagnostic=True),
+        *_erm_gaps(h1_hat, h2_hat, h1_star, h2_star, T),
     ]
-    return _report("thm2-dev", terms, T.n, delta)
+    return BoundReport("thm2-dev", tuple(terms), T.n, delta)
 
 
 def bound_thm3(h: Hypothesis, h1_hat: Hypothesis, h2_hat: Hypothesis,
@@ -268,41 +266,26 @@ def bound_thm3(h: Hypothesis, h1_hat: Hypothesis, h2_hat: Hypothesis,
     The pair's class H' is the class H of ``h``, so ``rad_h`` serves both
     complexity terms.
     """
-    check_delta(delta)
-    loss = zero_one()
-    phd_val, n_eff = _phd_term(h1_hat, h2_hat, T)
-    terms = [
-        Term("target_risk_h_vs_h1_star", empirical_risk(h, h1_star, T, loss), diagnostic=True),
-        Term("phd", phd_val),
-    ]
-    terms += _diag_term("infeasible_h2_star_vs_target_star", h2_star, h_t_star, oracle_T, T)
-    terms += [
+    own = [
         Term("complexity_hprime", max(0.0, rad_h.value)),
         Term("complexity_3R", 3.0 * max(0.0, rad_h.value)),
-        Term("confidence", _confidence(4.0, 7.0, delta, n_eff)),
-        Term("erm_gap_h1", empirical_risk(h1_hat, h1_star, T, loss), diagnostic=True),
-        Term("erm_gap_h2", empirical_risk(h2_hat, h2_star, T, loss), diagnostic=True),
+        Term("confidence", _confidence(4.0, 7.0, delta, T.n)),
     ]
-    return _report("thm3", terms, n_eff, delta)
+    return _paired_bound("thm3", _risk("target_risk_h_vs_h1_star", h, h1_star, T, diagnostic=True),
+                         h1_hat, h2_hat, ("infeasible_h2_star_vs_target_star", h2_star), T, h_t_star, oracle_T,
+                         *own, *_erm_gaps(h1_hat, h2_hat, h1_star, h2_star, T), delta=delta)
 
 
 def bound_thm4(h: Hypothesis, h1: Hypothesis, h2: Hypothesis, T: Dataset,
                rad: RademacherEstimate, delta: float = DEFAULT_DELTA,
                h_t_star: Hypothesis | None = None, oracle_T: Dataset | None = None) -> BoundReport:
     """Finite-sample bound for hypotheses fixed before estimation."""
-    check_delta(delta)
-    loss = zero_one()
-    phd_val, n_eff = _phd_term(h1, h2, T)
-    terms = [
-        Term("target_risk_h_vs_h1", empirical_risk(h, h1, T, loss)),
-        Term("phd", phd_val),
-    ]
-    terms += _diag_term("infeasible_h2_vs_target_star", h2, h_t_star, oracle_T, T)
-    terms += [
+    own = [
         Term("complexity_2R", 2.0 * max(0.0, rad.value)),
-        Term("confidence", _confidence(2.0, 2.0, delta, n_eff)),
+        Term("confidence", _confidence(2.0, 2.0, delta, T.n)),
     ]
-    return _report("thm4", terms, n_eff, delta)
+    return _paired_bound("thm4", _risk("target_risk_h_vs_h1", h, h1, T), h1, h2,
+                         ("infeasible_h2_vs_target_star", h2), T, h_t_star, oracle_T, *own, delta=delta)
 
 
 def bound_thm6_margin(h: Hypothesis, h1: Hypothesis, h2: Hypothesis, T: Dataset,
@@ -316,20 +299,15 @@ def bound_thm6_margin(h: Hypothesis, h1: Hypothesis, h2: Hypothesis, T: Dataset,
     k = h1.k
     if h.k != k or h2.k != k:
         raise ContractError(f"h, h1 and h2 must share one class count, got {h.k}, {k} and {h2.k}")
-    check_delta(delta)
-    phd_val, n_eff = _phd_term(h1, h2, T)
-    terms = [
-        Term("target_margin_risk_h_vs_h1", empirical_risk(h, h1, T, margin(rho))),
-        Term("phd", phd_val),
-    ]
-    terms += _diag_term("infeasible_h2_vs_target_star", h2, h_t_star, oracle_T, T)
-    terms += [
+    own = [
         Term("complexity_margin", (4.0 * k / rho) * max(0.0, rad_pi1.value)),
-        Term("confidence", _confidence(2.0, 2.0, delta, n_eff)),
+        Term("confidence", _confidence(2.0, 2.0, delta, T.n)),
     ]
-    return _report("thm6-margin", terms, n_eff, delta)
+    first = Term("target_margin_risk_h_vs_h1", empirical_risk(h, h1, T, margin(rho)))
+    return _paired_bound("thm6-margin", first, h1, h2, ("infeasible_h2_vs_target_star", h2), T, h_t_star,
+                         oracle_T, *own, delta=delta)
 
 
 def lemma1_report(M: float, n: int, delta: float) -> BoundReport:
     """The two-sided concentration penalty alone, packaged as a report."""
-    return _report("lemma1", [Term("hoeffding", hoeffding_term(M, n, delta, two_sided=True))], n, delta)
+    return BoundReport("lemma1", (Term("hoeffding", hoeffding_term(M, n, delta, two_sided=True)),), n, delta)

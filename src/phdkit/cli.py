@@ -2,8 +2,8 @@
 
 Reports are deterministic JSON (sorted keys, no timestamps); the resolved
 run configuration and artifact version are embedded in every report for
-provenance. Wall-clock metadata goes to a separate run_meta.json next to
-the reports, so report bytes are identical across reruns with one seed.
+provenance. Wall-clock metadata goes to a separate <command>_meta.json next
+to each report, so report bytes are identical across reruns with one seed.
 
 Exit codes: 0 success, 2 usage/contract/config/format errors (machine-readable
 JSON on stderr), 3 divergence mid-run (partial trace preserved when an
@@ -50,7 +50,7 @@ from .discrepancy import (
     sdisc_exact,
     w1_exact,
 )
-from .errors import ConfigError, PhdkitError, TrainingError
+from .errors import ConfigError, ContractError, PhdkitError, TrainingError
 from .models import (
     Arch,
     TrainConfig,
@@ -127,7 +127,7 @@ def _emit(args, name: str, payload: dict, csv_rows: tuple[list[str], list[list[s
         (out / f"{name}_report.json").write_text(text)
         meta = {"written_at_unix": time.time(), "report": f"{name}_report.json",
                 "out_dir": str(out), "config_file": args.config}
-        (out / "run_meta.json").write_text(json.dumps(meta, sort_keys=True, indent=2) + "\n")
+        (out / f"{name}_meta.json").write_text(json.dumps(meta, sort_keys=True, indent=2) + "\n")
         if args.format == "csv" and csv_rows is not None:
             _write_table(out / f"{name}_report.csv", *csv_rows)
     else:
@@ -227,60 +227,58 @@ def cmd_w1(args) -> None:
     _emit(args, "w1", payload, (rep.csv_header(), [rep.csv_row()]))
 
 
-# The flags each bound reads besides --target; --ht-star is an optional diagnostic for all.
-BOUND_INPUTS = {
-    "ineq1": ("h", "h1"),
-    "ineq2": ("h", "h1", "source"),
-    "ineq3": ("h", "h1", "source"),
-    "thm1": ("h", "h1", "h2"),
-    "thm2": ("h1", "h2", "h1_star", "h2_star"),
-    "thm3": ("h", "h1", "h2", "h1_star", "h2_star"),
-    "thm4": ("h", "h1", "h2"),
-    "thm6": ("h", "h1", "h2"),
-    "lemma1": (),
+def _sup_value(v, measure) -> float:
+    """--disc-value when given, else the exact supremum of ``measure`` over the stump class of (S, T)."""
+    return v.disc_value if v.disc_value is not None else measure(v.S, v.T, StumpClass.from_data(v.S, v.T)).value
+
+
+# Per bound: the flags it reads besides --target (--ht-star is an optional
+# diagnostic for all), whether it has a complexity and a confidence term, and
+# its call on the loaded inputs. The calls resolve each bound function by name
+# when they run, so a wrapper installed on this module after import
+# (perfbench's layer tracer) still runs.
+BOUNDS = {
+    "ineq1": (("h", "h1"), False, lambda v: bound_ineq1(v.h, v.h1, v.T, **v.diag)),
+    "ineq2": (("h", "h1", "source"), False, lambda v: bound_ineq2(
+        v.h, v.h1, v.S, v.T, _sup_value(v, lambda S, T, cls: sdisc_exact(S, T, v.h1, cls)), **v.diag)),
+    "ineq3": (("h", "h1", "source"), False,
+              lambda v: bound_ineq3(v.h, v.h1, v.S, v.T, _sup_value(v, disc_exact), **v.diag)),
+    "thm1": (("h", "h1", "h2"), False, lambda v: bound_thm1(v.h, v.h1, v.h2, v.T, **v.diag)),
+    "thm2": (("h1", "h2", "h1_star", "h2_star"), True,
+             lambda v: thm2_dev_report(v.h1, v.h2, v.h1_star, v.h2_star, v.T, v.rad, v.delta)),
+    "thm3": (("h", "h1", "h2", "h1_star", "h2_star"), True,
+             lambda v: bound_thm3(v.h, v.h1, v.h2, v.h1_star, v.h2_star, v.T, v.rad, v.delta, **v.diag)),
+    "thm4": (("h", "h1", "h2"), True, lambda v: bound_thm4(v.h, v.h1, v.h2, v.T, v.rad, v.delta, **v.diag)),
+    "thm6": (("h", "h1", "h2"), True,
+             lambda v: bound_thm6_margin(v.h, v.h1, v.h2, v.T, v.rho, v.rad, v.delta, **v.diag)),
+    "lemma1": ((), False, lambda v: lemma1_report(v.bound_m, v.T.n, v.delta)),
 }
 
 
 def cmd_bounds(args) -> None:
-    need = BOUND_INPUTS[args.bound]
-    missing = ["--" + k.replace("_", "-") for k in need if getattr(args, k) is None]
+    flags, finite_sample, call = BOUNDS[args.bound]
+    missing = ["--" + k.replace("_", "-") for k in flags if getattr(args, k) is None]
     if missing:
         raise ConfigError(f"bounds --bound {args.bound} needs {', '.join(missing)}")
-    # the bounds with a complexity and a confidence term
-    finite_sample = args.bound in ("thm2", "thm3", "thm4", "thm6")
     if finite_sample:
         check_delta(args.delta)
-    T = _load_dataset(args.target, args.label_col, args.labels)
-    h, h1, h2, h1_star, h2_star = (load_hypothesis(getattr(args, k)) if k in need else None
-                                   for k in ("h", "h1", "h2", "h1_star", "h2_star"))
-    if args.bound == "thm6" and {h.k, h1.k, h2.k} != {args.k_classes}:
+    # the parsed flags, with each input the bound reads loaded in place of its path
+    v = argparse.Namespace(**vars(args), T=_load_dataset(args.target, args.label_col, args.labels))
+    for k in flags:
+        if k != "source":
+            setattr(v, k, load_hypothesis(getattr(args, k)))
+    if args.bound == "thm6" and {v.h.k, v.h1.k, v.h2.k} != {args.k_classes}:
         raise ConfigError(f"--k-classes {args.k_classes} must equal the class count of the model files "
-                          f"(h {h.k}, h1 {h1.k}, h2 {h2.k})")
-    h_t_star = load_hypothesis(args.ht_star) if args.ht_star else None
-    diag = {"h_t_star": h_t_star, "oracle_T": T if T.labeled else None}
-    rad = rademacher(T, StumpClass.from_data(T), draws=args.rad_draws, seed=args.seed) if finite_sample else None
-
-    def supremum(bound, measure):
-        S = _load_dataset(args.source, args.label_col)
-        value = args.disc_value
-        if value is None:
-            value = measure(S, T, StumpClass.from_data(S, T)).value
-        return bound(h, h1, S, T, value, **diag)
-
-    # The lambdas resolve each bound function by name when called, so a wrapper
-    # installed on this module after import (perfbench's layer tracer) still runs.
-    calls = {
-        "lemma1": lambda: lemma1_report(args.bound_m, T.n, args.delta),
-        "ineq1": lambda: bound_ineq1(h, h1, T, **diag),
-        "thm1": lambda: bound_thm1(h, h1, h2, T, **diag),
-        "ineq2": lambda: supremum(bound_ineq2, lambda S, T, cls: sdisc_exact(S, T, h1, cls)),
-        "ineq3": lambda: supremum(bound_ineq3, disc_exact),
-        "thm2": lambda: thm2_dev_report(h1, h2, h1_star, h2_star, T, rad, args.delta),
-        "thm3": lambda: bound_thm3(h, h1, h2, h1_star, h2_star, T, rad, args.delta, **diag),
-        "thm4": lambda: bound_thm4(h, h1, h2, T, rad, args.delta, **diag),
-        "thm6": lambda: bound_thm6_margin(h, h1, h2, T, args.rho, rad, args.delta, **diag),
-    }
-    rep = calls[args.bound]()
+                          f"(h {v.h.k}, h1 {v.h1.k}, h2 {v.h2.k})")
+    v.diag = {"h_t_star": load_hypothesis(args.ht_star) if args.ht_star else None,
+              "oracle_T": v.T if v.T.labeled else None}
+    if "source" in flags:
+        v.S = _load_dataset(args.source, args.label_col)
+        if v.S.d != v.T.d:
+            raise ContractError(f"--source has {v.S.d} features but --target has {v.T.d}")
+    if finite_sample:
+        v.rad = rademacher(v.T, StumpClass.from_data(v.T), draws=args.rad_draws, seed=args.seed)
+    rep = call(v)
     header = rep.csv_header([rep])
     _emit(args, "bounds", rep.to_dict(), (header, [rep.csv_row(header)]))
 
@@ -491,7 +489,7 @@ def build_parser() -> tuple[argparse.ArgumentParser, dict]:
     p.set_defaults(func=cmd_w1)
 
     p = sub.add_parser("bounds", help="evaluate one generalization-bound expression")
-    p.add_argument("--bound", required=True, choices=tuple(BOUND_INPUTS))
+    p.add_argument("--bound", required=True, choices=tuple(BOUNDS))
     p.add_argument("--target", required=True)
     p.add_argument("--source", default=None)
     p.add_argument("--labels", default=None)

@@ -300,8 +300,9 @@ def write_idx(D: Dataset, images_path, labels_path=None) -> None:
 def read_csv(path, label_col: str | None = None) -> Dataset:
     """Parse a header-row CSV into a Dataset.
 
-    ``label_col`` names the label column in the header; the class count is
-    one more than the largest label, and at least 2.
+    ``label_col`` names the label column in the header. Its values must be
+    integers within int64 (``1`` and ``1.0`` alike); the class count is one
+    more than the largest label, and at least 2.
     """
     with open(path, "rb") as f:
         raw = f.read()
@@ -334,11 +335,13 @@ def read_csv(path, label_col: str | None = None) -> Dataset:
             )
         try:
             vals = [float(v) for i, v in enumerate(rec) if i != label_idx]
-            if label_idx is not None:
-                labels.append(int(float(rec[label_idx])))
+            label = float(rec[label_idx]) if label_idx is not None else 0.0
         except ValueError as e:
             raise FormatError(f"non-numeric value at line {lineno}: {e}", offset=offset) from None
+        if not (label.is_integer() and -2**63 <= label < 2**63):  # NaN and inf fail is_integer
+            raise FormatError(f"label {rec[label_idx]!r} at line {lineno} is not an int64 integer", offset=offset)
         rows.append(vals)
+        labels.append(int(label))
         offset += line_bytes
     if not rows:
         raise FormatError(f"CSV file {path} has a header but no data rows", offset=offset)

@@ -225,6 +225,8 @@ def phd(h1: Hypothesis, h2: Hypothesis, T: Dataset, loss: LossSpec | None = None
     unseen data.
     """
     loss = loss or zero_one()
+    if h1.k != h2.k:  # the pair are two members of one class H
+        raise ContractError(f"PHD pairs hypotheses of one class count, got {h1.k} and {h2.k}")
     if T.n == 0:
         raise DegenerateInputError("target dataset is empty")
     keep = np.ones(T.n, dtype=bool)
@@ -296,6 +298,8 @@ def dh_exact(S: Dataset, T: Dataset, cls: StumpClass) -> DiscrepancyReport:
 
 def sdisc_exact(S: Dataset, T: Dataset, hS: Hypothesis, cls: StumpClass) -> DiscrepancyReport:
     """Exact source-guided discrepancy: reference fixed to hS's predictions."""
+    if hS.k != 2:
+        raise ContractError(f"source-guided discrepancy is binary only, got a {hS.k}-class hS")
     return _sup_reference_gap("s_disc", S, T, cls, lambda X: predict(hS, X))
 
 

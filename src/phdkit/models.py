@@ -379,6 +379,8 @@ def empirical_risk(h: Hypothesis, labeler, D: Dataset, loss: LossSpec) -> float:
     s = scores(h, D.X)
     if s.shape[1] < 2:
         raise ContractError("margin loss needs a multiclass score matrix (out_dim >= 2)")
+    if ref.max() >= s.shape[1]:
+        raise ContractError(f"reference label {ref.max()} has no score among h's {s.shape[1]}")
     picked = s[np.arange(D.n), ref]
     masked = s.copy()
     masked[np.arange(D.n), ref] = -np.inf

@@ -93,22 +93,16 @@ class TriTrainResult:
     rounds: tuple[RoundRecord, ...]
 
     def csv_rows(self) -> tuple[list[str], list[list[str]]]:
-        term_names: list[str] = []
-        for r in self.rounds:
-            if r.bound is not None:
-                for t in r.bound.terms:
-                    if t.name not in term_names:
-                        term_names.append(t.name)
-        header = ["round", "coverage", "tpl_size", *term_names, "bound_total", "target_accuracy"]
+        # the bound's term columns and its total, as in a bound report's CSV
+        bound_header = BoundReport.csv_header([r.bound for r in self.rounds if r.bound is not None])
+        header = ["round", "coverage", "tpl_size", *bound_header[3:-1], "bound_total", "target_accuracy"]
         rows = []
         for r in self.rounds:
-            vals = {t.name: repr(t.value) for t in r.bound.terms} if r.bound else {}
             rows.append([
                 str(r.round_index),
                 repr(r.coverage),
                 str(r.tpl_size),
-                *[vals.get(n, "") for n in term_names],
-                "" if r.bound is None else repr(r.bound.total),
+                *(r.bound.csv_row(bound_header)[3:] if r.bound else [""] * (len(bound_header) - 3)),
                 "" if r.target_accuracy is None else repr(r.target_accuracy),
             ])
         return header, rows

@@ -21,7 +21,7 @@ from phdkit.bounds import (
 )
 from phdkit.data import Dataset, gen_gaussian_pair
 from phdkit.discrepancy import StumpClass, sdisc_exact, stump_erm
-from phdkit.errors import ContractError
+from phdkit.errors import ContractError, DegenerateInputError
 from phdkit.models import (
     constant_hypothesis,
     empirical_risk,
@@ -259,6 +259,45 @@ def test_thm6_takes_k_from_the_hypotheses_and_rejects_mixed_class_counts():
     for h, h1, h2 in ((h4, h3, h3), (h3, h4, h3), (h3, h3, h4)):
         with pytest.raises(ContractError, match="class count"):
             bound_thm6_margin(h, h1, h2, T, rho=1.0, rad_pi1=rad_const(0.1), delta=0.5)
+
+
+def test_risk_and_pair_terms_compare_hypotheses_of_one_class_count():
+    T, h, h1, h2, ht = _toy()
+    h3 = linear_multiclass_hypothesis(np.eye(1, 3), np.zeros(3))
+    rad = rad_const(0.0)
+    calls = [
+        lambda: bound_ineq1(h3, h1, T),
+        lambda: bound_ineq2(h, h3, T, T, 0.1),
+        lambda: bound_thm1(h, h1, h2, T, h_t_star=h3),
+        lambda: bound_thm1(h, h1, h3, T),
+        lambda: thm2_dev_report(h1, h2, h1, h3, T, rad),
+        lambda: bound_thm3(h, h1, h2, h3, h2, T, rad),
+        lambda: bound_thm4(h, h3, h2, T, rad),
+    ]
+    for call in calls:
+        with pytest.raises(ContractError, match="classes|class count"):
+            call()
+
+
+@pytest.mark.parametrize("bound", ["thm2", "thm3", "thm4", "thm6"])
+@pytest.mark.parametrize("rows,delta,error", [(6, 5.0, ContractError), (0, 0.05, DegenerateInputError)],
+                         ids=["delta-5", "empty-target"])
+def test_finite_sample_bounds_check_delta_and_the_sample_before_scoring(bound, rows, delta, error, monkeypatch):
+    def no_scoring(*args, **kwargs):
+        raise AssertionError("a term was scored before delta and the sample were checked")
+
+    monkeypatch.setattr("phdkit.bounds.empirical_risk", no_scoring)
+    monkeypatch.setattr("phdkit.bounds.phd", no_scoring)
+    _, h, h1, h2, _ = _toy()
+    T, rad = Dataset(np.arange(rows, dtype=float).reshape(-1, 1)), rad_const(0.1)
+    call = {
+        "thm2": lambda: thm2_dev_report(h1, h2, h1, h2, T, rad, delta),
+        "thm3": lambda: bound_thm3(h, h1, h2, h1, h2, T, rad, delta),
+        "thm4": lambda: bound_thm4(h, h1, h2, T, rad, delta),
+        "thm6": lambda: bound_thm6_margin(h, h1, h2, T, 1.0, rad, delta),
+    }[bound]
+    with pytest.raises(error):
+        call()
 
 
 def test_lemma1_report_and_term_validation():

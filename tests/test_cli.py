@@ -8,6 +8,7 @@ import sys
 from contextlib import redirect_stderr, redirect_stdout
 from pathlib import Path
 
+import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
@@ -462,17 +463,24 @@ def mismatched_inputs(tmp_path_factory):
     out = tmp_path_factory.mktemp("shapes")
     for prefix, d, k in (("d2", 2, 2), ("d3", 3, 2), ("k3", 2, 3)):
         assert main(["--out", str(out), "gen", "--n", "40", "--d", str(d), "--k", str(k), "--prefix", prefix]) == 0
-    from phdkit.models import linear_hypothesis, save_hypothesis
+    from phdkit.models import linear_hypothesis, linear_multiclass_hypothesis, save_hypothesis
 
     save_hypothesis(linear_hypothesis([1.0, 1.0], 0.0), out / "h.bin")
+    for k in (3, 5):
+        save_hypothesis(linear_multiclass_hypothesis(np.eye(2, k), np.arange(k) / k), out / f"k{k}.bin")
     return out
 
 
-@pytest.mark.parametrize("case", ["dh", "dh-adv", "disc", "bounds-ineq2", "bounds-ineq3", "train-three-class"])
+@pytest.mark.parametrize("case", ["dh", "dh-adv", "disc", "bounds-ineq2", "bounds-ineq3", "train-three-class",
+                                  "bounds-ineq2-disc-value", "bounds-ineq3-disc-value", "phd-two-vs-five-classes",
+                                  "phd-margin-three-vs-five-classes", "sdisc-three-classes",
+                                  "bounds-ineq2-three-classes", "bounds-thm1-two-vs-three-classes"])
 def test_shape_and_label_faults_exit_2_with_json(case, mismatched_inputs, capsys):
     out = mismatched_inputs
     pair = ["--source", str(out / "d2_source.csv"), "--target", str(out / "d3_target.csv")]
-    models = ["--h", str(out / "h.bin"), "--h1", str(out / "h.bin")]
+    same = ["--source", str(out / "d2_source.csv"), "--target", str(out / "d2_target.csv")]
+    h, k3, k5 = (str(out / name) for name in ("h.bin", "k3.bin", "k5.bin"))
+    models = ["--h", h, "--h1", h]
     argv = {
         "dh": ["dh", *pair],
         "dh-adv": ["dh", *pair, "--method", "adv", "--epochs", "1", "--hidden", "4"],
@@ -480,11 +488,27 @@ def test_shape_and_label_faults_exit_2_with_json(case, mismatched_inputs, capsys
         "bounds-ineq2": ["bounds", "--bound", "ineq2", *pair, *models],
         "bounds-ineq3": ["bounds", "--bound", "ineq3", *pair, *models],
         "train-three-class": ["train", "--data", str(out / "k3_source.csv"), "--epochs", "1", "--hidden", "4"],
+        "bounds-ineq2-disc-value": ["bounds", "--bound", "ineq2", *pair, *models, "--disc-value", "0.1"],
+        "bounds-ineq3-disc-value": ["bounds", "--bound", "ineq3", *pair, *models, "--disc-value", "0.1"],
+        "phd-two-vs-five-classes": ["phd", "--h1", h, "--h2", k5, "--target", same[3]],
+        "phd-margin-three-vs-five-classes": ["phd", "--loss", "margin", "--h1", k3, "--h2", k5, "--target", same[3]],
+        "sdisc-three-classes": ["sdisc", *same, "--model", k3],
+        "bounds-ineq2-three-classes": ["bounds", "--bound", "ineq2", *same, "--h", k3, "--h1", k3],
+        "bounds-thm1-two-vs-three-classes": ["bounds", "--bound", "thm1", "--target", same[3], *models, "--h2", k3],
     }[case]
     code, _, err = run(["--out", str(out / case)] + argv, capsys)
     assert code == 2
     (line,) = err.strip().splitlines()
     assert json.loads(line)["error"] == "ContractError"
+
+
+def test_each_command_writes_its_own_meta_file(tmp_path, capsys):
+    src, _ = _gen(tmp_path, capsys, n=40)
+    _train(tmp_path, capsys, src, "h.bin", 3)
+    for name in ("gen", "train"):
+        meta = json.loads((tmp_path / f"{name}_meta.json").read_text())
+        assert meta["report"] == f"{name}_report.json" and (tmp_path / meta["report"]).is_file()
+    assert not (tmp_path / "run_meta.json").exists()
 
 
 @pytest.mark.parametrize("argv", [
@@ -510,6 +534,8 @@ def test_bad_repro_overrides_exit_2_before_training(argv, tmp_path, capsys, monk
 @pytest.mark.parametrize("name,data,error", [
     ("latin1.csv", "x,label\n\xe9,0\n".encode("latin-1"), "FormatError"),
     ("empty.csv", b"", "FormatError"),
+    *((f"label-{v}.csv", f"x,label\n0.5,0\n1.5,{v}\n".encode(), "FormatError")
+      for v in ("1.7", "-0.5", "inf", "1e30")),
     ("nosection.ini", b"n = 5\n", "ConfigError"),
     ("duplicate.ini", b"[gen]\nn = 1\nn = 2\n", "ConfigError"),
 ])
@@ -757,3 +783,122 @@ def test_malformed_model_and_idx_files_never_escape_the_exit_contract(reader_dir
     assert code in (0, 2)
     if code == 2:
         assert "error" in json.loads(err.getvalue().strip().splitlines()[-1])
+
+
+# --- inputs that disagree across files -------------------------------------------
+
+# Each command that reads two or more inputs, as (flag, kind) pairs and fixed
+# flags. "model" is a binary model, "scores" a two-class model of two scores
+# (the margin loss needs one score per class); every model input is one the
+# command compares with another model or, for sdisc, with the binary stumps.
+# Optional inputs end in "?". Repeated flags are joined by commas.
+PAIR = (("--source", "csv"), ("--target", "csv"))
+BOUND_READS = {
+    "ineq1": ("h", "h1"), "ineq2": ("h", "h1", "source"), "ineq3": ("h", "h1", "source"),
+    "thm1": ("h", "h1", "h2"), "thm2": ("h1", "h2", "h1_star", "h2_star"),
+    "thm3": ("h", "h1", "h2", "h1_star", "h2_star"), "thm4": ("h", "h1", "h2"), "thm6": ("h", "h1", "h2"),
+    "lemma1": (),
+}
+
+
+def _bound_inputs(bound, reads):
+    model = "scores" if bound == "thm6" else "model"
+    inputs = [("--target", "csv"), *((f"--{k.replace('_', '-')}", "csv" if k == "source" else model) for k in reads)]
+    if bound not in ("thm2", "lemma1"):  # the bounds with a diagnostic term
+        inputs.append(("--ht-star", model + "?"))
+    fixed = ("--bound", bound, "--rad-draws", "2", *(("--disc-value?", "0.1") if bound in ("ineq2", "ineq3") else ()))
+    return tuple(inputs), fixed
+
+
+CROSS_FILE = {
+    "phd": ((("--h1", "model"), ("--h2", "model"), ("--target", "csv")), ()),
+    "phd-margin": ((("--h1", "scores"), ("--h2", "scores"), ("--target", "csv")), ("--loss", "margin")),
+    "dh": (PAIR, ()),
+    "sdisc": ((*PAIR, ("--model", "model")), ()),
+    "disc": (PAIR, ()),
+    "w1": (PAIR, ()),
+    "coral": (PAIR, ()),
+    "tritrain": (PAIR, ("--hidden", "", "--epochs", "1", "--rounds", "1")),
+    "select": ((("--sources", "csv"), ("--sources", "csv"), ("--target", "csv")),
+               ("--hidden", "", "--epochs", "1", "--ssl-rounds", "1", "--top-k", "1")),
+    **{f"bounds-{b}": _bound_inputs(b, reads) for b, reads in BOUND_READS.items()},
+}
+# the malformed CSVs, each one cell or the whole file away from base.csv
+CELL_FAULTS = ("nan-feature", "inf-feature", "label-1.7", "label-inf", "label-1e30", "ragged", "header-only")
+
+
+@pytest.fixture(scope="module")
+def cross_file_dir(tmp_path_factory):
+    from phdkit.data import Dataset, write_csv
+    from phdkit.models import linear_hypothesis, linear_multiclass_hypothesis, save_hypothesis
+
+    d = tmp_path_factory.mktemp("cross")
+    X = np.random.default_rng(0).standard_normal((24, 3))
+    y = (X[:, 0] + X[:, 1] > 0).astype(np.int64)
+    write_csv(Dataset(X[:, :2], y), d / "base.csv")
+    write_csv(Dataset(X, y), d / "features-3.csv")
+    lines = (d / "base.csv").read_text().splitlines(keepends=True)
+    row = lines[5].rstrip("\n").split(",")
+    for fault, new in {"nan-feature": ["nan", *row[1:]], "inf-feature": [row[0], "-inf", row[2]],
+                       "label-1.7": [*row[:2], "1.7"], "label-inf": [*row[:2], "inf"],
+                       "label-1e30": [*row[:2], "1e30"], "ragged": row[:2]}.items():
+        (d / f"{fault}.csv").write_text("".join(lines[:5]) + ",".join(new) + "\n" + "".join(lines[6:]))
+    (d / "header-only.csv").write_text(lines[0])
+    save_hypothesis(linear_hypothesis([1.0, 1.0], 0.0), d / "model.bin")
+    save_hypothesis(linear_hypothesis([1.0, 1.0, 0.5], 0.0), d / "model-features-3.bin")
+    save_hypothesis(linear_multiclass_hypothesis([[1.0, -1.0], [0.5, 0.0]], [0.0, 0.1]), d / "scores.bin")
+    save_hypothesis(linear_multiclass_hypothesis([[1.0, -1.0], [0.5, 0.0], [0.0, 1.0]], [0.0, 0.1]),
+                    d / "scores-features-3.bin")
+    save_hypothesis(linear_multiclass_hypothesis(np.eye(2, 3), [0.0, 0.1, 0.2]), d / "classes-3.bin")
+    return d
+
+
+@st.composite
+def cross_file_base(draw):
+    """A command with a valid base of inputs: its argv head, its (flag, kind) inputs and its flags."""
+    command = draw(st.sampled_from(sorted(CROSS_FILE)))
+    inputs, fixed = CROSS_FILE[command]
+    inputs = [(flag, kind.rstrip("?")) for flag, kind in inputs if not kind.endswith("?") or draw(st.booleans())]
+    fixed = [a for f, a in zip(fixed[::2], fixed[1::2]) if not f.endswith("?") or draw(st.booleans())
+             for a in (f.rstrip("?"), a)]
+    return [command.split("-")[0], *fixed], inputs
+
+
+def _one_input_changed(inputs, change):
+    """(input index, replacement file) for each way to change one input in the named way."""
+    if change == "feature count":
+        return [(i, "features-3.csv" if kind == "csv" else f"{kind}-features-3.bin")
+                for i, (_, kind) in enumerate(inputs)] if len(inputs) > 1 else []
+    if change == "class count":
+        return [(i, "classes-3.bin") for i, (_, kind) in enumerate(inputs) if kind != "csv"]
+    return [(i, f"{fault}.csv") for i, (_, kind) in enumerate(inputs) if kind == "csv" for fault in CELL_FAULTS]
+
+
+def _run_with_inputs(head, inputs, paths):
+    joined: dict[str, list[str]] = {}
+    for (flag, _), path in zip(inputs, paths):
+        joined.setdefault(flag, []).append(path)
+    argv = ["--out", "out", *head, *(a for flag, ps in joined.items() for a in (flag, ",".join(ps)))]
+    err = io.StringIO()
+    with redirect_stdout(io.StringIO()), redirect_stderr(err):
+        code = main(argv)
+    assert "Traceback" not in err.getvalue()
+    return code, err.getvalue().strip().splitlines(), argv
+
+
+@settings(max_examples=200, deadline=None)
+@given(base=cross_file_base(), change=st.sampled_from(["feature count", "class count", "malformed cell"]))
+def test_inputs_that_disagree_across_files_exit_2_and_a_valid_base_exits_0(cross_file_dir, base, change):
+    head, inputs = base
+    paths = [{"csv": "base.csv", "model": "model.bin", "scores": "scores.bin"}[kind] for _, kind in inputs]
+    cwd = os.getcwd()
+    os.chdir(cross_file_dir)  # the input names are relative
+    try:
+        code, lines, argv = _run_with_inputs(head, inputs, paths)
+        assert code == 0, (argv, lines)
+        for i, path in _one_input_changed(inputs, change):
+            code, lines, argv = _run_with_inputs(head, inputs, [*paths[:i], path, *paths[i + 1:]])
+            assert code == 2 and len(lines) == 1, (argv, code, lines)
+            assert "error" in json.loads(lines[0])
+    finally:
+        os.chdir(cwd)

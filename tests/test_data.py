@@ -204,6 +204,24 @@ def test_csv_ragged_row_reports_offset(tmp_path):
     assert e.value.offset == len("a,b\n1,2\n")
 
 
+@pytest.mark.parametrize("label", ["1.7", "-0.5", "inf", "1e30"])
+def test_csv_label_that_is_not_an_int64_integer_reports_its_line_and_offset(label, tmp_path):
+    p = tmp_path / "d.csv"
+    p.write_text(f"x,label\n0.5,0\n1.5,{label}\n")
+    with pytest.raises(FormatError, match=f"label '{label}' at line 3") as e:
+        read_csv(p, label_col="label")
+    assert e.value.offset == len("x,label\n0.5,0\n")
+
+
+def test_csv_integer_labels_read_as_before(tmp_path):
+    p = tmp_path / "d.csv"
+    p.write_text("x,label\n0.5,0\n1.5,1.0\n2.5,1\n")
+    assert read_csv(p, label_col="label").y.tolist() == [0, 1, 1]
+    p.write_text("x,label\n0.5,0\n1.5,-1\n")
+    with pytest.raises(ContractError, match="labels must lie"):
+        read_csv(p, label_col="label")
+
+
 def test_csv_empty_file(tmp_path):
     p = tmp_path / "d.csv"
     p.write_text("")

@@ -130,6 +130,15 @@ def test_margin_loss_indicator():
     assert empirical_risk(h, D.y, D, margin(2.0)) == 1.0  # gap 1.5 <= 2
 
 
+def test_margin_risk_rejects_a_reference_label_beyond_the_scores():
+    h = linear_multiclass_hypothesis(np.zeros((1, 3)), [2.0, 0.5, 0.1])
+    D = Dataset(np.zeros((2, 1)))
+    five = linear_multiclass_hypothesis(np.zeros((1, 5)), [0.0, 0.0, 0.0, 0.0, 1.0])  # predicts class 4
+    for ref in (np.array([0, 3]), five):
+        with pytest.raises(ContractError, match="no score"):
+            empirical_risk(h, ref, D, margin(1.0))
+
+
 def test_zero_one_is_one_minus_accuracy():
     D, _ = gen_gaussian_pair(64, 2, seed=8)
     h = linear_hypothesis([0.3, -1.0], 0.1)
