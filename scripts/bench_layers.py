@@ -1,6 +1,7 @@
 #!/usr/bin/env python3
-"""Per-call time and minor page faults of the MLP hot path, plus one table1
-seed and one fig2 (seed, sigma) end to end, appended to a BENCH file.
+"""Per-call time and minor page faults of the MLP hot path and the exact
+pair-enumeration discrepancy, plus one table1 seed and one fig2 (seed,
+sigma) end to end, appended to a BENCH file.
 
 Measures, for the adversarial estimators' network (16 -> 128 -> 128 -> 1
 with batch norm):
@@ -15,6 +16,12 @@ with batch norm):
 - ``train_fig2_sources``: training the 20 source models of one fig2
   (seed, sigma) at the default config (8 -> 32 -> 4 with batch norm, 400
   rows, 20 epochs of batch 64) in one ``train_erm_many`` call
+- ``disc_exact_pair_b``: ``discrepancy.disc_exact`` on the shape of the
+  benchmark's ``exact-cli`` disc command (two 300-row Gaussian samples,
+  d = 2: 2,398 stumps)
+- ``disc_exact_binary_784``: ``disc_exact`` on two 2,000-row samples of
+  784 binary features (1,570 stumps): many features of one threshold each,
+  where pair b has few features of many thresholds
 
 The training kernels and the witness compute in the trainer's dtype
 (``models.TRAIN_DTYPE``). Each kernel runs WARMUP untimed calls, then
@@ -23,7 +30,8 @@ microseconds per call, their median and quartiles, and the minor faults
 (``ru_minflt``) per call over all timed calls. Calls reuse one workspace,
 as a training run or a witness does. The forward and backward kernels run
 one replica of the trainer's leading replica axis. ``train_fig2_sources``
-runs one untimed call, then E2E_REPEATS single calls.
+runs one untimed call, then E2E_REPEATS single calls; the ``disc_exact``
+rows run DISC_WARMUP untimed calls, then REPEATS blocks of DISC_CALLS.
 
 The end-to-end rows time, E2E_REPEATS times after the kernels,
 ``protocols.run_table1`` at its default configuration for seed 0
@@ -35,8 +43,8 @@ Each run is appended under its ``--label`` to the JSON file ``--out``, whose
 ``summary`` holds, per label, the median over runs of each median. For a
 comparison of two trees, alternate the runs:
 
-    python3 scripts/bench_layers.py --out BENCH_9.json --src ../parent/src --label parent
-    python3 scripts/bench_layers.py --out BENCH_9.json --label change
+    python3 scripts/bench_layers.py --out BENCH_12.json --src ../parent/src --label parent
+    python3 scripts/bench_layers.py --out BENCH_12.json --label change
 
 ``--src`` selects the source tree ``phdkit`` is imported from; it must have
 ``models.train_erm_many``.
@@ -56,6 +64,7 @@ ROOT = Path(__file__).resolve().parent.parent
 THREAD_ENV = ("OPENBLAS_NUM_THREADS", "OMP_NUM_THREADS", "MKL_NUM_THREADS")
 WARMUP, REPEATS, CALLS = 20, 9, 20
 E2E_REPEATS = 3
+DISC_WARMUP, DISC_CALLS = 3, 3
 
 
 def _measure(fn, warmup: int = WARMUP, repeats: int = REPEATS, calls: int = CALLS) -> dict:
@@ -77,7 +86,8 @@ def _measure(fn, warmup: int = WARMUP, repeats: int = REPEATS, calls: int = CALL
 def run() -> tuple[dict, dict, str]:
     import numpy as np
     from phdkit import models, protocols
-    from phdkit.discrepancy import _scan_threshold_gap
+    from phdkit.data import Dataset, gen_gaussian_pair
+    from phdkit.discrepancy import StumpClass, _scan_threshold_gap, disc_exact
 
     dt = models.TRAIN_DTYPE
     rng = np.random.default_rng(0)
@@ -119,6 +129,13 @@ def run() -> tuple[dict, dict, str]:
             for i, S in enumerate(sources) for j in (1, 2)]
     measured["train_fig2_sources"] = _measure(lambda: models.train_erm_many(runs, src_arch), 1, E2E_REPEATS, 1)
 
+    pair_b = gen_gaussian_pair(300, 2, shift=0.25, rotate=0.3, seed=1)
+    binary = (Dataset((rng.random((2000, 784)) < 0.5).astype(float)),
+              Dataset((rng.random((2000, 784)) < 0.4).astype(float)))
+    for name, (S, T) in (("disc_exact_pair_b", pair_b), ("disc_exact_binary_784", binary)):
+        cls = StumpClass.from_data(S, T)
+        measured[name] = _measure(lambda: disc_exact(S, T, cls), DISC_WARMUP, REPEATS, DISC_CALLS)
+
     table1 = protocols.Table1Config(seeds=(0,))
     e2e = {"table1_seed0": _measure(lambda: protocols.run_table1(table1), 0, E2E_REPEATS, 1),
            "fig2_seed0_sigma0.3": _measure(lambda: protocols.run_fig2(fig2), 0, E2E_REPEATS, 1)}
@@ -134,6 +151,8 @@ def environment(train_dtype: str) -> dict:
         "repeats": REPEATS,
         "calls_per_repeat": CALLS,
         "e2e_repeats": E2E_REPEATS,
+        "disc_warmup": DISC_WARMUP,
+        "disc_calls_per_repeat": DISC_CALLS,
         "train_dtype": train_dtype,
         "nproc": len(os.sched_getaffinity(0)),
         "python": platform.python_version(),

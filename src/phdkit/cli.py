@@ -232,31 +232,32 @@ def _sup_value(v, measure) -> float:
     return v.disc_value if v.disc_value is not None else measure(v.S, v.T, StumpClass.from_data(v.S, v.T)).value
 
 
-# Per bound: the flags it reads besides --target (--ht-star is an optional
-# diagnostic for all), whether it has a complexity and a confidence term, and
-# its call on the loaded inputs. The calls resolve each bound function by name
-# when they run, so a wrapper installed on this module after import
-# (perfbench's layer tracer) still runs.
+# Per bound: the flags it reads besides --target, whether it has a complexity
+# and a confidence term, whether it has the diagnostic term that the optional
+# --ht-star feeds, and its call on the loaded inputs. The calls resolve each
+# bound function by name when they run, so a wrapper installed on this module
+# after import (perfbench's layer tracer) still runs.
 BOUNDS = {
-    "ineq1": (("h", "h1"), False, lambda v: bound_ineq1(v.h, v.h1, v.T, **v.diag)),
-    "ineq2": (("h", "h1", "source"), False, lambda v: bound_ineq2(
+    "ineq1": (("h", "h1"), False, True, lambda v: bound_ineq1(v.h, v.h1, v.T, **v.diag)),
+    "ineq2": (("h", "h1", "source"), False, True, lambda v: bound_ineq2(
         v.h, v.h1, v.S, v.T, _sup_value(v, lambda S, T, cls: sdisc_exact(S, T, v.h1, cls)), **v.diag)),
-    "ineq3": (("h", "h1", "source"), False,
+    "ineq3": (("h", "h1", "source"), False, True,
               lambda v: bound_ineq3(v.h, v.h1, v.S, v.T, _sup_value(v, disc_exact), **v.diag)),
-    "thm1": (("h", "h1", "h2"), False, lambda v: bound_thm1(v.h, v.h1, v.h2, v.T, **v.diag)),
-    "thm2": (("h1", "h2", "h1_star", "h2_star"), True,
+    "thm1": (("h", "h1", "h2"), False, True, lambda v: bound_thm1(v.h, v.h1, v.h2, v.T, **v.diag)),
+    "thm2": (("h1", "h2", "h1_star", "h2_star"), True, False,
              lambda v: thm2_dev_report(v.h1, v.h2, v.h1_star, v.h2_star, v.T, v.rad, v.delta)),
-    "thm3": (("h", "h1", "h2", "h1_star", "h2_star"), True,
+    "thm3": (("h", "h1", "h2", "h1_star", "h2_star"), True, True,
              lambda v: bound_thm3(v.h, v.h1, v.h2, v.h1_star, v.h2_star, v.T, v.rad, v.delta, **v.diag)),
-    "thm4": (("h", "h1", "h2"), True, lambda v: bound_thm4(v.h, v.h1, v.h2, v.T, v.rad, v.delta, **v.diag)),
-    "thm6": (("h", "h1", "h2"), True,
+    "thm4": (("h", "h1", "h2"), True, True,
+             lambda v: bound_thm4(v.h, v.h1, v.h2, v.T, v.rad, v.delta, **v.diag)),
+    "thm6": (("h", "h1", "h2"), True, True,
              lambda v: bound_thm6_margin(v.h, v.h1, v.h2, v.T, v.rho, v.rad, v.delta, **v.diag)),
-    "lemma1": ((), False, lambda v: lemma1_report(v.bound_m, v.T.n, v.delta)),
+    "lemma1": ((), False, False, lambda v: lemma1_report(v.bound_m, v.T.n, v.delta)),
 }
 
 
 def cmd_bounds(args) -> None:
-    flags, finite_sample, call = BOUNDS[args.bound]
+    flags, finite_sample, diagnostic, call = BOUNDS[args.bound]
     missing = ["--" + k.replace("_", "-") for k in flags if getattr(args, k) is None]
     if missing:
         raise ConfigError(f"bounds --bound {args.bound} needs {', '.join(missing)}")
@@ -270,8 +271,9 @@ def cmd_bounds(args) -> None:
     if args.bound == "thm6" and {v.h.k, v.h1.k, v.h2.k} != {args.k_classes}:
         raise ConfigError(f"--k-classes {args.k_classes} must equal the class count of the model files "
                           f"(h {v.h.k}, h1 {v.h1.k}, h2 {v.h2.k})")
-    v.diag = {"h_t_star": load_hypothesis(args.ht_star) if args.ht_star else None,
-              "oracle_T": v.T if v.T.labeled else None}
+    if diagnostic:
+        v.diag = {"h_t_star": load_hypothesis(args.ht_star) if args.ht_star else None,
+                  "oracle_T": v.T if v.T.labeled else None}
     if "source" in flags:
         v.S = _load_dataset(args.source, args.label_col)
         if v.S.d != v.T.d:

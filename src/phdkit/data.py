@@ -353,18 +353,19 @@ def read_csv(path, label_col: str | None = None) -> Dataset:
 
 
 def write_csv(D: Dataset, path) -> None:
-    """Emit features (and labels, when present) with a header row."""
+    """Emit features (and labels, when present) with a header row.
+
+    The bytes are those of ``csv.writer``: no field needs quoting, and
+    every line ends in ``\\r\\n``.
+    """
+    header = [f"x{j}" for j in range(D.d)]
+    rows = D.X.tolist()
+    if D.y is not None:
+        header.append("label")
+        for row, label in zip(rows, D.y.tolist()):
+            row.append(label)
     with open(path, "w", newline="") as f:
-        w = _csv.writer(f)
-        header = [f"x{j}" for j in range(D.d)]
-        if D.y is not None:
-            header.append("label")
-        w.writerow(header)
-        for i in range(D.n):
-            row = [repr(float(v)) for v in D.X[i]]
-            if D.y is not None:
-                row.append(str(int(D.y[i])))
-            w.writerow(row)
+        f.write(",".join(header) + "\r\n" + "".join(",".join(map(repr, row)) + "\r\n" for row in rows))
 
 
 def split(D: Dataset, spec: SplitSpec) -> list[Dataset]:

@@ -307,8 +307,9 @@ def disc_exact(S: Dataset, T: Dataset, cls: StumpClass) -> DiscrepancyReport:
     """Exact discrepancy distance: supremum over ordered pairs in the class.
 
     In one dimension this reduces to the range of the CDF gap. In higher
-    dimensions all pairs are enumerated through prediction matrices, which
-    caps the workable class size.
+    dimensions all pairs are enumerated through the Gram matrix of the
+    polarity +1 members' predictions on each sample (a member and its
+    polarity flip differ only in sign), which caps the workable class size.
     """
     _require_pair(S, T)
     if cls.d == 1:
@@ -328,17 +329,39 @@ def disc_exact(S: Dataset, T: Dataset, cls: StumpClass) -> DiscrepancyReport:
             f"class size {cls.size} exceeds the pair-enumeration cap {DISC_CLASS_CAP}; "
             "subsample the data or restrict features"
         )
-    Ps = cls.prediction_matrix(S.X).astype(np.float32)
-    Pt = cls.prediction_matrix(T.X).astype(np.float32)
-    # risk(h,h') = (1 - <p_h, p_h'>/n) / 2 for signed predictions
-    Rs = (1.0 - (Ps @ Ps.T) / S.n) / 2.0
-    Rt = (1.0 - (Pt @ Pt.T) / T.n) / 2.0
-    gap = np.abs(Rt - Rs)
-    i, jj = np.unravel_index(int(np.argmax(gap)), gap.shape)
+    gap = _pair_risks(cls, T)
+    gap -= _pair_risks(cls, S)
+    np.abs(gap, out=gap)
+    # Rows 2a and 2a+1 of the full m x m gap matrix hold the same values, so
+    # its first row-major maximum lies in row 2a of the first a to reach it,
+    # whose entries are gap[0, a] and gap[1, a] interleaved.
+    a = int(np.argmax(gap.max(axis=(0, 2))))
+    row = gap[:, a].T.ravel()
+    j = int(np.argmax(row))
     members = list(cls.members())
-    return DiscrepancyReport("disc", float(gap[i, jj]), "exact-enumeration",
-                             details={"pair": [list(members[i]), list(members[jj])]},
+    return DiscrepancyReport("disc", float(row[j]), "exact-enumeration",
+                             details={"pair": [list(members[2 * a]), list(members[j])]},
                              n_source=S.n, n_target=T.n)
+
+
+def _pair_risks(cls: StumpClass, D: Dataset) -> np.ndarray:
+    """Zero-one risks on D of the member pairs (2a+p, 2b+p') of the class,
+    as a 2 x (m/2) x (m/2) array: [0] at equal polarities, [1] at opposite.
+
+    For signed predictions risk(h, h') = (1 - <p_h, p_h'>/n) / 2. Member
+    2a+1 is member 2a negated, so with q the Gram of the even (polarity +1)
+    rows over n the risks are (1 - q)/2 and (1 + q)/2, bit for bit as from
+    the full Gram: its entries are integers exact in float32, and x / n is
+    sign symmetric.
+    """
+    P = cls.prediction_matrix(D.X)[0::2].astype(np.float32)
+    risks = np.empty((2, P.shape[0], P.shape[0]), dtype=np.float32)
+    q = np.matmul(P, P.T, out=risks[1])
+    q /= D.n
+    np.subtract(1.0, q, out=risks[0])
+    q += 1.0
+    risks /= 2.0
+    return risks
 
 
 # ---------------------------------------------------------------------------
@@ -405,9 +428,10 @@ def _adversarial_gap(S: Dataset, T: Dataset, ref, arch: Arch, cfg: TrainConfig, 
         ys, yt = (ref_sf, 1 - ref_tf) if k == 0 else (1 - ref_sf, ref_tf)
         D = Dataset(np.vstack([S_fit.X, T_fit.X]), np.concatenate([ys, yt]), 2)
         # Every hypothesis visited during training is a valid witness for the
-        # supremum lower bound; keep the best-statistic checkpoint.
-        h, _ = train_erm_traced(D, arch, replace(cfg, seed=cfg.seed + k), metric=lambda hyp: -statistic(hyp))
-        stats[direction] = statistic(h)
+        # supremum lower bound; the trace's last entry is the best statistic
+        # over the snapshots, negated.
+        _, trace = train_erm_traced(D, arch, replace(cfg, seed=cfg.seed + k), metric=lambda hyp: -statistic(hyp))
+        stats[direction] = -trace[-1]
     return stats, ref_se, ref_te
 
 

@@ -163,6 +163,18 @@ def test_bounds_command_matches_library_call(bound, bound_inputs, capsys):
     assert json.loads(out)["result"] == expected
 
 
+@pytest.mark.parametrize("bound", ["thm2", "lemma1"])
+def test_bounds_without_the_diagnostic_term_never_load_ht_star(bound, bound_inputs, tmp_path, capsys):
+    _, tgt, models = bound_inputs
+    argv = ["bounds", "--bound", bound, "--target", str(tgt), "--h1", str(models[1]), "--h2", str(models[2]),
+            "--h1-star", str(models[3]), "--h2-star", str(models[4]), "--rad-draws", "8"]
+    code, out, err = run(argv, capsys)
+    assert code == 0, err
+    code, out_flag, err = run(argv + ["--ht-star", str(tmp_path / "missing.bin")], capsys)
+    assert code == 0, err
+    assert json.loads(out_flag)["result"] == json.loads(out)["result"]
+
+
 @pytest.mark.parametrize("bound,dropped", [
     ("ineq1", "--h"), ("ineq2", "--source"), ("ineq3", "--h1"), ("thm1", "--h2"), ("thm2", "--h1-star"),
     ("thm3", "--h2-star"), ("thm4", "--h1"), ("thm6", "--h"),

@@ -1,3 +1,5 @@
+import csv
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
@@ -194,6 +196,25 @@ def test_csv_round_trip(tmp_path):
     back = read_csv(p, label_col="label")
     assert np.allclose(back.X, D.X, atol=0)
     assert np.array_equal(back.y, D.y)
+
+
+def _csv_writer_bytes(D, path):
+    with open(path, "w", newline="") as f:
+        w = csv.writer(f)
+        w.writerow([f"x{j}" for j in range(D.d)] + (["label"] if D.y is not None else []))
+        for i in range(D.n):
+            w.writerow([repr(float(v)) for v in D.X[i]] + ([str(int(D.y[i]))] if D.y is not None else []))
+    return path.read_bytes()
+
+
+@pytest.mark.parametrize("labeled", [True, False])
+@pytest.mark.parametrize("n", [0, 1, 7])
+def test_write_csv_bytes_equal_a_csv_writer_reference(labeled, n, tmp_path):
+    extremes = [-0.0, 5e-324, 1e300, -1e300, 0.1, -2.5]
+    X = np.resize(np.array(extremes), (n, 3))
+    D = Dataset(X, np.arange(n) % 2 if labeled else None)
+    write_csv(D, tmp_path / "fast.csv")
+    assert (tmp_path / "fast.csv").read_bytes() == _csv_writer_bytes(D, tmp_path / "reference.csv")
 
 
 def test_csv_ragged_row_reports_offset(tmp_path):

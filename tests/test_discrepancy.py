@@ -5,6 +5,7 @@ from scipy.spatial.distance import cdist
 
 from phdkit.data import Dataset
 from phdkit.discrepancy import (
+    DiscrepancyReport,
     StumpClass,
     _scan_plan,
     _threshold_errors,
@@ -176,6 +177,51 @@ def test_disc_exact_matches_double_loop_oracle():
         S, T = random_instance(rng, n=8, d=2)
         cls = StumpClass.from_data(S, T)
         assert disc_exact(S, T, cls).value == pytest.approx(brute_disc(S, T, cls), abs=1e-6)
+
+
+def full_member_gram_disc(S, T, cls):
+    """disc over the m x m Gram of every member's signed predictions, with
+    the first row-major maximum as the reported pair."""
+    Ps = cls.prediction_matrix(S.X).astype(np.float32)
+    Pt = cls.prediction_matrix(T.X).astype(np.float32)
+    Rs = (1.0 - (Ps @ Ps.T) / S.n) / 2.0
+    Rt = (1.0 - (Pt @ Pt.T) / T.n) / 2.0
+    gap = np.abs(Rt - Rs)
+    i, j = np.unravel_index(int(np.argmax(gap)), gap.shape)
+    members = list(cls.members())
+    return DiscrepancyReport("disc", float(gap[i, j]), "exact-enumeration",
+                             details={"pair": [list(members[i]), list(members[j])]},
+                             n_source=S.n, n_target=T.n)
+
+
+DISC_KINDS = ("gaussian", "ties", "constant-columns", "all-constant", "adjacent-floats", "same-sample")
+
+
+def disc_instance(rng, kind):
+    d = int(rng.integers(2, 7))
+    ns, nt = (int(v) for v in rng.integers(1, 25, size=2))
+    X = rng.standard_normal((ns + nt, d))
+    if kind == "ties":
+        X = np.round(X)
+    elif kind == "constant-columns":
+        X[:, rng.random(d) < 0.5] = 1.5
+    elif kind == "all-constant":
+        X[:] = 0.25
+    elif kind == "adjacent-floats":  # the midpoint of 1.0 and its successor rounds to 1.0
+        X = 1.0 + rng.integers(0, 2, X.shape) * np.spacing(1.0)
+    S = Dataset(X[:ns])
+    return (S, S) if kind == "same-sample" else (S, Dataset(X[ns:]))
+
+
+def test_disc_exact_matches_the_full_member_gram():
+    rng = rng_from(12)
+    unequal = 0
+    for i in range(240):
+        S, T = disc_instance(rng, DISC_KINDS[i % len(DISC_KINDS)])
+        unequal += S.n != T.n
+        cls = StumpClass.from_data(S, T)
+        assert disc_exact(S, T, cls).to_dict() == full_member_gram_disc(S, T, cls).to_dict()
+    assert unequal > 100
 
 
 def test_disc_exact_1d_closed_form_matches_oracle():
