@@ -1,7 +1,7 @@
 #!/usr/bin/env python3
-"""Per-call time and minor page faults of the MLP hot path and the exact
-pair-enumeration discrepancy, plus one table1 seed and one fig2 (seed,
-sigma) end to end, appended to a BENCH file.
+"""Per-call time and minor page faults of the MLP hot path, the exact
+pair-enumeration discrepancy and CSV reading and writing, plus one table1
+seed and one fig2 (seed, sigma) end to end, appended to a BENCH file.
 
 Measures, for the adversarial estimators' network (16 -> 128 -> 128 -> 1
 with batch norm):
@@ -22,6 +22,10 @@ with batch norm):
 - ``disc_exact_binary_784``: ``disc_exact`` on two 2,000-row samples of
   784 binary features (1,570 stumps): many features of one threshold each,
   where pair b has few features of many thresholds
+- ``read_csv_pair_a`` and ``write_csv_pair_a``: ``data.read_csv`` and
+  ``data.write_csv`` of one file of the shape of the benchmark's
+  ``exact-cli`` pair a (2,000 rows of 16 features and a label, written by
+  ``write_csv``)
 
 The training kernels and the witness compute in the trainer's dtype
 (``models.TRAIN_DTYPE``). Each kernel runs WARMUP untimed calls, then
@@ -31,7 +35,8 @@ microseconds per call, their median and quartiles, and the minor faults
 as a training run or a witness does. The forward and backward kernels run
 one replica of the trainer's leading replica axis. ``train_fig2_sources``
 runs one untimed call, then E2E_REPEATS single calls; the ``disc_exact``
-rows run DISC_WARMUP untimed calls, then REPEATS blocks of DISC_CALLS.
+rows run DISC_WARMUP untimed calls, then REPEATS blocks of DISC_CALLS, and
+the CSV rows CSV_WARMUP untimed calls, then REPEATS blocks of CSV_CALLS.
 
 The end-to-end rows time, E2E_REPEATS times after the kernels,
 ``protocols.run_table1`` at its default configuration for seed 0
@@ -43,8 +48,8 @@ Each run is appended under its ``--label`` to the JSON file ``--out``, whose
 ``summary`` holds, per label, the median over runs of each median. For a
 comparison of two trees, alternate the runs:
 
-    python3 scripts/bench_layers.py --out BENCH_12.json --src ../parent/src --label parent
-    python3 scripts/bench_layers.py --out BENCH_12.json --label change
+    python3 scripts/bench_layers.py --out BENCH_13.json --src ../parent/src --label parent
+    python3 scripts/bench_layers.py --out BENCH_13.json --label change
 
 ``--src`` selects the source tree ``phdkit`` is imported from; it must have
 ``models.train_erm_many``.
@@ -57,6 +62,7 @@ import platform
 import resource
 import statistics
 import sys
+import tempfile
 import time
 from pathlib import Path
 
@@ -65,6 +71,7 @@ THREAD_ENV = ("OPENBLAS_NUM_THREADS", "OMP_NUM_THREADS", "MKL_NUM_THREADS")
 WARMUP, REPEATS, CALLS = 20, 9, 20
 E2E_REPEATS = 3
 DISC_WARMUP, DISC_CALLS = 3, 3
+CSV_WARMUP, CSV_CALLS = 3, 10
 
 
 def _measure(fn, warmup: int = WARMUP, repeats: int = REPEATS, calls: int = CALLS) -> dict:
@@ -86,7 +93,7 @@ def _measure(fn, warmup: int = WARMUP, repeats: int = REPEATS, calls: int = CALL
 def run() -> tuple[dict, dict, str]:
     import numpy as np
     from phdkit import models, protocols
-    from phdkit.data import Dataset, gen_gaussian_pair
+    from phdkit.data import Dataset, gen_gaussian_pair, read_csv, write_csv
     from phdkit.discrepancy import StumpClass, _scan_threshold_gap, disc_exact
 
     dt = models.TRAIN_DTYPE
@@ -136,6 +143,14 @@ def run() -> tuple[dict, dict, str]:
         cls = StumpClass.from_data(S, T)
         measured[name] = _measure(lambda: disc_exact(S, T, cls), DISC_WARMUP, REPEATS, DISC_CALLS)
 
+    pair_a, _ = gen_gaussian_pair(2000, 16, shift=0.25, rotate=0.3)
+    with tempfile.TemporaryDirectory() as tmp:
+        path = Path(tmp) / "a_source.csv"
+        write_csv(pair_a, path)
+        measured["read_csv_pair_a"] = _measure(lambda: read_csv(path, label_col="label"),
+                                               CSV_WARMUP, REPEATS, CSV_CALLS)
+        measured["write_csv_pair_a"] = _measure(lambda: write_csv(pair_a, path), CSV_WARMUP, REPEATS, CSV_CALLS)
+
     table1 = protocols.Table1Config(seeds=(0,))
     e2e = {"table1_seed0": _measure(lambda: protocols.run_table1(table1), 0, E2E_REPEATS, 1),
            "fig2_seed0_sigma0.3": _measure(lambda: protocols.run_fig2(fig2), 0, E2E_REPEATS, 1)}
@@ -153,6 +168,8 @@ def environment(train_dtype: str) -> dict:
         "e2e_repeats": E2E_REPEATS,
         "disc_warmup": DISC_WARMUP,
         "disc_calls_per_repeat": DISC_CALLS,
+        "csv_warmup": CSV_WARMUP,
+        "csv_calls_per_repeat": CSV_CALLS,
         "train_dtype": train_dtype,
         "nproc": len(os.sched_getaffinity(0)),
         "python": platform.python_version(),

@@ -88,12 +88,8 @@ DEFAULT_LABEL_COL = "label"
 def _load_dataset(path: str, label_col: str | None = DEFAULT_LABEL_COL, labels: str | None = None) -> Dataset:
     p = Path(path)
     if p.suffix.lower() == ".csv":
-        if label_col == DEFAULT_LABEL_COL and p.exists():
-            # conventional column name: fall back to unlabeled when absent
-            with open(p, "rb") as f:
-                if DEFAULT_LABEL_COL.encode() not in f.readline().rstrip(b"\r\n").split(b","):
-                    label_col = None
-        return read_csv(p, label_col=label_col if label_col else None)
+        # conventional column name: fall back to unlabeled when absent
+        return read_csv(p, label_col=label_col or None, label_optional=label_col == DEFAULT_LABEL_COL)
     return read_idx(p, labels_path=labels)
 
 

@@ -297,12 +297,19 @@ def write_idx(D: Dataset, images_path, labels_path=None) -> None:
             f.write(D.y.astype(np.uint8).tobytes())
 
 
-def read_csv(path, label_col: str | None = None) -> Dataset:
+def read_csv(path, label_col: str | None = None, *, label_optional: bool = False) -> Dataset:
     """Parse a header-row CSV into a Dataset.
 
-    ``label_col`` names the label column in the header. Its values must be
-    integers within int64 (``1`` and ``1.0`` alike); the class count is one
-    more than the largest label, and at least 2.
+    ``label_col`` names the label column in the header; a header without it
+    is a ``FormatError``, unless ``label_optional`` is set, in which case the
+    file reads as unlabeled. Label values must be integers within int64
+    (``1`` and ``1.0`` alike); the class count is one more than the largest
+    label, and at least 2.
+
+    The header and any line that holds a ``"`` are parsed by ``csv``; every
+    other line is split on commas. A malformed line raises a ``FormatError``
+    whose ``offset`` is the byte offset of the line's start, computed only
+    when raising.
     """
     with open(path, "rb") as f:
         raw = f.read()
@@ -312,44 +319,48 @@ def read_csv(path, label_col: str | None = None) -> Dataset:
         raise FormatError(f"CSV file {path} is not UTF-8 text", offset=e.start) from None
     if not lines:
         raise FormatError(f"empty CSV file {path}", offset=0)
-    header = next(_csv.reader([lines[0]]))
-    ncols = len(header)
-    label_idx = None
-    if label_col is not None:
-        if label_col not in header:
-            raise FormatError(f"label column {label_col!r} not in header {header}")
-        label_idx = header.index(label_col)
 
-    rows, labels = [], []
-    offset = len(lines[0].encode("utf-8"))
-    for lineno, line in enumerate(lines[1:], start=2):
-        line_bytes = len(line.encode("utf-8"))
-        if not line.strip():
-            offset += line_bytes
-            continue
-        rec = next(_csv.reader([line]))
-        if len(rec) != ncols:
-            raise FormatError(
-                f"ragged CSV row at line {lineno}: {len(rec)} fields, expected {ncols}",
-                offset=offset,
-            )
+    def fail(message: str, lineno: int) -> FormatError:
+        return FormatError(message, offset=len("".join(lines[: lineno - 1]).encode("utf-8")))
+
+    def parse(lineno: int) -> list[str]:
         try:
-            vals = [float(v) for i, v in enumerate(rec) if i != label_idx]
-            label = float(rec[label_idx]) if label_idx is not None else 0.0
-        except ValueError as e:
-            raise FormatError(f"non-numeric value at line {lineno}: {e}", offset=offset) from None
-        if not (label.is_integer() and -2**63 <= label < 2**63):  # NaN and inf fail is_integer
-            raise FormatError(f"label {rec[label_idx]!r} at line {lineno} is not an int64 integer", offset=offset)
-        rows.append(vals)
-        labels.append(int(label))
-        offset += line_bytes
-    if not rows:
-        raise FormatError(f"CSV file {path} has a header but no data rows", offset=offset)
-    X = np.asarray(rows, dtype=np.float64)
+            return next(_csv.reader([lines[lineno - 1]]))
+        except _csv.Error as e:  # e.g. a field longer than csv.field_size_limit()
+            raise fail(f"unparseable CSV line {lineno}: {e}", lineno) from None
+
+    header = parse(1)
+    ncols = len(header)
+    label_idx = header.index(label_col) if label_col in header else None
+    if label_idx is None and label_col is not None and not label_optional:
+        raise FormatError(f"label column {label_col!r} not in header {header}")
+
+    flat: list[float] = []
+    for lineno, line in enumerate(lines[1:], start=2):
+        if not line.strip():
+            continue
+        rec = parse(lineno) if '"' in line else line.rstrip("\r\n").split(",")
+        if len(rec) != ncols:
+            raise fail(f"ragged CSV row at line {lineno}: {len(rec)} fields, expected {ncols}", lineno)
+        try:
+            flat += map(float, rec)
+        except ValueError:
+            try:  # name the first bad cell in reading order: features, then the label
+                [float(v) for i, v in enumerate(rec) if i != label_idx]
+                float(rec[label_idx])
+            except ValueError as e:
+                raise fail(f"non-numeric value at line {lineno}: {e}", lineno) from None
+        if label_idx is not None:
+            label = flat[label_idx - ncols]
+            if not (label.is_integer() and -2**63 <= label < 2**63):  # NaN and inf fail is_integer
+                raise fail(f"label {rec[label_idx]!r} at line {lineno} is not an int64 integer", lineno)
+    if not flat:
+        raise FormatError(f"CSV file {path} has a header but no data rows", offset=len(raw))
+    X = np.array(flat).reshape(-1, ncols)
     if label_idx is None:
         return Dataset(X)
-    y = np.asarray(labels, dtype=np.int64)
-    return Dataset(X, y, max(2, int(y.max()) + 1))
+    y = X[:, label_idx].astype(np.int64)
+    return Dataset(np.delete(X, label_idx, axis=1), y, max(2, int(y.max()) + 1))
 
 
 def write_csv(D: Dataset, path) -> None:

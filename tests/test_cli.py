@@ -550,6 +550,10 @@ def test_bad_repro_overrides_exit_2_before_training(argv, tmp_path, capsys, monk
       for v in ("1.7", "-0.5", "inf", "1e30")),
     ("nosection.ini", b"n = 5\n", "ConfigError"),
     ("duplicate.ini", b"[gen]\nn = 1\nn = 2\n", "ConfigError"),
+    pytest.param("long-header.csv", b"x" * (csv.field_size_limit() + 1) + b",label\n0.5,0\n", "FormatError",
+                 id="long-header.csv"),
+    pytest.param("long-quoted.csv", b'x,label\n"' + b"1" * (csv.field_size_limit() + 1) + b'",0\n',
+                 "FormatError", id="long-quoted.csv"),
 ])
 def test_malformed_files_exit_2_with_json(name, data, error, tmp_path, capsys):
     path = tmp_path / name
@@ -559,6 +563,26 @@ def test_malformed_files_exit_2_with_json(name, data, error, tmp_path, capsys):
     code, _, err = run(argv, capsys)
     assert code == 2
     assert json.loads(err.strip())["error"] == error
+
+
+@pytest.mark.parametrize("text", ['"label",x0\n1,0\n0,1\n', "x0,label\r0,1\r1,0\r"],
+                         ids=["quoted-header", "cr-line-ends"])
+def test_default_label_column_is_found_where_read_csv_finds_it(text, tmp_path, capsys):
+    from phdkit.cli import _load_dataset
+
+    p = tmp_path / "d.csv"
+    p.write_bytes(text.encode())
+    D = _load_dataset(str(p))
+    assert D.y.tolist() == [1, 0] and D.X.tolist() == [[0.0], [1.0]]
+    code, _, err = run(["--out", str(tmp_path), "train", "--data", str(p), "--hidden", "", "--epochs", "1"], capsys)
+    assert code == 0, err
+    assert json.loads((tmp_path / "train_report.json").read_text())["result"]["train_accuracy"] is not None
+    # an explicit --label-col reads as before: that column, none, or a FormatError
+    D = _load_dataset(str(p), "x0")
+    assert D.y.tolist() == [0, 1] and D.X.tolist() == [[1.0], [0.0]]
+    assert _load_dataset(str(p), "").y is None and _load_dataset(str(p), "").d == 2
+    code, _, err = run(["disc", "--source", str(p), "--target", str(p), "--label-col", "missing"], capsys)
+    assert code == 2 and json.loads(err.strip())["error"] == "FormatError"
 
 
 def test_report_embeds_config_and_version(tmp_path, capsys, monkeypatch):

@@ -2,7 +2,7 @@ import csv
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 from scipy import stats
 
@@ -256,6 +256,130 @@ def test_csv_not_utf8_reports_offset(tmp_path):
     with pytest.raises(FormatError) as e:
         read_csv(p, label_col="label")
     assert e.value.offset == len("x,label\n")
+
+
+def test_csv_over_long_field_reports_its_line_and_offset(tmp_path):
+    p = tmp_path / "d.csv"
+    long = "1" * (csv.field_size_limit() + 1)
+    p.write_text(f"x,label\n0.5,0\n\"{long}\",1\n")
+    with pytest.raises(FormatError, match="line 3") as e:
+        read_csv(p, label_col="label")
+    assert e.value.offset == len("x,label\n0.5,0\n")
+    p.write_text(f"{long},label\n0.5,0\n")
+    with pytest.raises(FormatError, match="line 1") as e:
+        read_csv(p, label_col="label")
+    assert e.value.offset == 0
+
+
+def test_csv_optional_label_column_reads_unlabeled_when_absent(tmp_path):
+    p = tmp_path / "d.csv"
+    p.write_text("x0,x1\n0.5,1\n")
+    assert read_csv(p, label_col="label", label_optional=True).y is None
+    with pytest.raises(FormatError, match="not in header"):
+        read_csv(p, label_col="label")
+    p.write_text('"label",x0\r1,0.5\r')
+    D = read_csv(p, label_col="label", label_optional=True)
+    assert D.y.tolist() == [1] and D.X.tolist() == [[0.5]]
+
+
+def _read_csv_per_line(path, label_col=None):
+    """The reader before the split fast path: one csv.reader per line, a
+    running byte offset, and a float comprehension per row."""
+    with open(path, "rb") as f:
+        raw = f.read()
+    try:
+        lines = raw.decode("utf-8").splitlines(keepends=True)
+    except UnicodeDecodeError as e:
+        raise FormatError(f"CSV file {path} is not UTF-8 text", offset=e.start) from None
+    if not lines:
+        raise FormatError(f"empty CSV file {path}", offset=0)
+    header = next(csv.reader([lines[0]]))
+    ncols = len(header)
+    label_idx = None
+    if label_col is not None:
+        if label_col not in header:
+            raise FormatError(f"label column {label_col!r} not in header {header}")
+        label_idx = header.index(label_col)
+
+    rows, labels = [], []
+    offset = len(lines[0].encode("utf-8"))
+    for lineno, line in enumerate(lines[1:], start=2):
+        line_bytes = len(line.encode("utf-8"))
+        if not line.strip():
+            offset += line_bytes
+            continue
+        rec = next(csv.reader([line]))
+        if len(rec) != ncols:
+            raise FormatError(
+                f"ragged CSV row at line {lineno}: {len(rec)} fields, expected {ncols}",
+                offset=offset,
+            )
+        try:
+            vals = [float(v) for i, v in enumerate(rec) if i != label_idx]
+            label = float(rec[label_idx]) if label_idx is not None else 0.0
+        except ValueError as e:
+            raise FormatError(f"non-numeric value at line {lineno}: {e}", offset=offset) from None
+        if not (label.is_integer() and -2**63 <= label < 2**63):
+            raise FormatError(f"label {rec[label_idx]!r} at line {lineno} is not an int64 integer", offset=offset)
+        rows.append(vals)
+        labels.append(int(label))
+        offset += line_bytes
+    if not rows:
+        raise FormatError(f"CSV file {path} has a header but no data rows", offset=offset)
+    X = np.asarray(rows, dtype=np.float64)
+    if label_idx is None:
+        return Dataset(X)
+    y = np.asarray(labels, dtype=np.int64)
+    return Dataset(X, y, max(2, int(y.max()) + 1))
+
+
+# float() reads "1_0" and "\u0663" (10 and 3); the rest of the first row is not numeric
+_ODD_CELLS = ("abc", "", '1"2', "1,5", "0x1", "--1", "1_0", "\u0663", "1.7", "inf", "-inf", "nan", "1e30", "-1", " 2 ")
+_LABELS = st.one_of(st.sampled_from(["0", "1", "2", "1.0", "-0.0"]), st.sampled_from(_ODD_CELLS))
+_FEATURES = st.one_of(st.floats(allow_nan=False, allow_infinity=False).map(repr),
+                      st.integers(-5, 5).map(str), st.sampled_from(_ODD_CELLS))
+
+
+@st.composite
+def _csv_texts(draw):
+    """A CSV text and the label column to read it with."""
+    ncols = draw(st.integers(1, 4))
+    label_at = draw(st.sampled_from([None, *range(ncols)]))
+
+    def cells(values):
+        # a cell holding a comma or a quote is written quoted, as csv.writer would
+        return [f'"{v.replace(chr(34), 2 * chr(34))}"' if draw(st.booleans()) or "," in v else v for v in values]
+
+    lines = [cells(["label" if j == label_at else f"x{j}" for j in range(ncols)])]
+    for kind in draw(st.lists(st.sampled_from(["row", "row", "row", "blank", "space", "ragged"]), max_size=6)):
+        if kind in ("blank", "space"):
+            lines.append(["" if kind == "blank" else draw(st.sampled_from([" ", "\t", " \t "]))])
+            continue
+        width = ncols if kind == "row" else draw(st.integers(1, ncols + 1))
+        lines.append(cells([draw(_LABELS if j == label_at else _FEATURES) for j in range(width)]))
+    ends = draw(st.lists(st.sampled_from(["\n", "\r\n", "\r", "\x0c"]), min_size=len(lines), max_size=len(lines)))
+    if draw(st.booleans()):
+        ends[-1] = ""
+    text = "".join(",".join(line) + end for line, end in zip(lines, ends))
+    return text, draw(st.sampled_from([None, "label"]))
+
+
+def _csv_outcome(read, path, label_col):
+    try:
+        D = read(path, label_col)
+    except Exception as e:
+        return type(e), str(e), getattr(e, "offset", None)
+    return D.X.shape, D.X.tobytes(), None if D.y is None else D.y.tolist(), D.k
+
+
+@settings(deadline=None, max_examples=400)
+@given(case=_csv_texts())
+@example(case=("label,x0\nabc,xyz\n", "label"))  # two bad cells: the feature's is named
+def test_read_csv_matches_the_per_line_reader(case, tmp_path_factory):
+    text, label_col = case
+    p = tmp_path_factory.mktemp("csv") / "d.csv"
+    p.write_bytes(text.encode("utf-8"))
+    assert _csv_outcome(read_csv, p, label_col) == _csv_outcome(_read_csv_per_line, p, label_col)
 
 
 # --- split -----------------------------------------------------------------
