@@ -1,7 +1,8 @@
 #!/usr/bin/env python3
 """Per-call time and minor page faults of the MLP hot path, the exact
-pair-enumeration discrepancy and CSV reading and writing, plus one table1
-seed and one fig2 (seed, sigma) end to end, appended to a BENCH file.
+pair-enumeration discrepancy, the stump scans and CSV reading and writing,
+plus one table1 seed and one fig2 (seed, sigma) end to end, appended to a
+BENCH file.
 
 Measures, for the adversarial estimators' network (16 -> 128 -> 128 -> 1
 with batch norm):
@@ -22,6 +23,11 @@ with batch norm):
 - ``disc_exact_binary_784``: ``disc_exact`` on two 2,000-row samples of
   784 binary features (1,570 stumps): many features of one threshold each,
   where pair b has few features of many thresholds
+- ``stump_scans_pair_a``: the sorted prefix-sum stump scans on the shape
+  of the benchmark's ``exact-cli`` pair a (two 2,000-row samples of 16
+  Gaussian features): ``StumpClass.from_data`` of both samples,
+  ``dh_exact`` and ``sdisc_exact`` over that class, and a 50-draw stump
+  ``bounds.rademacher`` on the target
 - ``read_csv_pair_a`` and ``write_csv_pair_a``: ``data.read_csv`` and
   ``data.write_csv`` of one file of the shape of the benchmark's
   ``exact-cli`` pair a (2,000 rows of 16 features and a label, written by
@@ -35,7 +41,8 @@ microseconds per call, their median and quartiles, and the minor faults
 as a training run or a witness does. The forward and backward kernels run
 one replica of the trainer's leading replica axis. ``train_fig2_sources``
 runs one untimed call, then E2E_REPEATS single calls; the ``disc_exact``
-rows run DISC_WARMUP untimed calls, then REPEATS blocks of DISC_CALLS, and
+rows run DISC_WARMUP untimed calls, then REPEATS blocks of DISC_CALLS,
+``stump_scans_pair_a`` STUMP_WARMUP, then REPEATS blocks of STUMP_CALLS, and
 the CSV rows CSV_WARMUP untimed calls, then REPEATS blocks of CSV_CALLS.
 
 The end-to-end rows time, E2E_REPEATS times after the kernels,
@@ -48,8 +55,8 @@ Each run is appended under its ``--label`` to the JSON file ``--out``, whose
 ``summary`` holds, per label, the median over runs of each median. For a
 comparison of two trees, alternate the runs:
 
-    python3 scripts/bench_layers.py --out BENCH_13.json --src ../parent/src --label parent
-    python3 scripts/bench_layers.py --out BENCH_13.json --label change
+    python3 scripts/bench_layers.py --out BENCH_14.json --src ../parent/src --label parent
+    python3 scripts/bench_layers.py --out BENCH_14.json --label change
 
 ``--src`` selects the source tree ``phdkit`` is imported from; it must have
 ``models.train_erm_many``.
@@ -71,6 +78,7 @@ THREAD_ENV = ("OPENBLAS_NUM_THREADS", "OMP_NUM_THREADS", "MKL_NUM_THREADS")
 WARMUP, REPEATS, CALLS = 20, 9, 20
 E2E_REPEATS = 3
 DISC_WARMUP, DISC_CALLS = 3, 3
+STUMP_WARMUP, STUMP_CALLS = 3, 10
 CSV_WARMUP, CSV_CALLS = 3, 10
 
 
@@ -93,8 +101,9 @@ def _measure(fn, warmup: int = WARMUP, repeats: int = REPEATS, calls: int = CALL
 def run() -> tuple[dict, dict, str]:
     import numpy as np
     from phdkit import models, protocols
+    from phdkit.bounds import rademacher
     from phdkit.data import Dataset, gen_gaussian_pair, read_csv, write_csv
-    from phdkit.discrepancy import StumpClass, _scan_threshold_gap, disc_exact
+    from phdkit.discrepancy import StumpClass, _scan_threshold_gap, dh_exact, disc_exact, sdisc_exact
 
     dt = models.TRAIN_DTYPE
     rng = np.random.default_rng(0)
@@ -143,7 +152,16 @@ def run() -> tuple[dict, dict, str]:
         cls = StumpClass.from_data(S, T)
         measured[name] = _measure(lambda: disc_exact(S, T, cls), DISC_WARMUP, REPEATS, DISC_CALLS)
 
-    pair_a, _ = gen_gaussian_pair(2000, 16, shift=0.25, rotate=0.3)
+    pair_a, pair_a_target = gen_gaussian_pair(2000, 16, shift=0.25, rotate=0.3)
+    hS = models.linear_hypothesis(rng.standard_normal(16), 0.1)
+
+    def stump_scans():
+        cls = StumpClass.from_data(pair_a, pair_a_target)
+        dh_exact(pair_a, pair_a_target, cls)
+        sdisc_exact(pair_a, pair_a_target, hS, cls)
+        rademacher(pair_a_target, StumpClass.from_data(pair_a_target), draws=50, seed=0)
+
+    measured["stump_scans_pair_a"] = _measure(stump_scans, STUMP_WARMUP, REPEATS, STUMP_CALLS)
     with tempfile.TemporaryDirectory() as tmp:
         path = Path(tmp) / "a_source.csv"
         write_csv(pair_a, path)
@@ -168,6 +186,8 @@ def environment(train_dtype: str) -> dict:
         "e2e_repeats": E2E_REPEATS,
         "disc_warmup": DISC_WARMUP,
         "disc_calls_per_repeat": DISC_CALLS,
+        "stump_warmup": STUMP_WARMUP,
+        "stump_calls_per_repeat": STUMP_CALLS,
         "csv_warmup": CSV_WARMUP,
         "csv_calls_per_repeat": CSV_CALLS,
         "train_dtype": train_dtype,

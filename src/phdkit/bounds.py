@@ -18,7 +18,7 @@ from dataclasses import dataclass, replace
 import numpy as np
 
 from .data import Dataset
-from .discrepancy import StumpClass, _scan_plan, _threshold_errors, phd
+from .discrepancy import StumpClass, _threshold_errors, phd
 from .errors import ConfigError, ContractError, DegenerateInputError
 from .models import (
     Arch,
@@ -137,7 +137,7 @@ def rademacher(T: Dataset, cls, draws: int = DEFAULT_DRAWS, seed: int = 0,
         raise DegenerateInputError("cannot estimate complexity on an empty sample")
     sigmas = (child_rng(seed, 9, k).choice([-1.0, 1.0], size=T.n) for k in range(draws))
     if isinstance(cls, StumpClass):
-        plans = [_scan_plan(T.X[:, j], np.asarray(ths)) for j, ths in enumerate(cls.thresholds) if ths]
+        plans = [plan for _, _, plan in cls.scan_plans(T.X)]
         vals = [_stump_sup_correlation(plans, sigma) for sigma in sigmas]
         method, descr = "exact-finite", f"stumps({cls.size})"
     elif isinstance(cls, Arch):
@@ -160,13 +160,13 @@ def check_delta(delta: float) -> None:
         raise ContractError(f"delta must lie in (0,1), got {delta}")
 
 
-def hoeffding_term(M: float, n: int, delta: float, two_sided: bool = False) -> float:
-    """Concentration penalty M * sqrt(log(a/delta) / (2n)), a = 2 if two-sided."""
+def hoeffding_term(M: float, n: int, delta: float) -> float:
+    """Lemma 1's two-sided concentration penalty M * sqrt(log(2/delta) / (2n))."""
     if not 0 < M < math.inf:
         raise ContractError(f"M must be finite and > 0, got {M}")
     if n < 1:
         raise ContractError(f"n must be >= 1, got {n}")
-    return _confidence(M, 2.0 if two_sided else 1.0, delta, n)
+    return _confidence(M, 2.0, delta, n)
 
 
 def _confidence(coeff: float, num: float, delta: float, n: int) -> float:
@@ -310,4 +310,4 @@ def bound_thm6_margin(h: Hypothesis, h1: Hypothesis, h2: Hypothesis, T: Dataset,
 
 def lemma1_report(M: float, n: int, delta: float) -> BoundReport:
     """The two-sided concentration penalty alone, packaged as a report."""
-    return BoundReport("lemma1", (Term("hoeffding", hoeffding_term(M, n, delta, two_sided=True)),), n, delta)
+    return BoundReport("lemma1", (Term("hoeffding", hoeffding_term(M, n, delta)),), n, delta)

@@ -313,7 +313,7 @@ def cmd_tritrain(args) -> None:
 
 def cmd_select(args) -> None:
     sources = [_load_dataset(p, args.label_col) for p in args.sources.split(",")]
-    T = _load_dataset(args.target).without_labels()
+    T = _load_dataset(args.target, args.label_col).without_labels()
     oracle = _load_dataset(args.oracle, args.label_col) if args.oracle else None
     flags = [bool(v) for v in _numbers(args.clean_flags, int)] if args.clean_flags else None
     cfg = SelectConfig(arch=_arch_from_args(args, sources[0].d), base=_train_cfg(args, args.seed),
@@ -325,7 +325,7 @@ def cmd_select(args) -> None:
 
 def cmd_coral(args) -> None:
     S = _load_dataset(args.source, args.label_col)
-    T = _load_dataset(args.target).without_labels()
+    T = _load_dataset(args.target, args.label_col).without_labels()
     A = coral(S, T, ridge=args.ridge)
     out = Path(args.out or ".")
     out.mkdir(parents=True, exist_ok=True)

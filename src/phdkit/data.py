@@ -307,9 +307,12 @@ def read_csv(path, label_col: str | None = None, *, label_optional: bool = False
     label, and at least 2.
 
     The header and any line that holds a ``"`` are parsed by ``csv``; every
-    other line is split on commas. A malformed line raises a ``FormatError``
-    whose ``offset`` is the byte offset of the line's start, computed only
-    when raising.
+    other line is split on commas, and each cell is read by ``float()``.
+    A data cell that holds ``_`` or a non-ASCII character, which ``float()``
+    would accept, is malformed, as is a non-finite feature. A malformed line
+    raises a ``FormatError`` whose ``offset`` is the byte offset of the
+    line's start, computed only when raising; a non-finite feature is
+    reported after every line has parsed.
     """
     with open(path, "rb") as f:
         raw = f.read()
@@ -324,8 +327,11 @@ def read_csv(path, label_col: str | None = None, *, label_optional: bool = False
         return FormatError(message, offset=len("".join(lines[: lineno - 1]).encode("utf-8")))
 
     def parse(lineno: int) -> list[str]:
+        line = lines[lineno - 1]
+        if '"' not in line and lineno > 1:
+            return line.rstrip("\r\n").split(",")
         try:
-            return next(_csv.reader([lines[lineno - 1]]))
+            return next(_csv.reader([line]))
         except _csv.Error as e:  # e.g. a field longer than csv.field_size_limit()
             raise fail(f"unparseable CSV line {lineno}: {e}", lineno) from None
 
@@ -335,13 +341,19 @@ def read_csv(path, label_col: str | None = None, *, label_optional: bool = False
     if label_idx is None and label_col is not None and not label_optional:
         raise FormatError(f"label column {label_col!r} not in header {header}")
 
+    body = raw[len(lines[0].encode("utf-8")):]
+    odd_body = not body.isascii() or b"_" in body  # only then are lines checked one by one
     flat: list[float] = []
     for lineno, line in enumerate(lines[1:], start=2):
         if not line.strip():
             continue
-        rec = parse(lineno) if '"' in line else line.rstrip("\r\n").split(",")
+        rec = parse(lineno)
         if len(rec) != ncols:
             raise fail(f"ragged CSV row at line {lineno}: {len(rec)} fields, expected {ncols}", lineno)
+        if odd_body and (not line.isascii() or "_" in line):
+            for v in rec:
+                if not v.isascii() or "_" in v:
+                    raise fail(f"cell {v!r} at line {lineno} holds '_' or a non-ASCII character", lineno)
         try:
             flat += map(float, rec)
         except ValueError:
@@ -357,6 +369,11 @@ def read_csv(path, label_col: str | None = None, *, label_optional: bool = False
     if not flat:
         raise FormatError(f"CSV file {path} has a header but no data rows", offset=len(raw))
     X = np.array(flat).reshape(-1, ncols)
+    finite = np.isfinite(X)
+    if not finite.all():  # labels are finite integers by now, so a feature is at fault
+        r, c = np.argwhere(~finite)[0]
+        lineno = [i for i, line in enumerate(lines[1:], start=2) if line.strip()][r]
+        raise fail(f"feature {parse(lineno)[c]!r} at line {lineno} is not finite", lineno)
     if label_idx is None:
         return Dataset(X)
     y = X[:, label_idx].astype(np.int64)

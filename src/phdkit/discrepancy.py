@@ -99,18 +99,18 @@ class DiscrepancyReport:
 # ---------------------------------------------------------------------------
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class StumpClass:
     """Every decision stump distinguishable on a sample, plus both constants.
 
-    ``thresholds[j]`` lists feature j's midpoints between distinct values.
-    Member order is fixed for deterministic tie-breaking: features
-    ascending, thresholds ascending, polarity +1 before -1, constants
-    (class 1 first) at the end.
+    ``thresholds[j]`` is feature j's float64 array of midpoints between
+    distinct values. Member order is fixed for deterministic tie-breaking:
+    features ascending, thresholds ascending, polarity +1 before -1,
+    constants (class 1 first) at the end.
     """
 
     d: int
-    thresholds: tuple[tuple[float, ...], ...]
+    thresholds: tuple[np.ndarray, ...]
 
     @classmethod
     def from_data(cls, *samples: Dataset) -> "StumpClass":
@@ -121,20 +121,16 @@ class StumpClass:
         X = np.vstack([D.X for D in samples])
         if X.shape[0] == 0:
             raise DegenerateInputError("cannot build a stump class from empty data")
-        ths = []
-        for j in range(X.shape[1]):
-            u = np.unique(X[:, j])
-            ths.append(tuple(((u[:-1] + u[1:]) / 2.0).tolist()))
-        return cls(X.shape[1], tuple(ths))
+        return cls(X.shape[1], tuple((u[:-1] + u[1:]) / 2.0 for u in map(np.unique, X.T)))
 
     @property
     def size(self) -> int:
-        return 2 * sum(len(t) for t in self.thresholds) + 2
+        return 2 * sum(t.size for t in self.thresholds) + 2
 
     def members(self):
         """(feature, threshold, polarity) triples; constants use feature -1."""
         for j, ths in enumerate(self.thresholds):
-            for t in ths:
+            for t in ths.tolist():
                 yield (j, t, 1)
                 yield (j, t, -1)
         yield (-1, math.inf, 1)
@@ -149,16 +145,20 @@ class StumpClass:
     def hypotheses(self):
         return [self.hypothesis(m) for m in self.members()]
 
+    def scan_plans(self, X: np.ndarray):
+        """(feature, thresholds, :func:`_scan_plan` of X's column) for every
+        feature that has a threshold."""
+        return ((j, t, _scan_plan(X[:, j], t)) for j, t in enumerate(self.thresholds) if t.size)
+
     def prediction_matrix(self, X) -> np.ndarray:
         """Signed predictions, one row per member, entries in {-1, +1}."""
         X = np.asarray(X, dtype=np.float64)
         rows = []
-        for j, ths in enumerate(self.thresholds):
-            if not ths:
+        for j, t in enumerate(self.thresholds):
+            if not t.size:
                 continue
-            t = np.asarray(ths)
             plus = np.where(X[:, j][None, :] >= t[:, None], 1, -1).astype(np.int8)
-            inter = np.empty((2 * len(ths), X.shape[0]), dtype=np.int8)
+            inter = np.empty((2 * t.size, X.shape[0]), dtype=np.int8)
             inter[0::2] = plus
             inter[1::2] = -plus
             rows.append(inter)
@@ -195,11 +195,8 @@ def stump_erm(cls: StumpClass, D: Dataset) -> Hypothesis:
     n = D.n
     n1 = int(np.sum(D.y == 1))
     best_risk, best = 2.0, None
-    for j, ths in enumerate(cls.thresholds):
-        if not ths:
-            continue
-        t = np.asarray(ths)
-        risk_plus = _threshold_errors(_scan_plan(D.X[:, j], t), D.y) / n
+    for j, t, plan in cls.scan_plans(D.X):
+        risk_plus = _threshold_errors(plan, D.y) / n
         risk_minus = 1.0 - risk_plus
         for risks, pol in ((risk_plus, 1), (risk_minus, -1)):
             i = int(np.argmin(risks))
@@ -216,37 +213,20 @@ def stump_erm(cls: StumpClass, D: Dataset) -> Hypothesis:
 # ---------------------------------------------------------------------------
 
 
-def phd(h1: Hypothesis, h2: Hypothesis, T: Dataset, loss: LossSpec | None = None,
-        exclude=None) -> DiscrepancyReport:
-    """Empirical loss between two fixed hypotheses on target rows.
+def phd(h1: Hypothesis, h2: Hypothesis, T: Dataset, loss: LossSpec | None = None) -> DiscrepancyReport:
+    """Empirical loss between two fixed hypotheses on the target rows T.
 
-    Rows listed in ``exclude`` (such as ``SelfTrainResult.consumed``, the
-    rows self-training fitted on) are dropped so the estimate only sees
-    unseen data.
+    Callers score rows the pair was not fitted on by splitting the target
+    before any training.
     """
     loss = loss or zero_one()
     if h1.k != h2.k:  # the pair are two members of one class H
         raise ContractError(f"PHD pairs hypotheses of one class count, got {h1.k} and {h2.k}")
     if T.n == 0:
         raise DegenerateInputError("target dataset is empty")
-    keep = np.ones(T.n, dtype=bool)
-    if exclude is not None:
-        exclude = np.asarray(exclude, dtype=np.int64)
-        if exclude.size and not (0 <= exclude.min() and exclude.max() < T.n):
-            raise ContractError(f"exclude indices must lie in [0, {T.n}), got {exclude.min()}..{exclude.max()}")
-        keep[exclude] = False
-    idx = np.flatnonzero(keep)
-    if idx.size == 0:
-        raise DegenerateInputError("all target rows are excluded from the discrepancy estimate")
-    Tk = T.take(idx)
-    value = empirical_risk(h1, h2, Tk, loss)
-    return DiscrepancyReport(
-        measure="phd",
-        value=value,
-        method="closed-form",
-        details={"loss": loss.kind, "excluded": int(T.n - idx.size)},
-        n_target=int(idx.size),
-    )
+    return DiscrepancyReport("phd", empirical_risk(h1, h2, T, loss), "closed-form",
+                             details={"loss": loss.kind, "excluded": 0},  # fixed; stored digests pin it
+                             n_target=T.n)
 
 
 # ---------------------------------------------------------------------------
@@ -264,12 +244,8 @@ def _sup_reference_gap(measure: str, S: Dataset, T: Dataset, cls: StumpClass, re
     _require_pair(S, T)
     ref_s, ref_t = ref(S.X), ref(T.X)
     best, info = -1.0, {}
-    for j, ths in enumerate(cls.thresholds):
-        if not ths:
-            continue
-        t = np.asarray(ths)
-        gap = np.abs(_threshold_errors(_scan_plan(T.X[:, j], t), ref_t) / T.n
-                     - _threshold_errors(_scan_plan(S.X[:, j], t), ref_s) / S.n)
+    for (j, t, plan_t), (_, _, plan_s) in zip(cls.scan_plans(T.X), cls.scan_plans(S.X)):
+        gap = np.abs(_threshold_errors(plan_t, ref_t) / T.n - _threshold_errors(plan_s, ref_s) / S.n)
         i = int(np.argmax(gap))
         if gap[i] > best + 1e-15:
             best, info = float(gap[i]), {"feature": j, "threshold": float(t[i]), "polarity": 1}
@@ -313,14 +289,11 @@ def disc_exact(S: Dataset, T: Dataset, cls: StumpClass) -> DiscrepancyReport:
     """
     _require_pair(S, T)
     if cls.d == 1:
-        t = np.asarray(cls.thresholds[0]) if cls.thresholds[0] else np.zeros(0)
-        if t.size:
-            gap = (np.searchsorted(np.sort(T.X[:, 0]), t, side="left") / T.n
-                   - np.searchsorted(np.sort(S.X[:, 0]), t, side="left") / S.n)
-        else:
-            gap = np.zeros(1)
-        hi = max(float(gap.max()), 0.0)
-        lo = min(float(gap.min()), 0.0)
+        t = cls.thresholds[0]
+        gap = (np.searchsorted(np.sort(T.X[:, 0]), t, side="left") / T.n
+               - np.searchsorted(np.sort(S.X[:, 0]), t, side="left") / S.n)
+        # the constants' gap, 0, bounds both ends
+        hi, lo = float(gap.max(initial=0.0)), float(gap.min(initial=0.0))
         return DiscrepancyReport("disc", hi - lo, "exact-enumeration",
                                  details={"feature": 0, "form": "cdf-range"},
                                  n_source=S.n, n_target=T.n)

@@ -638,13 +638,9 @@ def linear_multiclass_hypothesis(W, b, note: str = "") -> Hypothesis:
     return Hypothesis(arch, params, note=note)
 
 
-def constant_hypothesis(d: int, label: int, k: int = 2) -> Hypothesis:
-    """Predicts one class everywhere."""
-    if k == 2:
-        return linear_hypothesis(np.zeros(d), 1.0 if label == 1 else -1.0, note=f"const {label}")
-    b = np.zeros(k)
-    b[label] = 1.0
-    return linear_multiclass_hypothesis(np.zeros((d, k)), b, note=f"const {label}")
+def constant_hypothesis(d: int, label: int) -> Hypothesis:
+    """Binary hypothesis that predicts one class everywhere."""
+    return linear_hypothesis(np.zeros(d), 1.0 if label == 1 else -1.0, note=f"const {label}")
 
 
 def stump_hypothesis(feature: int, threshold: float, polarity: int, d: int) -> Hypothesis:

@@ -1,12 +1,9 @@
 """Confidence-thresholded self-training: labeled source + unlabeled target.
 
 Produces the target-aware second hypothesis of a discrepancy pair by
-continuing from a source hypothesis the caller trained. Target
-rows that enter any retraining round are recorded as consumed so that
-downstream discrepancy estimation can exclude them (``phd(exclude=...)``)
-and only score unseen target data. The training set of source plus
-pseudo-labeled rows, :func:`with_pseudo`, is shared with tri-training's
-labelers.
+continuing from a source hypothesis the caller trained. The training set
+of source plus pseudo-labeled rows, :func:`with_pseudo`, is shared with
+tri-training's labelers.
 """
 
 from __future__ import annotations
@@ -28,8 +25,6 @@ TAU = 0.95
 @dataclass(frozen=True)
 class SelfTrainResult:
     hypothesis: Hypothesis
-    consumed: np.ndarray
-    """Sorted indices of the target rows pseudo-labeled in any round."""
     added_per_round: tuple[int, ...]
 
     @property
@@ -96,4 +91,4 @@ def train_self(S: Dataset, T: Dataset, h: Hypothesis, cfg: TrainConfig, rounds: 
         D, w = with_pseudo(S, T.X[used], pseudo_labels[used])
         h = train_erm(D, h.arch, cfg, sample_weight=w)
 
-    return SelfTrainResult(h, np.flatnonzero(consumed), tuple(added_per_round))
+    return SelfTrainResult(h, tuple(added_per_round))

@@ -113,7 +113,7 @@ def _bootstrap(S: Dataset, rng) -> Dataset:
 
 
 def tritrain_round(S: Dataset, T: Dataset, arch: Arch, cfg: TriTrainConfig, rounds: int,
-                   seed: int = 0, h1: Hypothesis | None = None, h2: Hypothesis | None = None) -> TriTrainResult:
+                   seed: int = 0) -> TriTrainResult:
     """Run the agreement/pseudo-label loop for a number of rounds.
 
     Each round retrains the two labeling hypotheses on their bootstrap
@@ -127,11 +127,8 @@ def tritrain_round(S: Dataset, T: Dataset, arch: Arch, cfg: TriTrainConfig, roun
         raise ConfigError(f"rounds must be >= 1, got {rounds}")
     if not S.labeled:
         raise ContractError("source must be labeled")
-    supplied_pair = h1 is not None and h2 is not None
-
     rng = child_rng(seed, 10)
-    boot1 = _bootstrap(S, rng) if not supplied_pair else None
-    boot2 = _bootstrap(S, rng) if not supplied_pair else None
+    boots = [_bootstrap(S, rng) for _ in range(2)]
 
     n_hold = max(1, int(round(T.n * cfg.holdout_frac)))
     perm = child_rng(seed, 11).permutation(T.n)
@@ -148,13 +145,12 @@ def tritrain_round(S: Dataset, T: Dataset, arch: Arch, cfg: TriTrainConfig, roun
     rad_est = None
 
     for r in range(rounds):
-        if not supplied_pair:
-            if tpl is None or tpl.size == 0:
-                data = [(boot1, None), (boot2, None)]
-            else:
-                data = [with_pseudo(boot, T_pool.X[tpl.indices], tpl.pseudo_labels) for boot in (boot1, boot2)]
-            h1, h2 = train_erm_many([(D, replace(cfg.base, seed=seed * 2 + j), w)
-                                     for j, (D, w) in enumerate(data, 1)], arch)
+        if tpl is None or tpl.size == 0:
+            data = [(boot, None) for boot in boots]
+        else:
+            data = [with_pseudo(boot, T_pool.X[tpl.indices], tpl.pseudo_labels) for boot in boots]
+        h1, h2 = train_erm_many([(D, replace(cfg.base, seed=seed * 2 + j), w)
+                                 for j, (D, w) in enumerate(data, 1)], arch)
 
         tpl = build_tpl(h1, h2, T_pool)
         if tpl.size > 0:

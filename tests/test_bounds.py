@@ -77,15 +77,10 @@ def test_hoeffding_vanishes_with_n():
 
 def test_hoeffding_against_high_precision_oracle():
     mpmath.mp.dps = 50
-    expect = float(mpmath.sqrt(mpmath.log(10) / 400))
+    expect = float(mpmath.sqrt(mpmath.log(20) / 400))
     assert hoeffding_term(1.0, 200, 0.1) == pytest.approx(expect, abs=1e-15)
     two = float(mpmath.sqrt(mpmath.log(2 / mpmath.mpf("0.05")) / (2 * 321)))
-    assert hoeffding_term(1.0, 321, 0.05, two_sided=True) == pytest.approx(two, abs=1e-15)
-
-
-def test_two_sided_with_doubled_delta_equals_one_sided():
-    assert hoeffding_term(2.0, 77, 0.2, two_sided=True) == pytest.approx(
-        hoeffding_term(2.0, 77, 0.1), abs=1e-15)
+    assert hoeffding_term(1.0, 321, 0.05) == pytest.approx(two, abs=1e-15)
 
 
 def test_hoeffding_domain_errors():
@@ -302,7 +297,7 @@ def test_finite_sample_bounds_check_delta_and_the_sample_before_scoring(bound, r
 
 def test_lemma1_report_and_term_validation():
     rep = lemma1_report(1.0, 100, 0.05)
-    assert rep.total == hoeffding_term(1.0, 100, 0.05, two_sided=True)
+    assert rep.total == hoeffding_term(1.0, 100, 0.05)
     with pytest.raises(ContractError):
         Term("bad", -0.5)
 

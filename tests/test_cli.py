@@ -585,6 +585,18 @@ def test_default_label_column_is_found_where_read_csv_finds_it(text, tmp_path, c
     assert code == 2 and json.loads(err.strip())["error"] == "FormatError"
 
 
+@pytest.mark.parametrize("command", [["coral", "--source", "s.csv"],
+                                     ["select", "--sources", "s.csv,s.csv", "--measure", "w1", "--top-k", "1"]])
+def test_label_col_names_the_target_label_too(command, tmp_path, capsys, monkeypatch):
+    monkeypatch.chdir(tmp_path)
+    rng = np.random.default_rng(0)
+    for name in ("s.csv", "t.csv"):
+        rows = [f"{a!r},{b!r},{int(a > 0)}" for a, b in rng.standard_normal((40, 2)).tolist()]
+        (tmp_path / name).write_text("\n".join(["x0,x1,y", *rows]) + "\n")
+    code, _, err = run(["--out", "out", *command, "--target", "t.csv", "--label-col", "y"], capsys)
+    assert code == 0, err
+
+
 def test_report_embeds_config_and_version(tmp_path, capsys, monkeypatch):
     monkeypatch.chdir(tmp_path)  # bare gen writes its CSVs to the cwd
     _, out, _ = run(["gen", "--n", "32", "--d", "2"], capsys)

@@ -1,4 +1,6 @@
 import csv
+import math
+import re
 
 import numpy as np
 import pytest
@@ -282,9 +284,28 @@ def test_csv_optional_label_column_reads_unlabeled_when_absent(tmp_path):
     assert D.y.tolist() == [1] and D.X.tolist() == [[0.5]]
 
 
+@pytest.mark.parametrize("cell,problem", [("1_000", "holds '_' or a non-ASCII character"),
+                                          ("\u0663", "holds '_' or a non-ASCII character"),
+                                          ("nan", "is not finite"), ("inf", "is not finite"),
+                                          ("1e999", "is not finite")])
+def test_csv_number_grammar_reports_its_line_and_offset(cell, problem, tmp_path):
+    p = tmp_path / "d.csv"
+    p.write_text(f"x,label\n0.5,0\n{cell},1\n", encoding="utf-8")
+    with pytest.raises(FormatError, match=re.escape(f"{cell!r} at line 3 {problem}")) as e:
+        read_csv(p, label_col="label")
+    assert e.value.offset == len("x,label\n0.5,0\n")
+
+
+def test_csv_header_may_hold_any_utf8_name(tmp_path):
+    p = tmp_path / "d.csv"
+    p.write_text("\u0663_x,label\n0.5,1\n", encoding="utf-8")
+    assert read_csv(p, label_col="label").X.tolist() == [[0.5]]
+
+
 def _read_csv_per_line(path, label_col=None):
     """The reader before the split fast path: one csv.reader per line, a
-    running byte offset, and a float comprehension per row."""
+    running byte offset, and a float comprehension per row, with the number
+    grammar checked cell by cell and finiteness row by row at the end."""
     with open(path, "rb") as f:
         raw = f.read()
     try:
@@ -301,7 +322,7 @@ def _read_csv_per_line(path, label_col=None):
             raise FormatError(f"label column {label_col!r} not in header {header}")
         label_idx = header.index(label_col)
 
-    rows, labels = [], []
+    rows, labels, where = [], [], []
     offset = len(lines[0].encode("utf-8"))
     for lineno, line in enumerate(lines[1:], start=2):
         line_bytes = len(line.encode("utf-8"))
@@ -314,6 +335,9 @@ def _read_csv_per_line(path, label_col=None):
                 f"ragged CSV row at line {lineno}: {len(rec)} fields, expected {ncols}",
                 offset=offset,
             )
+        for v in rec:
+            if not v.isascii() or "_" in v:
+                raise FormatError(f"cell {v!r} at line {lineno} holds '_' or a non-ASCII character", offset=offset)
         try:
             vals = [float(v) for i, v in enumerate(rec) if i != label_idx]
             label = float(rec[label_idx]) if label_idx is not None else 0.0
@@ -323,9 +347,14 @@ def _read_csv_per_line(path, label_col=None):
             raise FormatError(f"label {rec[label_idx]!r} at line {lineno} is not an int64 integer", offset=offset)
         rows.append(vals)
         labels.append(int(label))
+        where.append(([v for i, v in enumerate(rec) if i != label_idx], lineno, offset))
         offset += line_bytes
     if not rows:
         raise FormatError(f"CSV file {path} has a header but no data rows", offset=offset)
+    for vals, (cells, lineno, off) in zip(rows, where):
+        for v, cell in zip(vals, cells):
+            if not math.isfinite(v):
+                raise FormatError(f"feature {cell!r} at line {lineno} is not finite", offset=off)
     X = np.asarray(rows, dtype=np.float64)
     if label_idx is None:
         return Dataset(X)
@@ -333,7 +362,8 @@ def _read_csv_per_line(path, label_col=None):
     return Dataset(X, y, max(2, int(y.max()) + 1))
 
 
-# float() reads "1_0" and "\u0663" (10 and 3); the rest of the first row is not numeric
+# float() reads "1_0" and "\u0663" (10 and 3) but the CSV grammar does not, and the
+# rest of the first row is not numeric; inf, -inf and nan are not finite features
 _ODD_CELLS = ("abc", "", '1"2', "1,5", "0x1", "--1", "1_0", "\u0663", "1.7", "inf", "-inf", "nan", "1e30", "-1", " 2 ")
 _LABELS = st.one_of(st.sampled_from(["0", "1", "2", "1.0", "-0.0"]), st.sampled_from(_ODD_CELLS))
 _FEATURES = st.one_of(st.floats(allow_nan=False, allow_infinity=False).map(repr),

@@ -1,8 +1,11 @@
+import math
+
 import numpy as np
 import pytest
 from scipy.optimize import linear_sum_assignment
 from scipy.spatial.distance import cdist
 
+from phdkit.bounds import rademacher
 from phdkit.data import Dataset
 from phdkit.discrepancy import (
     DiscrepancyReport,
@@ -19,7 +22,7 @@ from phdkit.discrepancy import (
     stump_erm,
     w1_exact,
 )
-from phdkit.errors import CapacityError, ConfigError, ContractError, DegenerateInputError
+from phdkit.errors import CapacityError, ConfigError, ContractError
 from phdkit.models import (
     TrainConfig,
     constant_hypothesis,
@@ -30,7 +33,7 @@ from phdkit.models import (
     predict,
     stump_hypothesis,
 )
-from phdkit.numkit import rng_from
+from phdkit.numkit import child_rng, rng_from
 
 
 def d1(*vals):
@@ -76,24 +79,6 @@ def test_phd_symmetric_and_triangle():
             assert phd(a, b, T).value == phd(b, a, T).value
             for c in hs:
                 assert phd(a, c, T).value <= phd(a, b, T).value + phd(b, c, T).value + 1e-12
-
-
-def test_phd_excludes_consumed_rows():
-    T = d1(1.0, 2.0, 3.0, 4.0)
-    h1 = stump_hypothesis(0, 2.5, -1, 1)
-    h2 = constant_hypothesis(1, 1)
-    rep = phd(h1, h2, T, exclude=[0, 1])
-    assert rep.n_target == 2
-    assert rep.value == 1.0  # rows 3,4 predicted 0 by h1
-    with pytest.raises(DegenerateInputError):
-        phd(h1, h2, T, exclude=[0, 1, 2, 3])
-
-
-@pytest.mark.parametrize("exclude", [[99], [4], [-1]])
-def test_phd_rejects_exclude_indices_outside_the_target(exclude):
-    T = d1(1.0, 2.0, 3.0, 4.0)
-    with pytest.raises(ContractError):
-        phd(stump_hypothesis(0, 2.5, -1, 1), constant_hypothesis(1, 1), T, exclude=exclude)
 
 
 # --- exact suprema ------------------------------------------------------------
@@ -222,6 +207,54 @@ def test_disc_exact_matches_the_full_member_gram():
         cls = StumpClass.from_data(S, T)
         assert disc_exact(S, T, cls).to_dict() == full_member_gram_disc(S, T, cls).to_dict()
     assert unequal > 100
+
+
+def degenerate_stump_instances():
+    """disc_instance's degenerate kinds, then d = 1 with one constant column."""
+    rng = rng_from(21)
+    kinds = DISC_KINDS[1:]
+    for i in range(60):
+        yield kinds[i % len(kinds)], disc_instance(rng, kinds[i % len(kinds)])
+    yield "constant-1d", (Dataset(np.full((5, 1), 2.0)), Dataset(np.full((3, 1), 2.0)))
+
+
+def member_labels(cls, X):
+    """Each member's labels as the scans count them, one row per member:
+    1{x_j >= t} at polarity +1, its complement at -1, then the constants."""
+    return np.array([np.full(X.shape[0], pol > 0) if j < 0 else (X[:, j] >= t) == (pol > 0)
+                     for j, t, pol in cls.members()], dtype=np.int64)
+
+
+def test_stump_scans_match_enumeration_on_degenerate_columns():
+    rng = rng_from(22)
+    for kind, (S, T) in degenerate_stump_instances():
+        cls = StumpClass.from_data(S, T)
+        hs = cls.hypotheses()
+        Ls, Lt = member_labels(cls, S.X), member_labels(cls, T.X)
+        if kind != "adjacent-floats":  # there a threshold equals a value, which a polarity -1 hypothesis labels 1
+            assert all(np.array_equal(predict(h, S.X), row) for h, row in zip(hs, Ls))
+
+        def sup_gap(ref_s, ref_t):
+            return float(np.abs((Lt != ref_t).mean(axis=1) - (Ls != ref_s).mean(axis=1)).max())
+
+        assert dh_exact(S, T, cls).value == pytest.approx(sup_gap(1, 1), abs=1e-12)
+        hS = hs[int(rng.integers(len(hs)))]
+        assert sdisc_exact(S, T, hS, cls).value == pytest.approx(
+            sup_gap(predict(hS, S.X), predict(hS, T.X)), abs=1e-12)
+        y = rng.integers(0, 2, S.n)
+        h = stump_erm(cls, Dataset(S.X, y, 2))
+        (k,) = [k for k, g in enumerate(hs) if np.array_equal(g.params, h.params)]
+        risks = (Ls != y).mean(axis=1)
+        assert risks[k] == pytest.approx(risks.min(), abs=1e-12)
+        draws, seed = 5, int(rng.integers(100))
+        signed = 2 * member_labels(StumpClass.from_data(T), T.X) - 1
+        vals = [float((signed @ child_rng(seed, 9, k).choice([-1.0, 1.0], size=T.n)).max()) / T.n
+                for k in range(draws)]
+        assert rademacher(T, StumpClass.from_data(T), draws=draws, seed=seed).value == pytest.approx(
+            math.fsum(vals) / draws, abs=1e-12)
+        if cls.d == 1:
+            pair_gap = np.abs((Lt[:, None] != Lt[None]).mean(axis=2) - (Ls[:, None] != Ls[None]).mean(axis=2))
+            assert disc_exact(S, T, cls).value == pytest.approx(float(pair_gap.max()), abs=1e-12)
 
 
 def test_disc_exact_1d_closed_form_matches_oracle():

@@ -21,7 +21,6 @@ from phdkit.models import (
     _weight_mask,
     _Workspace,
     accuracy,
-    constant_hypothesis,
     empirical_risk,
     grad_check,
     init_bn_stats,
@@ -506,11 +505,6 @@ def test_float32_trained_hypothesis_round_trips_bit_exactly_as_f8(tmp_path):
     back = load_hypothesis(path)
     assert back.params.tobytes() == h.params.tobytes()
     assert back.bn_stats.tobytes() == h.bn_stats.tobytes()
-
-
-def test_constant_hypothesis_multiclass():
-    h = constant_hypothesis(3, 2, k=5)
-    assert np.all(predict(h, np.random.default_rng(0).standard_normal((7, 3))) == 2)
 
 
 def test_stump_hypothesis_semantics():
