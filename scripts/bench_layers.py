@@ -1,8 +1,8 @@
 #!/usr/bin/env python3
 """Per-call time and minor page faults of the MLP hot path, the exact
-pair-enumeration discrepancy, the stump scans and CSV reading and writing,
-plus one table1 seed and one fig2 (seed, sigma) end to end, appended to a
-BENCH file.
+pair-enumeration discrepancy, the stump scans, CORAL and CSV reading and
+writing, plus one seed of table1, table2 and table3 and one fig2 (seed,
+sigma) end to end, appended to a BENCH file.
 
 Measures, for the adversarial estimators' network (16 -> 128 -> 128 -> 1
 with batch norm):
@@ -28,6 +28,8 @@ with batch norm):
   Gaussian features): ``StumpClass.from_data`` of both samples,
   ``dh_exact`` and ``sdisc_exact`` over that class, and a 50-draw stump
   ``bounds.rademacher`` on the target
+- ``coral_pair_a``: ``adapt.coral`` of the benchmark's ``exact-cli`` pair a
+  (its source aligned to its unlabeled target, the ``coral`` command's call)
 - ``read_csv_pair_a`` and ``write_csv_pair_a``: ``data.read_csv`` and
   ``data.write_csv`` of one file of the shape of the benchmark's
   ``exact-cli`` pair a (2,000 rows of 16 features and a label, written by
@@ -39,15 +41,17 @@ REPEATS timed blocks of CALLS calls; the record holds every block's
 microseconds per call, their median and quartiles, and the minor faults
 (``ru_minflt``) per call over all timed calls. Calls reuse one workspace,
 as a training run or a witness does. The forward and backward kernels run
-one replica of the trainer's leading replica axis. ``train_fig2_sources``
+one replica of the trainer's leading replica axis, and ``coral_pair_a``
+runs like the kernels. ``train_fig2_sources``
 runs one untimed call, then E2E_REPEATS single calls; the ``disc_exact``
 rows run DISC_WARMUP untimed calls, then REPEATS blocks of DISC_CALLS,
 ``stump_scans_pair_a`` STUMP_WARMUP, then REPEATS blocks of STUMP_CALLS, and
 the CSV rows CSV_WARMUP untimed calls, then REPEATS blocks of CSV_CALLS.
 
 The end-to-end rows time, E2E_REPEATS times after the kernels,
-``protocols.run_table1`` at its default configuration for seed 0
-(``table1_seed0``) and ``protocols.run_fig2`` at its default configuration
+``protocols.run_table1``, ``run_table2`` and ``run_table3`` at their default
+configurations for seed 0 (``table1_seed0``, ``table2_seed0``,
+``table3_seed0``) and ``protocols.run_fig2`` at its default configuration
 for seed 0 and sigma 0.3 (``fig2_seed0_sigma0.3``), the unit of the
 benchmark's ``selection`` workload.
 
@@ -55,8 +59,8 @@ Each run is appended under its ``--label`` to the JSON file ``--out``, whose
 ``summary`` holds, per label, the median over runs of each median. For a
 comparison of two trees, alternate the runs:
 
-    python3 scripts/bench_layers.py --out BENCH_14.json --src ../parent/src --label parent
-    python3 scripts/bench_layers.py --out BENCH_14.json --label change
+    python3 scripts/bench_layers.py --out BENCH_15.json --src ../parent/src --label parent
+    python3 scripts/bench_layers.py --out BENCH_15.json --label change
 
 ``--src`` selects the source tree ``phdkit`` is imported from; it must have
 ``models.train_erm_many``.
@@ -101,6 +105,7 @@ def _measure(fn, warmup: int = WARMUP, repeats: int = REPEATS, calls: int = CALL
 def run() -> tuple[dict, dict, str]:
     import numpy as np
     from phdkit import models, protocols
+    from phdkit.adapt import coral
     from phdkit.bounds import rademacher
     from phdkit.data import Dataset, gen_gaussian_pair, read_csv, write_csv
     from phdkit.discrepancy import StumpClass, _scan_threshold_gap, dh_exact, disc_exact, sdisc_exact
@@ -162,6 +167,8 @@ def run() -> tuple[dict, dict, str]:
         rademacher(pair_a_target, StumpClass.from_data(pair_a_target), draws=50, seed=0)
 
     measured["stump_scans_pair_a"] = _measure(stump_scans, STUMP_WARMUP, REPEATS, STUMP_CALLS)
+    unlabeled_target = pair_a_target.without_labels()
+    measured["coral_pair_a"] = _measure(lambda: coral(pair_a, unlabeled_target))
     with tempfile.TemporaryDirectory() as tmp:
         path = Path(tmp) / "a_source.csv"
         write_csv(pair_a, path)
@@ -169,9 +176,11 @@ def run() -> tuple[dict, dict, str]:
                                                CSV_WARMUP, REPEATS, CSV_CALLS)
         measured["write_csv_pair_a"] = _measure(lambda: write_csv(pair_a, path), CSV_WARMUP, REPEATS, CSV_CALLS)
 
-    table1 = protocols.Table1Config(seeds=(0,))
-    e2e = {"table1_seed0": _measure(lambda: protocols.run_table1(table1), 0, E2E_REPEATS, 1),
-           "fig2_seed0_sigma0.3": _measure(lambda: protocols.run_fig2(fig2), 0, E2E_REPEATS, 1)}
+    e2e = {f"{name}_seed0": _measure(lambda: protocol(config(seeds=(0,))), 0, E2E_REPEATS, 1)
+           for name, protocol, config in (("table1", protocols.run_table1, protocols.Table1Config),
+                                     ("table2", protocols.run_table2, protocols.Table2Config),
+                                     ("table3", protocols.run_table3, protocols.Table3Config))}
+    e2e["fig2_seed0_sigma0.3"] = _measure(lambda: protocols.run_fig2(fig2), 0, E2E_REPEATS, 1)
     return measured, e2e, np.dtype(dt).name
 
 

@@ -17,14 +17,38 @@ import numpy as np
 
 from .data import Dataset, SplitSpec, split
 from .discrepancy import phd, w1_exact
-from .errors import ConfigError, ContractError
+from .errors import ConfigError, ContractError, DegenerateInputError
 from .models import Arch, TrainConfig, accuracy, train_erm, train_erm_many
-from .numkit import child_rng, covariance, sym_inv_sqrt, sym_sqrt
+from .numkit import child_rng
 from .semisup import train_self
 
 W1_SUBSAMPLE = 256
 EVAL_FRAC = 0.3
 """Share of the target sample held out from self-training to score the pair."""
+
+
+def _covariance(X: np.ndarray) -> np.ndarray:
+    """Unbiased sample covariance of the rows of X (divisor n-1), checked finite."""
+    n = X.shape[0]
+    if n < 2:
+        raise DegenerateInputError(f"covariance needs at least 2 rows, got {n}")
+    with np.errstate(over="ignore", invalid="ignore"):  # an overflow is reported below, not warned
+        C = np.atleast_2d(np.cov(X, rowvar=False, ddof=1))
+    if not np.all(np.isfinite(C)):
+        raise ContractError("the feature covariance overflows float64 (non-finite entries)")
+    return C
+
+
+def _sym_power(A: np.ndarray, ridge: float, power: float) -> np.ndarray:
+    """(A + ridge*I)^power of a symmetric PSD matrix via eigendecomposition."""
+    if not 0 < ridge < np.inf:
+        raise ContractError(f"ridge must be finite and > 0, got {ridge}")
+    w, V = np.linalg.eigh(A + ridge * np.eye(A.shape[0]))
+    # PSD input plus a positive ridge keeps eigenvalues positive; clip guards
+    # against tiny negative round-off from eigh.
+    w = np.clip(w, ridge * 1e-3, None)
+    B = (V * w**power) @ V.T
+    return (B + B.T) / 2.0
 
 
 def coral(S: Dataset, T: Dataset, ridge: float = 1e-6) -> Dataset:
@@ -36,10 +60,9 @@ def coral(S: Dataset, T: Dataset, ridge: float = 1e-6) -> Dataset:
         raise ContractError("both datasets must be non-empty")
     if S.d != T.d:
         raise ContractError(f"feature dims differ: {S.d} vs {T.d}")
-    mu_s = S.X.mean(axis=0)
-    mu_t = T.X.mean(axis=0)
-    A = sym_inv_sqrt(covariance(S.X), ridge) @ sym_sqrt(covariance(T.X), ridge)
-    X = (S.X - mu_s) @ A + mu_t
+    A = _sym_power(_covariance(S.X), ridge, -0.5) @ _sym_power(_covariance(T.X), ridge, 0.5)
+    # the means come after the covariance checks, which report an overflow before numpy warns of it
+    X = (S.X - S.X.mean(axis=0)) @ A + T.X.mean(axis=0)
     return Dataset(X, S.y, S.k)
 
 

@@ -45,8 +45,8 @@ class Term:
     diagnostic: bool = False
 
     def __post_init__(self):
-        if not self.value >= -1e-12:  # also rejects NaN, which max() below would turn into 0
-            raise ContractError(f"bound term {self.name} must be non-negative, got {self.value}")
+        if not -1e-12 <= self.value < math.inf:  # also rejects NaN, which max() below would turn into 0
+            raise ContractError(f"bound term {self.name} must be finite and non-negative, got {self.value}")
         object.__setattr__(self, "value", max(0.0, float(self.value)))
 
 

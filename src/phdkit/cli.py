@@ -65,7 +65,7 @@ from .models import (
     train_erm,
     zero_one,
 )
-from .numkit import rng_from
+from .numkit import child_rng
 from .protocols import PROTOCOLS
 from .tritrain import TriTrainConfig, tritrain_round
 
@@ -337,7 +337,7 @@ def cmd_coral(args) -> None:
 def cmd_gradcheck(args) -> None:
     if min(args.d, args.probe_n, args.out_dim) < 1:
         raise ConfigError("gradcheck needs --d, --probe-n and --out-dim >= 1")
-    rng = rng_from(args.seed)
+    rng = child_rng(args.seed)
     X = rng.standard_normal((args.probe_n, args.d))
     k = max(2, args.out_dim)
     probe = Dataset(X, rng.integers(0, k, size=args.probe_n), k)

@@ -140,7 +140,9 @@ class StumpClass:
         j, t, pol = member
         if j < 0:
             return constant_hypothesis(self.d, 1 if pol > 0 else 0)
-        return stump_hypothesis(j, t, pol, self.d)
+        # polarity -1 is 1{x < t}, as every scan counts it: x <= the float below t,
+        # which differs where a midpoint of adjacent floats rounds onto a value
+        return stump_hypothesis(j, t if pol > 0 else float(np.nextafter(t, -np.inf)), pol, self.d)
 
     def hypotheses(self):
         return [self.hypothesis(m) for m in self.members()]
@@ -510,9 +512,11 @@ def l1_hist(S: Dataset, T: Dataset, bins: int = 10) -> float:
     pooled = np.vstack([S.X, T.X])
     edges = []
     for j in range(S.d):
-        lo, hi = pooled[:, j].min(), pooled[:, j].max()
+        lo, hi = float(pooled[:, j].min()), float(pooled[:, j].max())
         if lo == hi:
             lo, hi = lo - 0.5, hi + 0.5
+        if not math.isfinite(hi - lo):  # linspace would overflow into non-monotonic edges
+            raise CapacityError(f"feature {j}'s pooled range [{lo}, {hi}] overflows float64; rescale it")
         edges.append(np.linspace(lo, hi, bins + 1))
     ps, _ = np.histogramdd(S.X, bins=edges)
     pt, _ = np.histogramdd(T.X, bins=edges)

@@ -5,13 +5,13 @@ from hypothesis import strategies as st
 
 from phdkit.adapt import SelectConfig, coral, rank_ascending, select_sources
 from phdkit.data import Dataset, add_feature_noise, gen_gaussian_pair
-from phdkit.errors import ConfigError, ContractError
+from phdkit.errors import ConfigError, ContractError, DegenerateInputError
 from phdkit.models import TrainConfig, mlp_arch
-from phdkit.numkit import covariance, rng_from
+from phdkit.numkit import child_rng
 
 
 def test_coral_identity_when_moments_match():
-    rng = rng_from(0)
+    rng = child_rng(0)
     X = rng.standard_normal((200, 3))
     S = Dataset(X)
     T = Dataset(X[rng.permutation(200)])  # same sample moments exactly
@@ -20,7 +20,7 @@ def test_coral_identity_when_moments_match():
 
 
 def test_coral_scalar_case_halves_scale():
-    rng = rng_from(1)
+    rng = child_rng(1)
     s = Dataset(2.0 * rng.standard_normal((4000, 1)))
     t = Dataset(1.0 * rng.standard_normal((4000, 1)))
     out = coral(s, t)
@@ -33,7 +33,7 @@ def test_coral_scalar_case_halves_scale():
 def test_coral_matches_target_covariance():
     S, T = gen_gaussian_pair(1000, 3, shift=1.0, rotate=0.4, seed=2)
     out = coral(S, T)
-    Cs, Ct = covariance(out.X), covariance(T.X)
+    Cs, Ct = np.cov(out.X, rowvar=False), np.cov(T.X, rowvar=False)
     rel = np.linalg.norm(Cs - Ct) / np.linalg.norm(Ct)
     assert rel <= 0.05
     assert np.array_equal(out.y, S.y)
@@ -42,6 +42,79 @@ def test_coral_matches_target_covariance():
 def test_coral_dim_mismatch():
     with pytest.raises(ContractError):
         coral(Dataset(np.zeros((3, 2))), Dataset(np.zeros((3, 3))))
+
+
+def _reference_coral(S, T, ridge):
+    """CORAL through the former general-purpose matrix layer, kept as the
+    reference: every matrix re-validated (finite, square, symmetric), with the
+    same arithmetic and the same checks in the same order."""
+
+    def finite_2d(X, name="X"):
+        A = np.asarray(X, dtype=np.float64)
+        if A.ndim != 2:
+            raise ContractError(f"{name} must be 2-D, got ndim={A.ndim}")
+        if A.size and not np.all(np.isfinite(A)):
+            raise ContractError(f"{name} contains non-finite entries")
+        return A
+
+    def covariance(X):
+        A = finite_2d(X)
+        if A.shape[0] < 2:
+            raise DegenerateInputError(f"covariance needs at least 2 rows, got {A.shape[0]}")
+        return np.atleast_2d(np.cov(A, rowvar=False, ddof=1))
+
+    def sym_power(A, power):
+        A = finite_2d(A, "A")
+        if A.shape[0] != A.shape[1] or (A.size and np.max(np.abs(A - A.T)) > 1e-10):
+            raise ContractError("A must be square and symmetric")
+        if not 0 < ridge < np.inf:
+            raise ContractError(f"ridge must be finite and > 0, got {ridge}")
+        w, V = np.linalg.eigh(A + ridge * np.eye(A.shape[0]))
+        w = np.clip(w, ridge * 1e-3, None)
+        B = (V * w**power) @ V.T
+        return (B + B.T) / 2.0
+
+    if S.n == 0 or T.n == 0:
+        raise ContractError("both datasets must be non-empty")
+    if S.d != T.d:
+        raise ContractError(f"feature dims differ: {S.d} vs {T.d}")
+    mu_s = S.X.mean(axis=0)
+    mu_t = T.X.mean(axis=0)
+    A = sym_power(covariance(S.X), -0.5) @ sym_power(covariance(T.X), 0.5)
+    return Dataset((S.X - mu_s) @ A + mu_t, S.y, S.k)
+
+
+def _outcome(fn, *args):
+    """The adapted bytes, or the error type and whether the ridge check raised it."""
+    try:
+        return fn(*args).X.tobytes()
+    except (ContractError, DegenerateInputError) as e:
+        return type(e), "ridge" in str(e)
+
+
+@given(st.integers(2, 60), st.integers(2, 60), st.integers(1, 6), st.integers(0, 2**32 - 1),
+       st.sampled_from([1e-12, 1e-6, 1e-2, 1.0]), st.data())
+@settings(max_examples=150, deadline=None)
+def test_coral_matches_the_former_matrix_layer_bit_for_bit(ns, nt, d, seed, ridge, data):
+    scales = data.draw(st.lists(st.floats(-3, 3), min_size=2 * d, max_size=2 * d))
+    rng = child_rng(seed)
+    S = Dataset(rng.standard_normal((ns, d)) * 10.0 ** np.array(scales[:d]) + rng.standard_normal(d),
+                rng.integers(0, 2, ns), 2)
+    T = Dataset(rng.standard_normal((nt, d)) * 10.0 ** np.array(scales[d:]) - rng.standard_normal(d))
+    assert _outcome(coral, S, T, ridge) == _outcome(_reference_coral, S, T, ridge)
+
+
+@pytest.mark.filterwarnings("ignore:overflow encountered:RuntimeWarning")  # the reference warns
+def test_coral_checks_in_the_former_order():
+    rng = child_rng(5)
+    two, one = Dataset(rng.standard_normal((4, 2))), Dataset(rng.standard_normal((1, 2)))
+    big = Dataset(np.array([[1e308, 0.0], [-1e308, 1.0], [1e308, 2.0]]))
+    # the source's row count, then its covariance, then the ridge, then the same for the target
+    cases = [(one, one, 0.0), (two, one, 0.0), (two, one, 1e-6), (one, two, 1e-6), (big, one, 1e-6),
+             (two, big, 0.0), (two, big, 1e-6), (big, two, 0.0), (two, two, np.inf), (two, two, -1.0)]
+    for S, T, ridge in cases:
+        got = _outcome(coral, S, T, ridge)
+        assert isinstance(got, tuple) and got == _outcome(_reference_coral, S, T, ridge)
 
 
 @given(st.lists(st.floats(0.01, 100), min_size=2, max_size=8), st.floats(0.1, 50))

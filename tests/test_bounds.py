@@ -30,7 +30,7 @@ from phdkit.models import (
     stump_hypothesis,
     zero_one,
 )
-from phdkit.numkit import child_rng, rng_from
+from phdkit.numkit import child_rng
 
 
 def rad_const(v):
@@ -46,7 +46,7 @@ def d1(*vals):
 
 def test_stump_rademacher_matches_enumeration_oracle():
     n, draws, seed = 64, 12, 5
-    T = Dataset(rng_from(4).standard_normal((n, 1)))
+    T = Dataset(child_rng(4).standard_normal((n, 1)))
     cls = StumpClass.from_data(T)
     est = rademacher(T, cls, draws=draws, seed=seed)
     P = cls.prediction_matrix(T.X).astype(float)
@@ -61,7 +61,7 @@ def test_stump_rademacher_matches_enumeration_oracle():
 def test_fit_to_noise_runs_and_reports_method():
     from phdkit.models import TrainConfig, mlp_arch
 
-    T = Dataset(rng_from(6).standard_normal((40, 2)))
+    T = Dataset(child_rng(6).standard_normal((40, 2)))
     est = rademacher(T, mlp_arch(2, (8,), batch_norm=False), draws=3, seed=0,
                      train_cfg=TrainConfig(epochs=10, seed=0))
     assert est.method == "fit-to-noise"
@@ -122,7 +122,7 @@ def test_thm1_matches_hand_sum():
 
 
 def test_ineq_chain_disc_dominates_sdisc():
-    rng = rng_from(7)
+    rng = child_rng(7)
     S = Dataset(rng.standard_normal((30, 1)))
     T = Dataset(rng.standard_normal((30, 1)))
     cls = StumpClass.from_data(S, T)

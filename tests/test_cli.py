@@ -288,6 +288,39 @@ def test_out_of_range_delta_m_or_rotation_exits_2_with_one_json_line(argv, error
     assert doc["error"] == error and named in doc["message"], doc
 
 
+@pytest.fixture(scope="module")
+def overflow_dir(tmp_path_factory):
+    """A 40-row pair, one trained two-score model, and a one-feature pair whose
+    source spans +-1e308 (its neighbouring gaps, and so W1, stay finite)."""
+    out = tmp_path_factory.mktemp("overflow")
+    assert main(["--seed", "3", "--out", str(out), "gen", "--n", "40", "--d", "2"]) == 0
+    assert main(["--out", str(out), "train", "--data", str(out / "pair_source.csv"), "--hidden", "",
+                 "--out-dim", "2", "--epochs", "1", "--model-name", "model.bin"]) == 0
+    (out / "wide_s.csv").write_text("x0,label\n1e308,0\n-1e308,1\n1,0\n")
+    (out / "wide_t.csv").write_text("x0,label\n5,1\n0,0\n2,1\n")
+    return out
+
+
+# Each input overflows float64 on the way to a report value.
+@pytest.mark.parametrize("argv,error,named", [
+    (["bounds", "--bound", "thm4", "--delta", "1e-320"], "ContractError", "confidence"),
+    (["bounds", "--bound", "lemma1", "--bound-m", "1e308", "--delta", "1e-300"], "ContractError", "hoeffding"),
+    (["bounds", "--bound", "thm6", "--rho", "1e-320"], "ContractError", "complexity_margin"),
+    (["w1", "--source", "wide_s.csv", "--target", "wide_t.csv", "--bins", "4"], "CapacityError", "overflows"),
+    (["coral", "--source", "wide_s.csv", "--target", "wide_t.csv"], "ContractError", "covariance"),
+], ids=["thm4-confidence", "lemma1-hoeffding", "thm6-complexity", "w1-bins-range", "coral-covariance"])
+def test_overflowing_values_exit_2_with_one_json_line(argv, error, named, overflow_dir):
+    if argv[0] == "bounds":
+        argv = argv + ["--target", "pair_target.csv", "--rad-draws", "2",
+                       *(arg for flag in ("--h", "--h1", "--h2") for arg in (flag, "model.bin"))]
+    proc = _run_subprocess(argv, overflow_dir)
+    assert proc.returncode == 2 and proc.stdout == "", proc.stderr
+    lines = proc.stderr.splitlines()
+    assert len(lines) == 1, proc.stderr
+    doc = json.loads(lines[0])
+    assert doc["error"] == error and named in doc["message"], doc
+
+
 @pytest.mark.parametrize("flag,value", [("--weight-decay", "-1"), ("--weight-decay", "nan"), ("--lr", "inf")])
 def test_train_with_a_step_setting_that_does_nothing_or_overflows_exits_2(flag, value, tmp_path, capsys):
     src, _ = _gen(tmp_path, capsys, n=40)

@@ -33,7 +33,7 @@ from phdkit.models import (
     predict,
     stump_hypothesis,
 )
-from phdkit.numkit import child_rng, rng_from
+from phdkit.numkit import child_rng
 
 
 def d1(*vals):
@@ -70,7 +70,7 @@ def test_phd_half_disagreement():
 
 
 def test_phd_symmetric_and_triangle():
-    rng = rng_from(0)
+    rng = child_rng(0)
     T = Dataset(rng.standard_normal((40, 2)))
     hs = [stump_hypothesis(int(rng.integers(0, 2)), float(rng.normal()), int(rng.choice([-1, 1])), 2)
           for _ in range(6)]
@@ -127,7 +127,7 @@ def test_separated_1d_dh_is_one():
 
 
 def test_dh_exact_matches_brute_force():
-    rng = rng_from(1)
+    rng = child_rng(1)
     for _ in range(10):
         S, T = random_instance(rng, n=14, d=2)
         cls = StumpClass.from_data(S, T)
@@ -136,7 +136,7 @@ def test_dh_exact_matches_brute_force():
 
 
 def test_sdisc_exact_matches_brute_force():
-    rng = rng_from(2)
+    rng = child_rng(2)
     for _ in range(10):
         S, T = random_instance(rng, n=12, d=2)
         hS = stump_hypothesis(0, float(rng.normal()), 1, 2)
@@ -157,7 +157,7 @@ def brute_disc(S, T, cls):
 
 
 def test_disc_exact_matches_double_loop_oracle():
-    rng = rng_from(3)
+    rng = child_rng(3)
     for _ in range(4):
         S, T = random_instance(rng, n=8, d=2)
         cls = StumpClass.from_data(S, T)
@@ -199,7 +199,7 @@ def disc_instance(rng, kind):
 
 
 def test_disc_exact_matches_the_full_member_gram():
-    rng = rng_from(12)
+    rng = child_rng(12)
     unequal = 0
     for i in range(240):
         S, T = disc_instance(rng, DISC_KINDS[i % len(DISC_KINDS)])
@@ -211,7 +211,7 @@ def test_disc_exact_matches_the_full_member_gram():
 
 def degenerate_stump_instances():
     """disc_instance's degenerate kinds, then d = 1 with one constant column."""
-    rng = rng_from(21)
+    rng = child_rng(21)
     kinds = DISC_KINDS[1:]
     for i in range(60):
         yield kinds[i % len(kinds)], disc_instance(rng, kinds[i % len(kinds)])
@@ -226,13 +226,13 @@ def member_labels(cls, X):
 
 
 def test_stump_scans_match_enumeration_on_degenerate_columns():
-    rng = rng_from(22)
+    rng = child_rng(22)
     for kind, (S, T) in degenerate_stump_instances():
         cls = StumpClass.from_data(S, T)
         hs = cls.hypotheses()
         Ls, Lt = member_labels(cls, S.X), member_labels(cls, T.X)
-        if kind != "adjacent-floats":  # there a threshold equals a value, which a polarity -1 hypothesis labels 1
-            assert all(np.array_equal(predict(h, S.X), row) for h, row in zip(hs, Ls))
+        assert all(np.array_equal(predict(h, S.X), row) for h, row in zip(hs, Ls))
+        assert all(np.array_equal(predict(h, T.X), row) for h, row in zip(hs, Lt))
 
         def sup_gap(ref_s, ref_t):
             return float(np.abs((Lt != ref_t).mean(axis=1) - (Ls != ref_s).mean(axis=1)).max())
@@ -258,7 +258,7 @@ def test_stump_scans_match_enumeration_on_degenerate_columns():
 
 
 def test_disc_exact_1d_closed_form_matches_oracle():
-    rng = rng_from(4)
+    rng = child_rng(4)
     for _ in range(6):
         S, T = random_instance(rng, n=10, d=1)
         cls = StumpClass.from_data(S, T)
@@ -266,7 +266,7 @@ def test_disc_exact_1d_closed_form_matches_oracle():
 
 
 def test_supremum_orderings_hold_on_random_instances():
-    rng = rng_from(5)
+    rng = child_rng(5)
     for _ in range(100):
         S, T = random_instance(rng, n=10, d=2)
         cls = StumpClass.from_data(S, T)
@@ -292,7 +292,7 @@ def test_scan_plan_counts_equal_brute_force_mistakes():
 
 
 def test_stump_erm_matches_enumeration():
-    rng = rng_from(6)
+    rng = child_rng(6)
     for _ in range(8):
         X = rng.standard_normal((15, 2))
         y = (rng.random(15) > 0.4).astype(int)
@@ -304,7 +304,7 @@ def test_stump_erm_matches_enumeration():
 
 
 def test_prediction_matrix_consistent_with_hypotheses():
-    rng = rng_from(7)
+    rng = child_rng(7)
     S = Dataset(rng.standard_normal((9, 2)))
     cls = StumpClass.from_data(S)
     P = cls.prediction_matrix(S.X)
@@ -321,13 +321,13 @@ def _adv_cfg(seed=0):
 
 
 def test_adv_identical_sample_is_tiny():
-    S = Dataset(rng_from(8).standard_normal((60, 1)))
+    S = Dataset(child_rng(8).standard_normal((60, 1)))
     rep = dh_adv(S, S, linear_arch(1), _adv_cfg())
     assert rep.value <= 0.05
 
 
 def test_adv_matches_exact_on_separable_instance():
-    S, T = d1(*rng_from(9).normal(0, 1, 30)), d1(*rng_from(10).normal(10, 1, 30))
+    S, T = d1(*child_rng(9).normal(0, 1, 30)), d1(*child_rng(10).normal(10, 1, 30))
     cls = StumpClass.from_data(S, T)
     exact = dh_exact(S, T, cls).value
     est = dh_adv(S, T, linear_arch(1), _adv_cfg()).value
@@ -336,7 +336,7 @@ def test_adv_matches_exact_on_separable_instance():
 
 
 def test_adv_statistic_never_exceeds_exact_supremum_same_split():
-    rng = rng_from(11)
+    rng = child_rng(11)
     for seed in range(6):
         S = Dataset(rng.standard_normal((40, 1)))
         T = Dataset(rng.standard_normal((40, 1)) + rng.normal(0, 1.5))
@@ -346,7 +346,7 @@ def test_adv_statistic_never_exceeds_exact_supremum_same_split():
 
 
 def test_sdisc_adv_identical_sample_small_and_separable_close_to_exact():
-    rng = rng_from(12)
+    rng = child_rng(12)
     S = Dataset(rng.standard_normal((60, 1)))
     hS = stump_hypothesis(0, 0.0, 1, 1)
     assert sdisc_adv(S, S, hS, linear_arch(1), _adv_cfg()).value <= 0.05
@@ -358,7 +358,7 @@ def test_sdisc_adv_identical_sample_small_and_separable_close_to_exact():
 
 
 def test_adv_heldout_mode_reports_on_evaluation_halves():
-    rng = rng_from(13)
+    rng = child_rng(13)
     S = Dataset(rng.standard_normal((41, 2)))
     T = Dataset(rng.standard_normal((30, 2)) + 0.5)
     arch = mlp_arch(2, (8,), batch_norm=False)
@@ -396,14 +396,14 @@ def test_w1_sorted_matching_oracle():
 
 
 def test_w1_1d_equals_mean_sorted_difference():
-    rng = rng_from(13)
+    rng = child_rng(13)
     a, b = rng.normal(0, 1, 33), rng.normal(0.5, 2, 33)
     expect = float(np.mean(np.abs(np.sort(a) - np.sort(b))))
     assert w1_exact(d1(*a), d1(*b)).value == pytest.approx(expect, abs=1e-12)
 
 
 def test_w1_assignment_matches_brute_matching():
-    rng = rng_from(14)
+    rng = child_rng(14)
     A = Dataset(rng.standard_normal((7, 3)))
     B = Dataset(rng.standard_normal((7, 3)))
     cost = cdist(A.X, B.X)
@@ -412,7 +412,7 @@ def test_w1_assignment_matches_brute_matching():
 
 
 def test_w1_metric_axioms_on_random_triples():
-    rng = rng_from(15)
+    rng = child_rng(15)
     for _ in range(100):
         A = Dataset(rng.standard_normal((12, 3)))
         B = Dataset(rng.standard_normal((12, 3)))
@@ -425,7 +425,7 @@ def test_w1_metric_axioms_on_random_triples():
 
 
 def test_w1_capacity_error():
-    rng = rng_from(16)
+    rng = child_rng(16)
     A = Dataset(rng.standard_normal((600, 2)))
     with pytest.raises(CapacityError):
         w1_exact(A, A, cap=512)
@@ -433,7 +433,7 @@ def test_w1_capacity_error():
 
 @pytest.mark.parametrize("cap", [0, -1])
 def test_w1_cap_below_one_is_a_config_error(cap):
-    A = Dataset(rng_from(16).standard_normal((5, 2)))
+    A = Dataset(child_rng(16).standard_normal((5, 2)))
     with pytest.raises(ConfigError, match="cap"):
         w1_exact(A, A, cap=cap)
 
@@ -492,7 +492,7 @@ def test_l1_hist_identical_and_disjoint():
 
 
 def test_l1_hist_matches_frequency_oracle():
-    rng = rng_from(17)
+    rng = child_rng(17)
     S = Dataset(rng.standard_normal((40, 2)))
     T = Dataset(rng.standard_normal((40, 2)) + 0.5)
     assert l1_hist(S, T, bins=5) == pytest.approx(brute_l1_hist(S, T, 5), abs=1e-12)
@@ -500,7 +500,7 @@ def test_l1_hist_matches_frequency_oracle():
 
 def test_l1_hist_capacity_counts_outlier_bins():
     # 2^16 inner cells pass a bins**d check, but histogramdd allocates 4^16
-    rng = rng_from(18)
+    rng = child_rng(18)
     S = Dataset(rng.standard_normal((8, 16)))
     with pytest.raises(CapacityError, match="outlier bins"):
         l1_hist(S, S, bins=2)
@@ -508,7 +508,7 @@ def test_l1_hist_capacity_counts_outlier_bins():
 
 def test_chain_pointwise_gap_below_disc():
     # any pair's cross-domain risk gap is below the worst-pair supremum
-    rng = rng_from(18)
+    rng = child_rng(18)
     S, T = random_instance(rng, n=12, d=2)
     cls = StumpClass.from_data(S, T)
     dc = disc_exact(S, T, cls).value
@@ -526,7 +526,7 @@ def test_chain_pointwise_gap_below_disc():
 def test_chain_disc_below_l1_on_discrete_support():
     # with bins fine enough to isolate every support point, the binned L1
     # equals the exact frequency L1 and dominates the worst-pair supremum
-    rng = rng_from(19)
+    rng = child_rng(19)
     for _ in range(10):
         S = Dataset(rng.integers(0, 5, size=(20, 1)).astype(float))
         T = Dataset(rng.integers(0, 5, size=(20, 1)).astype(float))

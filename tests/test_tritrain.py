@@ -14,7 +14,7 @@ from phdkit.models import (
     train_erm,
     zero_one,
 )
-from phdkit.numkit import rng_from
+from phdkit.numkit import child_rng
 from phdkit.tritrain import TriTrainConfig, build_tpl, tritrain_round
 
 
@@ -23,7 +23,7 @@ def _cfg(epochs=40, emit_bounds=False):
 
 
 def test_equal_hypotheses_full_coverage():
-    T = Dataset(rng_from(0).standard_normal((50, 2)))
+    T = Dataset(child_rng(0).standard_normal((50, 2)))
     h = stump_hypothesis(0, 0.0, 1, 2)
     tpl = build_tpl(h, h, T)
     assert tpl.coverage == 1.0
@@ -31,13 +31,13 @@ def test_equal_hypotheses_full_coverage():
 
 
 def test_opposite_constants_zero_coverage():
-    T = Dataset(rng_from(1).standard_normal((20, 2)))
+    T = Dataset(child_rng(1).standard_normal((20, 2)))
     tpl = build_tpl(constant_hypothesis(2, 1), constant_hypothesis(2, 0), T)
     assert tpl.coverage == 0.0 and tpl.size == 0
 
 
 def test_agreement_invariant_and_zero_pair_discrepancy():
-    rng = rng_from(2)
+    rng = child_rng(2)
     T = Dataset(rng.standard_normal((80, 2)))
     h1 = stump_hypothesis(0, float(rng.normal()), 1, 2)
     h2 = stump_hypothesis(1, float(rng.normal()), -1, 2)
@@ -79,7 +79,7 @@ def test_coverage_non_decreasing_on_shifted_domains():
 
 def test_zero_coverage_rounds_are_skipped_with_warning(monkeypatch):
     S, _ = gen_gaussian_pair(100, 2, seed=5)
-    T = Dataset(rng_from(9).standard_normal((40, 2)))
+    T = Dataset(child_rng(9).standard_normal((40, 2)))
     # the two labelers come out as opposite constants, so no target row is agreed on
     monkeypatch.setattr("phdkit.tritrain.train_erm_many",
                         lambda runs, arch: [constant_hypothesis(2, 1), constant_hypothesis(2, 0)])
