@@ -53,14 +53,16 @@ The end-to-end rows time, E2E_REPEATS times after the kernels,
 configurations for seed 0 (``table1_seed0``, ``table2_seed0``,
 ``table3_seed0``) and ``protocols.run_fig2`` at its default configuration
 for seed 0 and sigma 0.3 (``fig2_seed0_sigma0.3``), the unit of the
-benchmark's ``selection`` workload.
+benchmark's ``selection`` workload, and for seeds 0 and 1 at sigma 0.3
+(``fig2_seeds2_sigma0.3``), one of that workload's ops, whose trainings
+run in lockstep across both seeds.
 
 Each run is appended under its ``--label`` to the JSON file ``--out``, whose
 ``summary`` holds, per label, the median over runs of each median. For a
 comparison of two trees, alternate the runs:
 
-    python3 scripts/bench_layers.py --out BENCH_15.json --src ../parent/src --label parent
-    python3 scripts/bench_layers.py --out BENCH_15.json --label change
+    python3 scripts/bench_layers.py --out BENCH_16.json --src ../parent/src --label parent
+    python3 scripts/bench_layers.py --out BENCH_16.json --label change
 
 ``--src`` selects the source tree ``phdkit`` is imported from; it must have
 ``models.train_erm_many``.
@@ -75,6 +77,7 @@ import statistics
 import sys
 import tempfile
 import time
+from dataclasses import replace
 from pathlib import Path
 
 ROOT = Path(__file__).resolve().parent.parent
@@ -181,6 +184,8 @@ def run() -> tuple[dict, dict, str]:
                                      ("table2", protocols.run_table2, protocols.Table2Config),
                                      ("table3", protocols.run_table3, protocols.Table3Config))}
     e2e["fig2_seed0_sigma0.3"] = _measure(lambda: protocols.run_fig2(fig2), 0, E2E_REPEATS, 1)
+    fig2_seeds2 = replace(fig2, seeds=(0, 1))
+    e2e["fig2_seeds2_sigma0.3"] = _measure(lambda: protocols.run_fig2(fig2_seeds2), 0, E2E_REPEATS, 1)
     return measured, e2e, np.dtype(dt).name
 
 

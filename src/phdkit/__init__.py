@@ -2,7 +2,7 @@
 
 __version__ = "0.1.0"
 
-from .adapt import SelectConfig, SelectionOutcome, coral, select_sources
+from .adapt import SelectConfig, SelectionOutcome, coral, select_sources, select_sources_many
 from .bounds import (
     BoundReport,
     RademacherEstimate,

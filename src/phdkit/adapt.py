@@ -7,6 +7,11 @@ self-trained second hypothesis, or exact Wasserstein-1 on raw features),
 then trains one classifier on the CORAL-adapted top-K pool. The pair
 discrepancy trains on features z-scored by each dataset's own moments;
 the transport distance works on the raw input space.
+
+:func:`select_sources_many` runs several selections at once (fig2 runs
+every seed and measure of one noise level): the source hypotheses of all
+its tasks train in lockstep, and so do the pooled classifiers, with the
+bits each task gives alone. :func:`select_sources` is its one-task case.
 """
 
 from __future__ import annotations
@@ -18,7 +23,13 @@ import numpy as np
 from .data import Dataset, SplitSpec, split
 from .discrepancy import phd, w1_exact
 from .errors import ConfigError, ContractError, DegenerateInputError
-from .models import Arch, TrainConfig, accuracy, train_erm, train_erm_many
+from .models import (
+    Arch,
+    TrainConfig,
+    accuracy,
+    train_erm,  # noqa: F401  (uncalled; perfbench's layer tracer wraps this name)
+    train_erm_many,
+)
 from .numkit import child_rng
 from .semisup import train_self
 
@@ -93,8 +104,12 @@ class SelectConfig:
 def _zscore(D: Dataset, ref: Dataset | None = None) -> Dataset:
     """Shift/scale features by (ref or D)'s per-feature moments."""
     R = ref if ref is not None else D
-    mu = R.X.mean(axis=0)
-    sd = R.X.std(axis=0)
+    with np.errstate(over="ignore", invalid="ignore"):  # an overflow is reported below, not warned
+        mu = R.X.mean(axis=0)
+        sd = R.X.std(axis=0)
+    bad = np.flatnonzero(~(np.isfinite(mu) & np.isfinite(sd)))
+    if bad.size:
+        raise ContractError(f"feature {bad[0]}'s mean or standard deviation overflows float64; rescale it")
     sd = np.where(sd < 1e-12, 1.0, sd)
     return Dataset((D.X - mu) / sd, D.y, D.k)
 
@@ -119,68 +134,93 @@ def _subsample(D: Dataset, n: int, rng) -> Dataset:
     return D.take(np.sort(rng.choice(D.n, n, replace=False)))
 
 
-def select_sources(sources, T: Dataset, measure: str, K: int, cfg: SelectConfig, seed: int = 0,
-                   clean_flags=None, oracle: Dataset | None = None) -> SelectionOutcome:
-    """Rank sources by discrepancy to the target and evaluate the top-K pool.
+def _train_by_rows(runs: list, arch: Arch) -> list:
+    """``train_erm_many`` over runs of any row counts: one call per row count,
+    the hypotheses in run order."""
+    hs = [None] * len(runs)
+    for n in sorted({D.n for D, _, _ in runs}):
+        group = [r for r, (D, _, _) in enumerate(runs) if D.n == n]
+        for r, h in zip(group, train_erm_many([runs[r] for r in group], arch)):
+            hs[r] = h
+    return hs
 
-    For the pair-discrepancy measure each source trains its own supervised
-    hypothesis and a target-aware one, self-trained from a second source
-    hypothesis under its own seed; the discrepancy is their disagreement on
-    target rows held out from self-training. The score
+
+def select_sources_many(tasks, K: int, cfg: SelectConfig) -> list[SelectionOutcome]:
+    """Rank sources by discrepancy to a target and evaluate the top-K pool,
+    for several tasks at once; one outcome per task.
+
+    Each task is a ``(sources, T, measure, seed, clean_flags | None,
+    oracle | None)`` tuple, and every task's arguments are checked before
+    any training. For the pair-discrepancy measure each source trains its
+    own supervised hypothesis and a target-aware one, self-trained from a
+    second source hypothesis under its own seed; the discrepancy is their
+    disagreement on target rows held out from self-training. The score
     counts clean sources inside the top-K (requires ``clean_flags``); the
     downstream accuracy trains one classifier on the CORAL-adapted chosen
     pool and grades it on oracle-labeled target data. Both are diagnostics.
+
+    The source hypotheses of all tasks train in lockstep, one
+    ``train_erm_many`` call per row count, and so do the pooled classifiers;
+    each outcome holds the bits its task gives alone.
     """
-    sources = list(sources)
-    if len(sources) < 2:
-        raise ContractError(f"need at least 2 sources, got {len(sources)}")
-    if not 1 <= K <= len(sources):
-        raise ConfigError(f"K must lie in [1, {len(sources)}] (the number of sources), got {K}")
-    if measure not in ("phd", "w1"):
-        raise ConfigError(f"unsupported measure {measure!r}; expected phd or w1")
-    if any(not s.labeled for s in sources):
-        raise ContractError("all candidate sources must be labeled")
-
-    T_fit, T_eval = split(T.without_labels(), SplitSpec((1.0 - EVAL_FRAC, EVAL_FRAC), seed=seed))
-    fit, ev = _zscore(T_fit), _zscore(T_eval, ref=T_fit)
-
-    values = []
-    if measure == "phd":
-        # run 2i (seed + 10 i + 1) is source i's own hypothesis and run 2i + 1 (seed + 10 i + 2)
-        # starts its self-training; the runs of all sources of one row count train in one call
-        runs = [(_zscore(S), replace(cfg.base, seed=seed + 10 * i + j), None)
-                for i, S in enumerate(sources) for j in (1, 2)]
-        hs = {}
-        for n in {S.n for S in sources}:
-            group = [r for r, run in enumerate(runs) if run[0].n == n]
-            hs.update(zip(group, train_erm_many([runs[r] for r in group], cfg.arch)))
-        for i in range(len(sources)):
-            (S, _, _), (_, ssl_cfg, _) = runs[2 * i : 2 * i + 2]
-            h_ssl = train_self(S, fit, hs[2 * i + 1], ssl_cfg, cfg.ssl_rounds).hypothesis
-            values.append(phd(hs[2 * i], h_ssl, ev).value)
-    else:
-        for i, S in enumerate(sources):
-            rng = child_rng(seed, 12, i)
-            values.append(w1_exact(_subsample(S, cfg.w1_subsample, rng),
-                                   _subsample(T_fit, cfg.w1_subsample, rng), seed=seed + i).value)
-    ranking = rank_ascending(values)
-    chosen = ranking[:K]
-    score = None
-    if clean_flags is not None:
-        flags = list(clean_flags)
-        if len(flags) != len(sources):
+    tasks = [(list(sources), T, measure, seed, None if flags is None else list(flags), oracle)
+             for sources, T, measure, seed, flags, oracle in tasks]
+    for sources, _, measure, _, flags, oracle in tasks:
+        if len(sources) < 2:
+            raise ContractError(f"need at least 2 sources, got {len(sources)}")
+        if not 1 <= K <= len(sources):
+            raise ConfigError(f"K must lie in [1, {len(sources)}] (the number of sources), got {K}")
+        if measure not in ("phd", "w1"):
+            raise ConfigError(f"unsupported measure {measure!r}; expected phd or w1")
+        if any(not s.labeled for s in sources):
+            raise ContractError("all candidate sources must be labeled")
+        if flags is not None and len(flags) != len(sources):
             raise ContractError("clean_flags length does not match sources")
-        score = int(sum(bool(flags[i]) for i in chosen))
-
-    acc = None
-    if oracle is not None:
-        if not oracle.labeled:
+        if oracle is not None and not oracle.labeled:
             raise ContractError("oracle target dataset must be labeled")
-        adapted = [coral(sources[i], T_fit) for i in chosen]
-        pooled = Dataset(np.vstack([a.X for a in adapted]), np.concatenate([a.y for a in adapted]),
-                         sources[chosen[0]].k)
-        clf = train_erm(pooled, cfg.arch, replace(cfg.base, seed=seed + 999))
-        acc = accuracy(clf, oracle)
 
-    return SelectionOutcome(measure, tuple(float(v) for v in values), ranking, chosen,
-                            score, acc, seed, K)
+    # a phd task's source i trains run first + 2i (seed + 10 i + 1), its own hypothesis, and
+    # run first + 2i + 1 (seed + 10 i + 2), which starts its self-training
+    runs, fits = [], []
+    for sources, T, measure, seed, _, _ in tasks:
+        T_fit, T_eval = split(T.without_labels(), SplitSpec((1.0 - EVAL_FRAC, EVAL_FRAC), seed=seed))
+        if measure == "phd":
+            fits.append((T_fit, _zscore(T_fit), _zscore(T_eval, ref=T_fit), len(runs)))
+            for i, Z in enumerate(map(_zscore, sources)):
+                runs += [(Z, replace(cfg.base, seed=seed + 10 * i + j), None) for j in (1, 2)]
+        else:
+            fits.append((T_fit, None, None, None))
+    hs = _train_by_rows(runs, cfg.arch)
+
+    ranked, pooled_runs = [], []
+    for (sources, _, measure, seed, flags, oracle), (T_fit, fit, ev, first) in zip(tasks, fits):
+        values = []
+        for i, S in enumerate(sources):
+            if measure == "phd":
+                r = first + 2 * i
+                h_ssl = train_self(runs[r][0], fit, hs[r + 1], runs[r + 1][1], cfg.ssl_rounds).hypothesis
+                values.append(phd(hs[r], h_ssl, ev).value)
+            else:
+                rng = child_rng(seed, 12, i)
+                values.append(w1_exact(_subsample(S, cfg.w1_subsample, rng),
+                                       _subsample(T_fit, cfg.w1_subsample, rng), seed=seed + i).value)
+        ranking = rank_ascending(values)
+        chosen = ranking[:K]
+        score = None if flags is None else int(sum(bool(flags[i]) for i in chosen))
+        ranked.append((tuple(float(v) for v in values), ranking, chosen, score))
+        if oracle is not None:
+            adapted = [coral(sources[i], T_fit) for i in chosen]
+            pooled = Dataset(np.vstack([a.X for a in adapted]), np.concatenate([a.y for a in adapted]),
+                             sources[chosen[0]].k)
+            pooled_runs.append((pooled, replace(cfg.base, seed=seed + 999), None))
+    clfs = iter(_train_by_rows(pooled_runs, cfg.arch))
+
+    return [SelectionOutcome(measure, values, ranking, chosen, score,
+                             None if oracle is None else accuracy(next(clfs), oracle), seed, K)
+            for (_, _, measure, seed, _, oracle), (values, ranking, chosen, score) in zip(tasks, ranked)]
+
+
+def select_sources(sources, T: Dataset, measure: str, K: int, cfg: SelectConfig, seed: int = 0,
+                   clean_flags=None, oracle: Dataset | None = None) -> SelectionOutcome:
+    """The one-task case of :func:`select_sources_many`."""
+    return select_sources_many([(sources, T, measure, seed, clean_flags, oracle)], K, cfg)[0]

@@ -468,7 +468,16 @@ def _w1_1d(a: np.ndarray, b: np.ndarray) -> float:
     grid = np.sort(np.concatenate([a, b]))
     Fa = np.searchsorted(a, grid, side="right") / a.shape[0]
     Fb = np.searchsorted(b, grid, side="right") / b.shape[0]
-    return float(np.sum(np.abs(Fa[:-1] - Fb[:-1]) * np.diff(grid)))
+    gap = np.abs(Fa[:-1] - Fb[:-1])
+    with np.errstate(over="ignore", invalid="ignore"):  # an overflow is handled below, not warned
+        width = np.diff(grid)
+        value = float(np.sum(gap * width))
+        if not math.isfinite(value):
+            # a gap between points over 1.8e308 apart overflows; where the CDFs agree it adds 0, not 0 * inf
+            value = float(np.sum(gap[gap > 0] * width[gap > 0]))
+    if not math.isfinite(value):
+        raise CapacityError("the 1-D W1 distance overflows float64; rescale the feature")
+    return value
 
 
 def w1_exact(S: Dataset, T: Dataset, seed: int = 0, cap: int = W1_ASSIGNMENT_CAP) -> DiscrepancyReport:
@@ -494,8 +503,13 @@ def w1_exact(S: Dataset, T: Dataset, seed: int = 0, cap: int = W1_ASSIGNMENT_CAP
     Xs = S.X if S.n == n else S.X[np.sort(rng.choice(S.n, n, replace=False))]
     Xt = T.X if T.n == n else T.X[np.sort(rng.choice(T.n, n, replace=False))]
     cost = cdist(Xs, Xt)
+    if not np.all(np.isfinite(cost)):
+        raise CapacityError("a W1 transport cost overflows float64; rescale the features")
     rows, cols = linear_sum_assignment(cost)
-    value = float(cost[rows, cols].sum() / n)
+    with np.errstate(over="ignore"):  # an overflow is reported below, not warned
+        value = float(cost[rows, cols].sum() / n)
+    if not math.isfinite(value):
+        raise CapacityError("the W1 transport cost overflows float64; rescale the features")
     return DiscrepancyReport("w1", value, "assignment", details={"matched": n},
                              seeds=(seed,), n_source=S.n, n_target=T.n)
 

@@ -1,13 +1,16 @@
+from dataclasses import replace
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from phdkit.adapt import SelectConfig, coral, rank_ascending, select_sources
+from phdkit.adapt import SelectConfig, coral, rank_ascending, select_sources, select_sources_many
 from phdkit.data import Dataset, add_feature_noise, gen_gaussian_pair
 from phdkit.errors import ConfigError, ContractError, DegenerateInputError
 from phdkit.models import TrainConfig, mlp_arch
 from phdkit.numkit import child_rng
+from phdkit.protocols import Fig2Config, run_fig2
 
 
 def test_coral_identity_when_moments_match():
@@ -163,6 +166,50 @@ def test_selection_with_oracle_reports_accuracy():
     out = select_sources(pool, T.without_labels(), "w1", 2, _select_cfg(2), seed=0,
                          oracle=T)
     assert out.accuracy is not None and 0.0 <= out.accuracy <= 1.0
+
+
+def test_many_tasks_give_the_outcomes_of_one_task_calls():
+    # two pools of different row counts, so both training batches split by rows; overlapping
+    # classes keep the accuracies apart, so a classifier graded for the wrong task shows
+    kw = dict(blob_std=1.2, radius=1.0)
+    pool_a = [gen_gaussian_pair(120, 2, seed=s, **kw)[0] for s in range(3)]
+    pool_b = [gen_gaussian_pair(n, 2, seed=s, shift=0.5 * s, **kw)[0]
+              for s, n in ((4, 90), (5, 150), (6, 90))]
+    T, _ = gen_gaussian_pair(200, 2, seed=50, **kw)
+    T2, _ = gen_gaussian_pair(160, 2, seed=51, shift=0.8, rotate=0.8, **kw)
+    tasks = [(pool_a, T.without_labels(), "phd", 3, [True, False, True], T),
+             (pool_a, T.without_labels(), "w1", 3, None, T),
+             (pool_b, T2.without_labels(), "phd", 8, [False, True, True], None),
+             (pool_b, T2.without_labels(), "w1", 2, [False, True, True], T2),
+             (pool_b, T2.without_labels(), "phd", 2, None, T2)]
+    cfg = _select_cfg(2)
+    together = select_sources_many(tasks, 2, cfg)
+    alone = [select_sources(S, T, m, 2, cfg, seed=seed, clean_flags=f, oracle=o)
+             for S, T, m, seed, f, o in tasks]
+    assert together == alone
+    assert [o.accuracy is None for o in together] == [False, False, True, False, False]
+
+
+def test_every_task_is_checked_before_any_training(monkeypatch):
+    def no_training(*args):
+        raise AssertionError("trained before every task was checked")
+
+    monkeypatch.setattr("phdkit.adapt.train_erm_many", no_training)
+    pool = [gen_gaussian_pair(60, 2, seed=s)[0] for s in range(2)]
+    T, _ = gen_gaussian_pair(100, 2, seed=90)
+    good = (pool, T.without_labels(), "phd", 0, None, T)
+    for bad, error in (((pool, T, "phd", 0, [True], None), "clean_flags"),
+                       ((pool, T, "w1", 0, None, T.without_labels()), "oracle"),
+                       ((pool, T, "mmd", 0, None, None), "measure")):
+        with pytest.raises((ConfigError, ContractError), match=error):
+            select_sources_many([good, bad], 1, _select_cfg(2))
+
+
+def test_fig2_rows_match_the_runs_of_single_sigma_seed_pairs():
+    cfg = Fig2Config(seeds=(0, 1), sigmas=(0.1, 0.5), n_source=80, n_target=200, epochs=4, ssl_rounds=1)
+    single = [row for sigma in cfg.sigmas for seed in cfg.seeds
+              for row in run_fig2(replace(cfg, seeds=(seed,), sigmas=(sigma,)))["rows"]]
+    assert repr(run_fig2(cfg)["rows"]) == repr(single)
 
 
 def test_selection_validation():

@@ -290,14 +290,27 @@ def test_out_of_range_delta_m_or_rotation_exits_2_with_one_json_line(argv, error
 
 @pytest.fixture(scope="module")
 def overflow_dir(tmp_path_factory):
-    """A 40-row pair, one trained two-score model, and a one-feature pair whose
-    source spans +-1e308 (its neighbouring gaps, and so W1, stay finite)."""
+    """A 40-row pair, one trained two-score model, a one-feature pair whose
+    source spans +-1e308 (its neighbouring gaps, and so W1, stay finite), a
+    sample {-1e308, 1e308}, a two-feature pair with one column scaled by 1e200,
+    two one-point samples 1.8e308 apart and two two-feature samples 1e308
+    apart row by row."""
     out = tmp_path_factory.mktemp("overflow")
     assert main(["--seed", "3", "--out", str(out), "gen", "--n", "40", "--d", "2"]) == 0
     assert main(["--out", str(out), "train", "--data", str(out / "pair_source.csv"), "--hidden", "",
                  "--out-dim", "2", "--epochs", "1", "--model-name", "model.bin"]) == 0
     (out / "wide_s.csv").write_text("x0,label\n1e308,0\n-1e308,1\n1,0\n")
     (out / "wide_t.csv").write_text("x0,label\n5,1\n0,0\n2,1\n")
+    for name, seed in (("scaled_s", 1), ("scaled_t", 2)):
+        rng = np.random.default_rng(seed)
+        X = rng.standard_normal((30, 2)) * [1.0, 1e200]
+        rows = "".join(f"{a!r},{b!r},{i % 2}\n" for i, (a, b) in enumerate(X.tolist()))
+        (out / f"{name}.csv").write_text("x0,x1,label\n" + rows)
+    (out / "ends.csv").write_text("x0,label\n-1e308,0\n1e308,1\n")
+    (out / "low.csv").write_text("x0,label\n-9e307,0\n")
+    (out / "high.csv").write_text("x0,label\n9e307,0\n")
+    (out / "far_s.csv").write_text("x0,x1,label\n1e308,0,0\n1e308,1,1\n")
+    (out / "far_t.csv").write_text("x0,x1,label\n0,0,0\n0,1,1\n")
     return out
 
 
@@ -308,7 +321,17 @@ def overflow_dir(tmp_path_factory):
     (["bounds", "--bound", "thm6", "--rho", "1e-320"], "ContractError", "complexity_margin"),
     (["w1", "--source", "wide_s.csv", "--target", "wide_t.csv", "--bins", "4"], "CapacityError", "overflows"),
     (["coral", "--source", "wide_s.csv", "--target", "wide_t.csv"], "ContractError", "covariance"),
-], ids=["thm4-confidence", "lemma1-hoeffding", "thm6-complexity", "w1-bins-range", "coral-covariance"])
+    (["w1", "--source", "scaled_s.csv", "--target", "scaled_t.csv"], "CapacityError", "transport cost"),
+    (["w1", "--source", "scaled_s.csv", "--target", "scaled_t.csv", "--bins", "5"], "CapacityError",
+     "transport cost"),
+    (["w1", "--source", "far_s.csv", "--target", "far_t.csv"], "CapacityError", "transport cost"),
+    (["w1", "--source", "low.csv", "--target", "high.csv"], "CapacityError", "1-D W1"),
+    (["select", "--sources", "scaled_s.csv,scaled_s.csv", "--target", "scaled_t.csv", "--measure", "w1",
+      "--top-k", "1"], "CapacityError", "transport cost"),
+    (["select", "--sources", "scaled_s.csv,scaled_s.csv", "--target", "scaled_t.csv", "--measure", "phd",
+      "--top-k", "1"], "ContractError", "feature 1's mean or standard deviation"),
+], ids=["thm4-confidence", "lemma1-hoeffding", "thm6-complexity", "w1-bins-range", "coral-covariance",
+        "w1-cost", "w1-bins-cost", "w1-cost-sum", "w1-1d", "select-w1-cost", "select-phd-zscore"])
 def test_overflowing_values_exit_2_with_one_json_line(argv, error, named, overflow_dir):
     if argv[0] == "bounds":
         argv = argv + ["--target", "pair_target.csv", "--rad-draws", "2",
@@ -319,6 +342,13 @@ def test_overflowing_values_exit_2_with_one_json_line(argv, error, named, overfl
     assert len(lines) == 1, proc.stderr
     doc = json.loads(lines[0])
     assert doc["error"] == error and named in doc["message"], doc
+
+
+def test_w1_of_two_equal_samples_spanning_float64_is_zero(overflow_dir):
+    # the CDFs agree on the one gap wider than float64 holds, which adds 0, not 0 * inf
+    proc = _run_subprocess(["w1", "--source", "ends.csv", "--target", "ends.csv"], overflow_dir)
+    assert proc.returncode == 0 and proc.stderr == "", proc.stderr
+    assert json.loads(proc.stdout)["result"]["value"] == 0.0
 
 
 @pytest.mark.parametrize("flag,value", [("--weight-decay", "-1"), ("--weight-decay", "nan"), ("--lr", "inf")])
