@@ -20,7 +20,7 @@ from dataclasses import dataclass, field, replace
 
 import numpy as np
 
-from .data import Dataset, SplitSpec, split
+from .data import Dataset, split
 from .discrepancy import phd, w1_exact
 from .errors import ConfigError, ContractError, DegenerateInputError
 from .models import (
@@ -183,7 +183,7 @@ def select_sources_many(tasks, K: int, cfg: SelectConfig) -> list[SelectionOutco
     # run first + 2i + 1 (seed + 10 i + 2), which starts its self-training
     runs, fits = [], []
     for sources, T, measure, seed, _, _ in tasks:
-        T_fit, T_eval = split(T.without_labels(), SplitSpec((1.0 - EVAL_FRAC, EVAL_FRAC), seed=seed))
+        T_fit, T_eval = split(T.without_labels(), (1.0 - EVAL_FRAC, EVAL_FRAC), seed=seed)
         if measure == "phd":
             fits.append((T_fit, _zscore(T_fit), _zscore(T_eval, ref=T_fit), len(runs)))
             for i, Z in enumerate(map(_zscore, sources)):

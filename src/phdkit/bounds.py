@@ -67,10 +67,6 @@ class BoundReport:
     def total(self) -> float:
         return math.fsum(t.value for t in self.terms)
 
-    @property
-    def feasible_total(self) -> float:
-        return math.fsum(t.value for t in self.terms if not t.diagnostic)
-
     def term(self, name: str) -> float:
         for t in self.terms:
             if t.name == name:
@@ -83,7 +79,7 @@ class BoundReport:
             "bound_id": self.bound_id,
             "terms": [{"name": t.name, "value": t.value, "diagnostic": t.diagnostic} for t in self.terms],
             "total": self.total,
-            "feasible_total": self.feasible_total,
+            "feasible_total": math.fsum(t.value for t in self.terms if not t.diagnostic),
             "delta": self.delta,
             "n_target": self.n_target,
         }

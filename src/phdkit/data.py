@@ -75,24 +75,6 @@ class Dataset:
         return Dataset(self.X[idx], None if self.y is None else self.y[idx], self.k)
 
 
-@dataclass(frozen=True)
-class SplitSpec:
-    """Disjoint-fraction split. Fractions are positive and sum to <= 1."""
-
-    fractions: tuple[float, ...]
-    seed: int = 0
-
-    def __post_init__(self):
-        fr = tuple(float(f) for f in self.fractions)
-        if not fr:
-            raise ConfigError("split needs at least one fraction")
-        if any(f <= 0 for f in fr):
-            raise ConfigError(f"fractions must be positive, got {fr}")
-        if sum(fr) > 1.0 + 1e-9:
-            raise ConfigError(f"fractions sum to {sum(fr)} > 1")
-        object.__setattr__(self, "fractions", fr)
-
-
 def _mixture_centers(k: int, d: int, radius: float, layout_seed: int | None) -> tuple[np.ndarray, np.ndarray]:
     """Blob centers and label assignment for the k-component mixture.
 
@@ -103,8 +85,7 @@ def _mixture_centers(k: int, d: int, radius: float, layout_seed: int | None) -> 
     """
     centers = np.zeros((k, d))
     if d == 1:
-        spots = (np.arange(k) - (k - 1) / 2.0) * radius
-        centers[:, 0] = spots
+        centers[:, 0] = (np.arange(k) - (k - 1) / 2.0) * radius
     else:
         angles = 2.0 * math.pi * np.arange(k) / k
         centers[:, 0] = radius * np.cos(angles)
@@ -273,28 +254,8 @@ def read_idx(images_path, labels_path=None) -> Dataset:
                 f"label count {y.shape[0]} does not match image count {X.shape[0]}",
                 offset=4,
             )
-        k = max(2, int(y.max()) + 1) if y.size else 2
+        k = max(2, int(y.max()) + 1)  # y is not empty: an image file holds an image
     return Dataset(X, y, k)
-
-
-def write_idx(D: Dataset, images_path, labels_path=None) -> None:
-    """Write features (clipped to [0,1], quantized to bytes) in IDX layout.
-
-    Feature vectors are stored as 1 x d images. Values that are already
-    multiples of 1/255 round-trip exactly.
-    """
-    q = np.clip(np.rint(D.X * 255.0), 0, 255).astype(np.uint8)
-    with open(images_path, "wb") as f:
-        f.write(struct.pack(">IIII", IDX_IMAGE_MAGIC, D.n, 1, D.d))
-        f.write(q.tobytes())
-    if labels_path is not None:
-        if D.y is None:
-            raise ContractError("dataset has no labels to write")
-        if D.y.size and D.y.max() > 255:
-            raise ContractError("IDX labels are single bytes; labels exceed 255")
-        with open(labels_path, "wb") as f:
-            f.write(struct.pack(">II", IDX_LABEL_MAGIC, D.n))
-            f.write(D.y.astype(np.uint8).tobytes())
 
 
 def read_csv(path, label_col: str | None = None, *, label_optional: bool = False) -> Dataset:
@@ -396,12 +357,16 @@ def write_csv(D: Dataset, path) -> None:
         f.write(",".join(header) + "\r\n" + "".join(",".join(map(repr, row)) + "\r\n" for row in rows))
 
 
-def split(D: Dataset, spec: SplitSpec) -> list[Dataset]:
-    """Seeded disjoint split, sized by the floor-then-remainder rule."""
+def split(D: Dataset, fractions: tuple[float, ...], seed: int = 0) -> list[Dataset]:
+    """Seeded disjoint split by positive fractions that sum to <= 1, sized by
+    the floor-then-remainder rule."""
+    fractions = tuple(map(float, fractions))
+    if not fractions or any(f <= 0 for f in fractions) or sum(fractions) > 1.0 + 1e-9:
+        raise ConfigError(f"split needs positive fractions that sum to <= 1, got {fractions}")
     n = D.n
     if n == 0:
         raise DegenerateInputError("cannot split an empty dataset")
-    targets = [f * n for f in spec.fractions]
+    targets = [f * n for f in fractions]
     sizes = [int(math.floor(t + 1e-9)) for t in targets]
     total = int(math.floor(sum(targets) + 1e-9))
     leftovers = total - sum(sizes)
@@ -410,8 +375,8 @@ def split(D: Dataset, spec: SplitSpec) -> list[Dataset]:
         for i in order[:leftovers]:
             sizes[i] += 1
     if any(s == 0 for s in sizes):
-        raise ConfigError(f"split fractions {spec.fractions} yield an empty subset at n={n}")
-    perm = child_rng(spec.seed, 3).permutation(n)
+        raise ConfigError(f"split fractions {fractions} yield an empty subset at n={n}")
+    perm = child_rng(seed, 3).permutation(n)
     out, start = [], 0
     for s in sizes:
         out.append(D.take(np.sort(perm[start : start + s])))

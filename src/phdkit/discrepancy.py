@@ -121,7 +121,8 @@ class StumpClass:
         X = np.vstack([D.X for D in samples])
         if X.shape[0] == 0:
             raise DegenerateInputError("cannot build a stump class from empty data")
-        return cls(X.shape[1], tuple((u[:-1] + u[1:]) / 2.0 for u in map(np.unique, X.T)))
+        with np.errstate(over="ignore"):  # an overflowing sum is redone in _midpoints, not warned
+            return cls(X.shape[1], tuple(map(_midpoints, map(np.unique, X.T))))
 
     @property
     def size(self) -> int:
@@ -167,6 +168,15 @@ class StumpClass:
         rows.append(np.ones((1, X.shape[0]), dtype=np.int8))
         rows.append(-np.ones((1, X.shape[0]), dtype=np.int8))
         return np.vstack(rows)
+
+
+def _midpoints(u: np.ndarray) -> np.ndarray:
+    """Midpoints of neighbouring sorted values, from their halves only where the sum overflows."""
+    m = (u[:-1] + u[1:]) / 2.0
+    over = np.isinf(m)
+    if over.any():
+        m[over] = u[:-1][over] / 2.0 + u[1:][over] / 2.0
+    return m
 
 
 def _scan_plan(x: np.ndarray, thresholds: np.ndarray) -> tuple[np.ndarray, np.ndarray]:

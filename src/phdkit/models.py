@@ -41,7 +41,7 @@ from __future__ import annotations
 import json
 import math
 import struct
-from dataclasses import dataclass, field, replace
+from dataclasses import asdict, dataclass, field, replace
 
 import numpy as np
 
@@ -81,11 +81,9 @@ class Arch:
         return (self.in_dim, *self.hidden, self.out_dim)
 
     def param_count(self) -> int:
+        """Weights and biases of every layer, plus a scale and a shift per batch-normalized unit."""
         ws = self.widths
-        n = sum(ws[i] * ws[i + 1] + ws[i + 1] for i in range(len(ws) - 1))
-        if self.batch_norm:
-            n += 2 * sum(self.hidden)
-        return n
+        return sum(ws[i] * ws[i + 1] + ws[i + 1] for i in range(len(ws) - 1)) + self.bn_stat_count()
 
     def bn_stat_count(self) -> int:
         return 2 * sum(self.hidden) if self.batch_norm else 0
@@ -384,7 +382,8 @@ def empirical_risk(h: Hypothesis, labeler, D: Dataset, loss: LossSpec) -> float:
     picked = s[np.arange(D.n), ref]
     masked = s.copy()
     masked[np.arange(D.n), ref] = -np.inf
-    gap = picked - masked.max(axis=1)
+    with np.errstate(over="ignore"):  # a gap past float64 is an infinity of its sign, beyond any rho
+        gap = picked - masked.max(axis=1)
     return float(np.mean(gap <= loss.rho))
 
 
@@ -622,20 +621,12 @@ def grad_check(arch: Arch, probe: Dataset, eps: float = 1e-5, seed: int = 0) -> 
 
 
 def linear_hypothesis(w, b, note: str = "") -> Hypothesis:
-    """Binary linear hypothesis with explicit weights and bias."""
-    w = np.atleast_1d(np.asarray(w, dtype=np.float64))
-    arch = linear_arch(w.shape[0], 1)
-    params = np.concatenate([w, [float(b)]])
-    return Hypothesis(arch, params, note=note)
-
-
-def linear_multiclass_hypothesis(W, b, note: str = "") -> Hypothesis:
-    """Multiclass linear hypothesis; W is (d, k), b is (k,)."""
-    W = np.asarray(W, dtype=np.float64)
-    b = np.asarray(b, dtype=np.float64)
-    arch = linear_arch(W.shape[0], W.shape[1])
-    params = np.concatenate([W.ravel(), b.ravel()])
-    return Hypothesis(arch, params, note=note)
+    """Linear hypothesis with explicit weights and bias: a weight vector and
+    a scalar bias give a binary one, a (d, k) matrix and k biases a k-class one."""
+    W = np.asarray(w, dtype=np.float64)
+    W = W.reshape(-1, 1) if W.ndim < 2 else W
+    params = np.concatenate([W.ravel(), np.ravel(b)])
+    return Hypothesis(linear_arch(W.shape[0], W.shape[1]), params, note=note)
 
 
 def constant_hypothesis(d: int, label: int) -> Hypothesis:
@@ -671,13 +662,7 @@ def save_hypothesis(h: Hypothesis, path) -> None:
     sidecar = {
         "format": "phdkit-hypothesis",
         "version": BLOB_VERSION,
-        "arch": {
-            "in_dim": h.arch.in_dim,
-            "hidden": list(h.arch.hidden),
-            "out_dim": h.arch.out_dim,
-            "batch_norm": h.arch.batch_norm,
-            "negative_slope": h.arch.negative_slope,
-        },
+        "arch": asdict(h.arch),
         "seed": h.seed,
         "note": h.note,
         "k": h.k,

@@ -20,7 +20,7 @@ from .adapt import (
     select_sources_many,
 )
 from .bounds import bound_ineq2, bound_thm1
-from .data import Dataset, SplitSpec, add_feature_noise, gen_gaussian_pair, split
+from .data import Dataset, add_feature_noise, gen_gaussian_pair, split
 from .discrepancy import StumpClass, dh_adv, dh_exact, phd, sdisc_adv, sdisc_exact, stump_erm
 from .errors import ConfigError
 from .models import TrainConfig, accuracy, empirical_risk, mlp_arch, train_erm, train_erm_many, zero_one
@@ -65,13 +65,13 @@ def run_table1(cfg: Table1Config = Table1Config()) -> dict:
         dh_stump = dh_exact(S, T, cls).value
         hS_stump = stump_erm(cls, S)
         sdisc_stump = sdisc_exact(S, T, hS_stump, cls).value
-        S1, S2 = split(S, SplitSpec((0.5, 0.5), seed=seed))
+        S1, S2 = split(S, (0.5, 0.5), seed=seed)
         phd_stump = phd(stump_erm(cls, S1), stump_erm(cls, S2), T).value
 
         arch = mlp_arch(cfg.d, cfg.hidden, batch_norm=True)
         base = TrainConfig(epochs=cfg.epochs, batch_size=cfg.batch_size, seed=seed)
         h_s = train_erm(S, arch, base)
-        T_fit, T_eval = split(T.without_labels(), SplitSpec((0.5, 0.5), seed=seed + 1))
+        T_fit, T_eval = split(T.without_labels(), (0.5, 0.5), seed=seed + 1)
         ssl = train_self(S, T_fit, h_s, base, cfg.ssl_rounds)
         phd_mlp = phd(h_s, ssl.hypothesis, T_eval).value
 
@@ -142,7 +142,7 @@ def run_table2(cfg: Table2Config = Table2Config()) -> dict:
     for seed in cfg.seeds:
         S, T = gen_gaussian_pair(cfg.n, cfg.d, shift=0.0, rotate=0.0, label_rule="linear", seed=seed,
                                  blob_std=cfg.blob_std, radius=cfg.blob_radius)
-        T_fit, T_eval, T_star = split(T, SplitSpec((0.4, 0.3, 0.3), seed=seed))
+        T_fit, T_eval, T_star = split(T, (0.4, 0.3, 0.3), seed=seed)
         arch = mlp_arch(cfg.d, cfg.hidden, batch_norm=True)
         base = TrainConfig(epochs=cfg.epochs, batch_size=cfg.batch_size, seed=seed)
         h_s = train_erm(S, arch, base)
@@ -217,7 +217,7 @@ def _table3_case(cfg: Table3Config, seed: int, unrelated: bool) -> dict:
         T = T_same
     arch = mlp_arch(cfg.d, cfg.hidden, out_dim=cfg.k, batch_norm=True)
     base = TrainConfig(epochs=cfg.epochs, batch_size=cfg.batch_size, seed=seed)
-    T_fit, T_eval, T_star = split(T, SplitSpec((0.4, 0.3, 0.3), seed=seed))
+    T_fit, T_eval, T_star = split(T, (0.4, 0.3, 0.3), seed=seed)
     # self-training runs under its own seed, so it starts from its own source model
     ssl_cfg = replace(base, seed=seed + 1)
     h_s, h0 = train_erm_many([(S, base, None), (S, ssl_cfg, None)], arch)

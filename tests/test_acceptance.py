@@ -53,12 +53,50 @@ def _line(idx, name, ok, detail):
     assert ok, detail
 
 
+# The protocol-scale criteria as predicates of (report, wall seconds): each
+# returns the pass or fail of its parts, and the criterion holds when all of
+# them do. The tests below assert them at the default configs, and
+# scripts/seed_windows.py applies the same predicates to other seed windows.
+
+
+def table1_parts(rep: dict, elapsed: float) -> dict:
+    """Criterion 1: at least 8 seeds satisfy the overestimation pattern, within 180 s."""
+    return {"successes_at_least_8": rep["successes"] >= 8, "budget_180s": elapsed <= 180}
+
+
+def table2_parts(rep: dict, elapsed: float) -> dict:
+    """Criterion 2: at least 9 seeds have the pair bound below the source-guided one, within 180 s."""
+    return {"successes_at_least_9": rep["successes"] >= 9, "budget_180s": elapsed <= 180}
+
+
+def table3_parts(rep: dict, elapsed: float) -> dict:
+    """Criterion 3: the unrelated-pair mean lies within the tolerance of 1 - 1/k, within 180 s."""
+    return {"within_tolerance": rep["within_tolerance"], "budget_180s": elapsed <= 180}
+
+
+def fig2_parts(rep: dict, elapsed: float) -> dict:
+    """Criterion 8: the pair-discrepancy scores are non-decreasing in sigma and at
+    least 4.0 at 0.5, the transport score at 0.5 is lower, and the accuracy at 0.5
+    is at least the transport selection's, within 600 s."""
+    s = rep["summary"]
+    phd_scores = [s["phd"]["score_by_sigma"][k] for k in ("0.1", "0.3", "0.5")]
+    return {
+        "phd_scores_non_decreasing": all(b >= a for a, b in zip(phd_scores, phd_scores[1:])),
+        "phd_score_at_0.5_at_least_4": phd_scores[-1] >= 4.0,
+        "w1_score_below_phd_at_0.5": s["w1"]["score_by_sigma"]["0.5"] < phd_scores[-1],
+        "phd_accuracy_at_least_w1_at_0.5": s["phd"]["accuracy_by_sigma"]["0.5"] >= s["w1"]["accuracy_by_sigma"]["0.5"],
+        "budget_600s": elapsed <= 600,
+    }
+
+
+ACCEPTANCE = {"table1": table1_parts, "table2": table2_parts, "table3": table3_parts, "fig2": fig2_parts}
+
+
 def test_criterion_1_overestimation_table1():
     t0 = time.time()
     rep = run_table1(Table1Config())
     elapsed = time.time() - t0
-    ok = rep["successes"] >= 8 and elapsed <= 180
-    _line(1, "overestimation", ok,
+    _line(1, "overestimation", all(table1_parts(rep, elapsed).values()),
           f"{rep['successes']}/10 seeds satisfy the pattern "
           f"(stump measures <= 0.08, adversarial MLP >= 0.30, pair discrepancy <= 0.08); "
           f"{elapsed:.0f}s (budget 180s); means={ {k: round(v, 4) for k, v in rep['means'].items()} }")
@@ -68,8 +106,7 @@ def test_criterion_2_bound_tightness_table2():
     t0 = time.time()
     rep = run_table2(Table2Config())
     elapsed = time.time() - t0
-    ok = rep["successes"] >= 9 and elapsed <= 180
-    _line(2, "bound tightness", ok,
+    _line(2, "bound tightness", all(table2_parts(rep, elapsed).values()),
           f"{rep['successes']}/10 seeds have pair-hypotheses total < source-guided total; "
           f"{elapsed:.0f}s (budget 180s); mean totals "
           f"{rep['means']['thm1_total']:.4f} vs {rep['means']['ineq2_total']:.4f}")
@@ -79,8 +116,7 @@ def test_criterion_3_unrelated_domains_table3():
     t0 = time.time()
     rep = run_table3(Table3Config())
     elapsed = time.time() - t0
-    ok = rep["within_tolerance"] and elapsed <= 180
-    _line(3, "different domains", ok,
+    _line(3, "different domains", all(table3_parts(rep, elapsed).values()),
           f"mean pair discrepancy {rep['mean_phd_unrelated']:.4f} within 0.15 of "
           f"random-guess level {rep['random_guess_level']:.2f} "
           f"(identical-domain mean {rep['mean_phd_identical']:.4f}); {elapsed:.0f}s (budget 180s)")
@@ -195,18 +231,15 @@ def test_criterion_8_source_selection_fig2():
     t0 = time.time()
     rep = run_fig2(Fig2Config())
     elapsed = time.time() - t0
+    parts = fig2_parts(rep, elapsed)
     s = rep["summary"]
     phd_scores = [s["phd"]["score_by_sigma"][k] for k in ("0.1", "0.3", "0.5")]
-    w1_at_05 = s["w1"]["score_by_sigma"]["0.5"]
-    acc_phd = s["phd"]["accuracy_by_sigma"]["0.5"]
-    acc_w1 = s["w1"]["accuracy_by_sigma"]["0.5"]
-    non_decreasing = all(b >= a for a, b in zip(phd_scores, phd_scores[1:]))
-    ok = (non_decreasing and phd_scores[-1] >= 4.0 and w1_at_05 < phd_scores[-1]
-          and acc_phd >= acc_w1 and elapsed <= 600)
-    _line(8, "source selection", ok,
-          f"pair-discrepancy scores by sigma {phd_scores} (non-decreasing={non_decreasing}, "
-          f">=4.0 at 0.5), transport score at 0.5 = {w1_at_05} (lower), "
-          f"accuracy {acc_phd:.4f} vs {acc_w1:.4f}; {elapsed:.0f}s (budget 600s)")
+    _line(8, "source selection", all(parts.values()),
+          f"pair-discrepancy scores by sigma {phd_scores} "
+          f"(non-decreasing={parts['phd_scores_non_decreasing']}, >=4.0 at 0.5), "
+          f"transport score at 0.5 = {s['w1']['score_by_sigma']['0.5']} (lower), accuracy "
+          f"{s['phd']['accuracy_by_sigma']['0.5']:.4f} vs {s['w1']['accuracy_by_sigma']['0.5']:.4f}; "
+          f"{elapsed:.0f}s (budget 600s)")
 
 
 def test_criterion_9_numerical_substrate():

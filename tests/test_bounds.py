@@ -25,7 +25,7 @@ from phdkit.errors import ContractError, DegenerateInputError
 from phdkit.models import (
     constant_hypothesis,
     empirical_risk,
-    linear_multiclass_hypothesis,
+    linear_hypothesis,
     predict,
     stump_hypothesis,
     zero_one,
@@ -222,7 +222,7 @@ def test_thm6_margin_bound():
     W = np.array([[1.0, 0.0, 0.0]])
     X = np.array([[3.0], [2.5], [4.0]])
     T = Dataset(X)
-    h = linear_multiclass_hypothesis(W, [0.0, 0.0, 0.0])
+    h = linear_hypothesis(W, [0.0, 0.0, 0.0])
     rep = bound_thm6_margin(h, h, h, T, rho=1.0, rad_pi1=rad_const(0.05), delta=0.05)
     assert rep.term("target_margin_risk_h_vs_h1") == 0.0
     assert rep.term("phd") == 0.0
@@ -235,7 +235,7 @@ def test_thm6_margin_bound():
 def test_thm6_margin_count_oracle():
     # scores: class gaps 0.5, 1.5, 2.5 against reference labels from h1
     W = np.eye(3)
-    h1 = linear_multiclass_hypothesis(W, [0.0, 0.0, 0.0])
+    h1 = linear_hypothesis(W, [0.0, 0.0, 0.0])
     X = np.array([[0.5, 0.0, 0.0], [1.5, 0.0, 0.0], [2.5, 0.0, 0.0]])
     T = Dataset(X)
     rep = bound_thm6_margin(h1, h1, h1, T, rho=1.0, rad_pi1=rad_const(0.0), delta=0.5)
@@ -247,8 +247,8 @@ def test_thm6_margin_count_oracle():
 
 def test_thm6_takes_k_from_the_hypotheses_and_rejects_mixed_class_counts():
     T = Dataset(np.array([[0.5, 0.0, 0.0], [1.5, 0.0, 0.0], [2.5, 0.0, 0.0]]))
-    h3 = linear_multiclass_hypothesis(np.eye(3), [0.0, 0.0, 0.0])
-    h4 = linear_multiclass_hypothesis(np.eye(3, 4), [0.0, 0.0, 0.0, 0.0])
+    h3 = linear_hypothesis(np.eye(3), [0.0, 0.0, 0.0])
+    h4 = linear_hypothesis(np.eye(3, 4), [0.0, 0.0, 0.0, 0.0])
     rep = bound_thm6_margin(h3, h3, h3, T, rho=2.0, rad_pi1=rad_const(0.1), delta=0.5)
     assert rep.term("complexity_margin") == pytest.approx(4.0 * 3 / 2.0 * 0.1, rel=1e-12)
     for h, h1, h2 in ((h4, h3, h3), (h3, h4, h3), (h3, h3, h4)):
@@ -258,7 +258,7 @@ def test_thm6_takes_k_from_the_hypotheses_and_rejects_mixed_class_counts():
 
 def test_risk_and_pair_terms_compare_hypotheses_of_one_class_count():
     T, h, h1, h2, ht = _toy()
-    h3 = linear_multiclass_hypothesis(np.eye(1, 3), np.zeros(3))
+    h3 = linear_hypothesis(np.eye(1, 3), np.zeros(3))
     rad = rad_const(0.0)
     calls = [
         lambda: bound_ineq1(h3, h1, T),

@@ -2,9 +2,11 @@ import csv
 import io
 import json
 import os
+import re
 import struct
 import subprocess
 import sys
+import warnings
 from contextlib import redirect_stderr, redirect_stdout
 from pathlib import Path
 
@@ -234,14 +236,24 @@ def test_divergence_gives_exit_3(tmp_path, capsys):
     assert doc["error"] == "TrainingError" and doc["epoch"] >= 1
 
 
-def _run_subprocess(argv, cwd):
-    """The CLI in a subprocess with warnings shown: pytest's warning capture keeps
-    numpy's RuntimeWarnings out of capsys."""
+def _run_subprocess(argv, cwd, python=("-m", "phdkit.cli")):
+    """The CLI (or other ``python`` arguments) in a fresh interpreter with warnings
+    shown: pytest's warning capture keeps numpy's RuntimeWarnings out of capsys."""
     src = str(Path(phdkit.__file__).parents[1])
     env = dict(os.environ, PYTHONWARNINGS="default",
                PYTHONPATH=os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")])))
-    return subprocess.run([sys.executable, "-m", "phdkit.cli", *argv],
+    return subprocess.run([sys.executable, *python, *argv],
                           env=env, cwd=cwd, capture_output=True, text=True, timeout=300)
+
+
+def test_import_loads_the_library_modules_but_not_the_front_end(tmp_path):
+    # the start-up work that `import phdkit` does, which perfbench's setup_s times
+    probe = ("import sys, phdkit; phdkit.discrepancy.phd; "
+             "print(*sorted(m for m in sys.modules if m.partition('.')[0] == 'phdkit'))")
+    proc = _run_subprocess([], tmp_path, python=("-c", probe))
+    assert proc.returncode == 0 and proc.stderr == "", proc.stderr
+    library = ("adapt", "bounds", "data", "discrepancy", "errors", "models", "numkit", "semisup", "tritrain")
+    assert proc.stdout.split() == ["phdkit", *(f"phdkit.{m}" for m in library)]
 
 
 def test_features_beyond_float32_give_one_json_line_on_stderr(tmp_path):
@@ -349,6 +361,41 @@ def test_w1_of_two_equal_samples_spanning_float64_is_zero(overflow_dir):
     proc = _run_subprocess(["w1", "--source", "ends.csv", "--target", "ends.csv"], overflow_dir)
     assert proc.returncode == 0 and proc.stderr == "", proc.stderr
     assert json.loads(proc.stdout)["result"]["value"] == 0.0
+
+
+def test_stumps_between_neighbours_beyond_half_of_float64_match_enumeration(tmp_path):
+    # 1.5e308 + 1.6e308 overflows, so the midpoints between such neighbours are taken from their halves
+    from phdkit.data import read_csv
+    from phdkit.discrepancy import StumpClass
+    from phdkit.models import linear_hypothesis, predict, save_hypothesis
+
+    (tmp_path / "s.csv").write_text("x0,x1,label\n1.5e308,0,0\n1.7e308,1,1\n0,0,0\n1,1,1\n")
+    (tmp_path / "t.csv").write_text("x0,x1,label\n1.6e308,0,0\n-1.7e308,1,1\n2,0,0\n3,1,1\n")
+    hS = linear_hypothesis([1.0, 0.0], -0.5)
+    save_hypothesis(hS, tmp_path / "h.bin")
+    S, T = (read_csv(tmp_path / name, "label") for name in ("s.csv", "t.csv"))
+    cls = StumpClass.from_data(S, T)
+    assert all(np.isfinite(t).all() for t in cls.thresholds)
+    with np.errstate(over="ignore"):  # a score x - t past float64 is an infinity of the right sign
+        preds = [(predict(h, S.X), predict(h, T.X)) for h in cls.hypotheses()]
+    ref_s, ref_t = predict(hS, S.X), predict(hS, T.X)
+
+    def gap(ps, pt, qs, qt):
+        return abs(float(np.mean(pt != qt)) - float(np.mean(ps != qs)))
+
+    expected = {
+        "dh": max(gap(ps, pt, 1, 1) for ps, pt in preds),
+        "sdisc": max(gap(ps, pt, ref_s, ref_t) for ps, pt in preds),
+        "disc": max(gap(ps, pt, qs, qt) for ps, pt in preds for qs, qt in preds),
+    }
+    for command, extra in (("dh", []), ("disc", []), ("sdisc", ["--model", "h.bin"])):
+        proc = _run_subprocess([command, "--source", "s.csv", "--target", "t.csv", *extra], tmp_path)
+        assert proc.returncode == 0 and proc.stderr == "", (command, proc.stderr)
+        result = json.loads(proc.stdout)["result"]
+        details = result["details"]
+        thresholds = [details["threshold"]] if "threshold" in details else [m[1] for m in details["pair"]]
+        assert np.isfinite(thresholds).all(), (command, details)
+        assert result["value"] == pytest.approx(expected[command], abs=1e-12), command
 
 
 @pytest.mark.parametrize("flag,value", [("--weight-decay", "-1"), ("--weight-decay", "nan"), ("--lr", "inf")])
@@ -538,11 +585,11 @@ def mismatched_inputs(tmp_path_factory):
     out = tmp_path_factory.mktemp("shapes")
     for prefix, d, k in (("d2", 2, 2), ("d3", 3, 2), ("k3", 2, 3)):
         assert main(["--out", str(out), "gen", "--n", "40", "--d", str(d), "--k", str(k), "--prefix", prefix]) == 0
-    from phdkit.models import linear_hypothesis, linear_multiclass_hypothesis, save_hypothesis
+    from phdkit.models import linear_hypothesis, save_hypothesis
 
     save_hypothesis(linear_hypothesis([1.0, 1.0], 0.0), out / "h.bin")
     for k in (3, 5):
-        save_hypothesis(linear_multiclass_hypothesis(np.eye(2, k), np.arange(k) / k), out / f"k{k}.bin")
+        save_hypothesis(linear_hypothesis(np.eye(2, k), np.arange(k) / k), out / f"k{k}.bin")
     return out
 
 
@@ -941,7 +988,7 @@ CELL_FAULTS = ("nan-feature", "inf-feature", "label-1.7", "label-inf", "label-1e
 @pytest.fixture(scope="module")
 def cross_file_dir(tmp_path_factory):
     from phdkit.data import Dataset, write_csv
-    from phdkit.models import linear_hypothesis, linear_multiclass_hypothesis, save_hypothesis
+    from phdkit.models import linear_hypothesis, save_hypothesis
 
     d = tmp_path_factory.mktemp("cross")
     X = np.random.default_rng(0).standard_normal((24, 3))
@@ -957,10 +1004,10 @@ def cross_file_dir(tmp_path_factory):
     (d / "header-only.csv").write_text(lines[0])
     save_hypothesis(linear_hypothesis([1.0, 1.0], 0.0), d / "model.bin")
     save_hypothesis(linear_hypothesis([1.0, 1.0, 0.5], 0.0), d / "model-features-3.bin")
-    save_hypothesis(linear_multiclass_hypothesis([[1.0, -1.0], [0.5, 0.0]], [0.0, 0.1]), d / "scores.bin")
-    save_hypothesis(linear_multiclass_hypothesis([[1.0, -1.0], [0.5, 0.0], [0.0, 1.0]], [0.0, 0.1]),
+    save_hypothesis(linear_hypothesis([[1.0, -1.0], [0.5, 0.0]], [0.0, 0.1]), d / "scores.bin")
+    save_hypothesis(linear_hypothesis([[1.0, -1.0], [0.5, 0.0], [0.0, 1.0]], [0.0, 0.1]),
                     d / "scores-features-3.bin")
-    save_hypothesis(linear_multiclass_hypothesis(np.eye(2, 3), [0.0, 0.1, 0.2]), d / "classes-3.bin")
+    save_hypothesis(linear_hypothesis(np.eye(2, 3), [0.0, 0.1, 0.2]), d / "classes-3.bin")
     return d
 
 
@@ -985,11 +1032,15 @@ def _one_input_changed(inputs, change):
     return [(i, f"{fault}.csv") for i, (_, kind) in enumerate(inputs) if kind == "csv" for fault in CELL_FAULTS]
 
 
-def _run_with_inputs(head, inputs, paths):
+def _input_argv(head, inputs, paths):
     joined: dict[str, list[str]] = {}
     for (flag, _), path in zip(inputs, paths):
         joined.setdefault(flag, []).append(path)
-    argv = ["--out", "out", *head, *(a for flag, ps in joined.items() for a in (flag, ",".join(ps)))]
+    return [*head, *(a for flag, ps in joined.items() for a in (flag, ",".join(ps)))]
+
+
+def _run_with_inputs(head, inputs, paths):
+    argv = ["--out", "out", *_input_argv(head, inputs, paths)]
     err = io.StringIO()
     with redirect_stdout(io.StringIO()), redirect_stderr(err):
         code = main(argv)
@@ -1013,3 +1064,53 @@ def test_inputs_that_disagree_across_files_exit_2_and_a_valid_base_exits_0(cross
             assert "error" in json.loads(lines[0])
     finally:
         os.chdir(cwd)
+
+
+# --- inputs at extreme magnitudes ------------------------------------------------
+
+# base.csv with one feature column scaled by s, set to +-1.7e308 by the sign of
+# each value, or scaled to span +-1.7e308 (distinct neighbours beyond 9e307)
+MAGNITUDES = ("1e150", "1e200", "1e307", "1.7e308", "span")
+
+
+@pytest.fixture(scope="module")
+def magnitude_dir(cross_file_dir):
+    from phdkit.data import Dataset, read_csv, write_csv
+
+    D = read_csv(cross_file_dir / "base.csv", "label")
+    for j in range(D.d):
+        col = D.X[:, j]
+        columns = {"1.7e308": np.where(col < 0, -1.7e308, 1.7e308), "span": col * (1.7e308 / np.abs(col).max()),
+                   **{s: col * float(s) for s in MAGNITUDES[:3]}}
+        for name, new in columns.items():
+            X = D.X.copy()
+            X[:, j] = new
+            write_csv(Dataset(X, D.y), cross_file_dir / f"x{j}-{name}.csv")
+    return cross_file_dir
+
+
+@settings(max_examples=60, deadline=None)
+@given(base=cross_file_base(), data=st.data())
+def test_inputs_at_extreme_magnitudes_never_escape_the_exit_contract(magnitude_dir, base, data):
+    head, inputs = base
+    paths = [{"csv": "base.csv", "model": "model.bin", "scores": "scores.bin"}[kind] for _, kind in inputs]
+    csv_inputs = [i for i, (_, kind) in enumerate(inputs) if kind == "csv"]
+    column, magnitude = data.draw(st.integers(0, 1)), data.draw(st.sampled_from(MAGNITUDES))
+    for i in data.draw(st.sets(st.sampled_from(csv_inputs), min_size=1)):
+        paths[i] = f"x{column}-{magnitude}.csv"
+    argv = _input_argv(head, inputs, paths)
+    out, err, cwd = io.StringIO(), io.StringIO(), os.getcwd()
+    os.chdir(magnitude_dir)  # the input names are relative
+    try:
+        with warnings.catch_warnings(record=True) as caught, redirect_stdout(out), redirect_stderr(err):
+            warnings.simplefilter("always")
+            code = main(argv)
+    finally:
+        os.chdir(cwd)
+    # run as a program, each warning would be one more stderr line
+    lines = err.getvalue().splitlines() + [f"{w.category.__name__}: {w.message}" for w in caught]
+    if code == 0:
+        assert lines == [] and not re.search(r"NaN|Infinity", out.getvalue()), (argv, lines)
+    else:
+        assert code in (2, 3) and out.getvalue() == "" and len(lines) == 1, (argv, code, lines)
+        assert "error" in json.loads(lines[0])

@@ -10,14 +10,12 @@ from scipy import stats
 
 from phdkit.data import (
     Dataset,
-    SplitSpec,
     add_feature_noise,
     gen_gaussian_pair,
     read_csv,
     read_idx,
     split,
     write_csv,
-    write_idx,
 )
 from phdkit.errors import ConfigError, ContractError, DegenerateInputError, FormatError
 
@@ -121,6 +119,14 @@ def _write_raw_idx(path, magic, dims, payload: bytes):
         for v in dims:
             f.write(struct.pack(">I", v))
         f.write(payload)
+
+
+def write_idx(D: Dataset, images_path, labels_path) -> None:
+    """Features (clipped to [0,1], quantized to bytes) as 1 x d IDX images and
+    the labels as an IDX label file; multiples of 1/255 round-trip exactly."""
+    pixels = np.clip(np.rint(D.X * 255.0), 0, 255).astype(np.uint8)
+    _write_raw_idx(images_path, 2051, (D.n, 1, D.d), pixels.tobytes())
+    _write_raw_idx(labels_path, 2049, (D.n,), D.y.astype(np.uint8).tobytes())
 
 
 def test_idx_two_image_fixture(tmp_path):
@@ -417,21 +423,21 @@ def test_read_csv_matches_the_per_line_reader(case, tmp_path_factory):
 
 def test_split_half_half_sizes():
     D, _ = gen_gaussian_pair(10, 2, seed=0)
-    parts = split(D, SplitSpec((0.5, 0.5), seed=1))
+    parts = split(D, (0.5, 0.5), seed=1)
     assert [p.n for p in parts] == [5, 5]
 
 
 def test_split_same_seed_identical():
     D, _ = gen_gaussian_pair(20, 2, seed=0)
-    a = split(D, SplitSpec((0.3, 0.7), seed=4))
-    b = split(D, SplitSpec((0.3, 0.7), seed=4))
+    a = split(D, (0.3, 0.7), seed=4)
+    b = split(D, (0.3, 0.7), seed=4)
     for x, y in zip(a, b):
         assert np.array_equal(x.X, y.X)
 
 
 def test_split_union_recovers_everything():
     D, _ = gen_gaussian_pair(23, 2, seed=0)
-    parts = split(D, SplitSpec((0.4, 0.6), seed=2))
+    parts = split(D, (0.4, 0.6), seed=2)
     rows = np.vstack([p.X for p in parts])
     assert rows.shape[0] == D.n
     # every original row appears exactly once
@@ -443,14 +449,14 @@ def test_split_union_recovers_everything():
 def test_split_empty_subset_rejected():
     D, _ = gen_gaussian_pair(4, 2, seed=0)
     with pytest.raises(ConfigError):
-        split(D, SplitSpec((0.01, 0.99), seed=0))
+        split(D, (0.01, 0.99), seed=0)
 
 
 @given(st.integers(6, 60), st.integers(0, 10))
 @settings(max_examples=30, deadline=None)
 def test_split_disjoint_property(n, seed):
     D = Dataset(np.arange(n, dtype=float).reshape(-1, 1))
-    parts = split(D, SplitSpec((0.25, 0.25, 0.5), seed=seed))
+    parts = split(D, (0.25, 0.25, 0.5), seed=seed)
     seen = [v for p in parts for v in p.X[:, 0]]
     assert len(seen) == len(set(seen)) == n
 
@@ -461,4 +467,4 @@ def test_dataset_validation():
     with pytest.raises(ContractError):
         Dataset(np.array([[np.inf, 0.0]]))
     with pytest.raises(DegenerateInputError):
-        split(Dataset(np.zeros((0, 2))), SplitSpec((0.5, 0.5), seed=0))
+        split(Dataset(np.zeros((0, 2))), (0.5, 0.5), seed=0)

@@ -27,7 +27,7 @@ from phdkit.models import (
     TrainConfig,
     constant_hypothesis,
     linear_arch,
-    linear_multiclass_hypothesis,
+    linear_hypothesis,
     margin,
     mlp_arch,
     predict,
@@ -96,7 +96,7 @@ def brute_sup_vs_reference(S, T, cls, ref_fn):
 def test_phd_pairs_hypotheses_of_one_class_count():
     T = Dataset(np.array([[0.5, 0.0], [1.5, 1.0], [2.5, 3.0]]))
     h2 = stump_hypothesis(0, 1.0, 1, 1)
-    h3, h5 = (linear_multiclass_hypothesis(np.eye(2, k), np.zeros(k)) for k in (3, 5))
+    h3, h5 = (linear_hypothesis(np.eye(2, k), np.zeros(k)) for k in (3, 5))
     for a, b, loss in ((h2, h5, None), (h3, h5, margin(1.0)), (h5, h3, None)):
         with pytest.raises(ContractError, match="class count"):
             phd(a, b, T, loss)
@@ -105,7 +105,7 @@ def test_phd_pairs_hypotheses_of_one_class_count():
 
 def test_sdisc_exact_is_binary_only():
     S, T = Dataset(np.array([[0.0], [1.0]])), Dataset(np.array([[0.5], [2.0]]))
-    h3 = linear_multiclass_hypothesis(np.eye(1, 3), np.zeros(3))
+    h3 = linear_hypothesis(np.eye(1, 3), np.zeros(3))
     with pytest.raises(ContractError, match="binary only"):
         sdisc_exact(S, T, h3, StumpClass.from_data(S, T))
 

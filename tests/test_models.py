@@ -27,7 +27,6 @@ from phdkit.models import (
     init_params,
     linear_arch,
     linear_hypothesis,
-    linear_multiclass_hypothesis,
     load_hypothesis,
     margin,
     mlp_arch,
@@ -77,7 +76,7 @@ def test_constant_plus_one_predicts_all_ones():
 
 
 def test_argmax_prediction():
-    h = linear_multiclass_hypothesis(np.zeros((2, 3)), [2.0, 0.5, 0.1])
+    h = linear_hypothesis(np.zeros((2, 3)), [2.0, 0.5, 0.1])
     assert predict(h, np.zeros((1, 2)))[0] == 0
 
 
@@ -123,16 +122,16 @@ def test_risk_counts_disagreements():
 
 
 def test_margin_loss_indicator():
-    h = linear_multiclass_hypothesis(np.zeros((1, 3)), [2.0, 0.5, 0.1])
+    h = linear_hypothesis(np.zeros((1, 3)), [2.0, 0.5, 0.1])
     D = Dataset(np.zeros((1, 1)), np.array([0]), 3)
     assert empirical_risk(h, D.y, D, margin(1.0)) == 0.0  # gap 1.5 > 1
     assert empirical_risk(h, D.y, D, margin(2.0)) == 1.0  # gap 1.5 <= 2
 
 
 def test_margin_risk_rejects_a_reference_label_beyond_the_scores():
-    h = linear_multiclass_hypothesis(np.zeros((1, 3)), [2.0, 0.5, 0.1])
+    h = linear_hypothesis(np.zeros((1, 3)), [2.0, 0.5, 0.1])
     D = Dataset(np.zeros((2, 1)))
-    five = linear_multiclass_hypothesis(np.zeros((1, 5)), [0.0, 0.0, 0.0, 0.0, 1.0])  # predicts class 4
+    five = linear_hypothesis(np.zeros((1, 5)), [0.0, 0.0, 0.0, 0.0, 1.0])  # predicts class 4
     for ref in (np.array([0, 3]), five):
         with pytest.raises(ContractError, match="no score"):
             empirical_risk(h, ref, D, margin(1.0))

@@ -1,7 +1,7 @@
 import numpy as np
 import pytest
 
-from phdkit.data import Dataset, SplitSpec, gen_gaussian_pair, split
+from phdkit.data import Dataset, gen_gaussian_pair, split
 from phdkit.errors import ConfigError
 from phdkit.models import TrainConfig, empirical_risk, linear_arch, mlp_arch, train_erm, zero_one
 from phdkit.semisup import train_self
@@ -35,7 +35,7 @@ def test_unreachable_threshold_stops_immediately():
 
 def test_identical_domains_small_disagreement():
     S, T = gen_gaussian_pair(400, 2, seed=5)
-    T_fit, T_eval = split(T.without_labels(), SplitSpec((0.5, 0.5), seed=2))
+    T_fit, T_eval = split(T.without_labels(), (0.5, 0.5), seed=2)
     h_s, res = _self_train(S, T_fit, linear_arch(2), epochs=40, seed=5)
     assert empirical_risk(res.hypothesis, h_s, T_eval, zero_one()) <= 0.05
 
@@ -70,6 +70,6 @@ def test_premise_small_disagreement_across_ten_seeds():
     # source-only one; this is the premise behind pairing them
     for seed in range(10):
         S, T = gen_gaussian_pair(300, 2, seed=seed)
-        T_fit, T_eval = split(T.without_labels(), SplitSpec((0.5, 0.5), seed=seed))
+        T_fit, T_eval = split(T.without_labels(), (0.5, 0.5), seed=seed)
         h_s, res = _self_train(S, T_fit, linear_arch(2), epochs=30, seed=seed)
         assert empirical_risk(res.hypothesis, h_s, T_eval, zero_one()) <= 0.1
