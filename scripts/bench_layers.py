@@ -14,6 +14,12 @@ with batch norm):
 - ``eval_scores``: scoring 2,000 rows with a frozen hypothesis (float64)
 - ``witness``: the adversarial witness statistic, i.e. scoring two
   2,000-row samples and scanning every decision threshold
+- ``train_step_fig2_sources``: one lockstep training step (forward,
+  loss, backward and AMSGrad step) of 40 runs of fig2's source network
+  (8 -> 32 -> 4 with batch norm) on 64-row batches, the shape of a
+  ``selection`` op's source training
+- ``train_step_adversarial``: one such step of one run of the adversarial
+  network on a 256-row batch, the shape of table1's training
 - ``train_fig2_sources``: training the 20 source models of one fig2
   (seed, sigma) at the default config (8 -> 32 -> 4 with batch norm, 400
   rows, 20 epochs of batch 64) in one ``train_erm_many`` call
@@ -41,9 +47,12 @@ REPEATS timed blocks of CALLS calls; the record holds every block's
 microseconds per call, their median and quartiles, and the minor faults
 (``ru_minflt``) per call over all timed calls. Calls reuse one workspace,
 as a training run or a witness does. The forward and backward kernels run
-one replica of the trainer's leading replica axis, and ``coral_pair_a``
-runs like the kernels. ``train_fig2_sources``
-runs one untimed call, then E2E_REPEATS single calls; the ``disc_exact``
+one replica of the trainer's leading replica axis; the training-step rows
+fill each run's parameters through the layer tables and hand the loss
+float64 scores and the backward pass gradients in the training dtype, so
+they run the same values on trees that lay the runs out differently.
+``coral_pair_a`` runs like the kernels. ``train_fig2_sources`` runs one
+untimed call, then E2E_REPEATS single calls; the ``disc_exact``
 rows run DISC_WARMUP untimed calls, then REPEATS blocks of DISC_CALLS,
 ``stump_scans_pair_a`` STUMP_WARMUP, then REPEATS blocks of STUMP_CALLS, and
 the CSV rows CSV_WARMUP untimed calls, then REPEATS blocks of CSV_CALLS.
@@ -61,8 +70,8 @@ Each run is appended under its ``--label`` to the JSON file ``--out``, whose
 ``summary`` holds, per label, the median over runs of each median. For a
 comparison of two trees, alternate the runs:
 
-    python3 scripts/bench_layers.py --out BENCH_16.json --src ../parent/src --label parent
-    python3 scripts/bench_layers.py --out BENCH_16.json --label change
+    python3 scripts/bench_layers.py --out BENCH_18.json --src ../parent/src --label parent
+    python3 scripts/bench_layers.py --out BENCH_18.json --label change
 
 ``--src`` selects the source tree ``phdkit`` is imported from; it must have
 ``models.train_erm_many``.
@@ -103,6 +112,34 @@ def _measure(fn, warmup: int = WARMUP, repeats: int = REPEATS, calls: int = CALL
     q1, med, q3 = statistics.quantiles(blocks, n=4)
     return {"us_per_call": {"median": med, "q1": q1, "q3": q3, "blocks": blocks},
             "minflt_per_call": faults / (repeats * calls)}
+
+
+def _train_step(models, arch, runs: int, rows: int):
+    """One lockstep training step of ``runs`` runs of ``arch`` on ``rows``-row batches."""
+    import numpy as np
+
+    rng = np.random.default_rng(1)
+    dt = models.TRAIN_DTYPE
+    params = np.empty((runs, arch.param_count()), dt)
+    bn_stats = np.empty((runs, arch.bn_stat_count()), dt)
+    layers = models._layers(arch, params, bn_stats)
+    for r in range(runs):
+        init = models._layers(arch, models.init_params(arch, r)[None], models.init_bn_stats(arch)[None])
+        for entry, first in zip(layers, init):
+            for x, v in zip(entry, first):
+                if x is not None:
+                    x[r] = v[0]
+    X = rng.standard_normal((runs, rows, arch.in_dim)).astype(dt)
+    y, w = rng.integers(0, max(2, arch.out_dim), (runs, rows)), np.ones((runs, rows))
+    ws, opt = models._Workspace(dt), models.AmsGrad(params.shape, lr=1e-3, dtype=dt)
+
+    def step():
+        cache: list = []
+        s = models._forward(arch, layers, X, True, ws, cache)
+        _, ds = models._loss_and_dscores(s.astype(np.float64), y, w)
+        opt.step(params, models._backward(arch, layers, cache, ds.astype(dt), ws))
+
+    return step
 
 
 def run() -> tuple[dict, dict, str]:
@@ -147,8 +184,10 @@ def run() -> tuple[dict, dict, str]:
     measured = {name: _measure(fn) for name, fn in kernels.items()}
 
     fig2 = protocols.Fig2Config(seeds=(0,), sigmas=(0.3,))
-    sources, _, _ = protocols._fig2_pool(fig2, 0, 0.3)
     src_arch = models.mlp_arch(fig2.d, fig2.hidden, out_dim=fig2.k, batch_norm=True)
+    measured["train_step_fig2_sources"] = _measure(_train_step(models, src_arch, 40, fig2.batch_size))
+    measured["train_step_adversarial"] = _measure(_train_step(models, arch, 1, 256))
+    sources, _, _ = protocols._fig2_pool(fig2, 0, 0.3)
     runs = [(S, models.TrainConfig(epochs=fig2.epochs, batch_size=fig2.batch_size, seed=10 * i + j), None)
             for i, S in enumerate(sources) for j in (1, 2)]
     measured["train_fig2_sources"] = _measure(lambda: models.train_erm_many(runs, src_arch), 1, E2E_REPEATS, 1)

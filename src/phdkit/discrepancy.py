@@ -106,7 +106,8 @@ class StumpClass:
     ``thresholds[j]`` is feature j's float64 array of midpoints between
     distinct values. Member order is fixed for deterministic tie-breaking:
     features ascending, thresholds ascending, polarity +1 before -1,
-    constants (class 1 first) at the end.
+    constants (class 1 first) at the end, with feature -1 and threshold
+    None, which reports write as JSON null.
     """
 
     d: int
@@ -129,13 +130,13 @@ class StumpClass:
         return 2 * sum(t.size for t in self.thresholds) + 2
 
     def members(self):
-        """(feature, threshold, polarity) triples; constants use feature -1."""
+        """(feature, threshold, polarity) triples; constants use feature -1 and threshold None."""
         for j, ths in enumerate(self.thresholds):
             for t in ths.tolist():
                 yield (j, t, 1)
                 yield (j, t, -1)
-        yield (-1, math.inf, 1)
-        yield (-1, math.inf, -1)
+        yield (-1, None, 1)
+        yield (-1, None, -1)
 
     def hypothesis(self, member) -> Hypothesis:
         j, t, pol = member
@@ -216,7 +217,7 @@ def stump_erm(cls: StumpClass, D: Dataset) -> Hypothesis:
                 best_risk, best = float(risks[i]), (j, float(t[i]), pol)
     for pol, risk in ((1, (n - n1) / n), (-1, n1 / n)):
         if risk < best_risk - 1e-15:
-            best_risk, best = float(risk), (-1, math.inf, pol)
+            best_risk, best = float(risk), (-1, None, pol)
     return cls.hypothesis(best)
 
 
@@ -263,7 +264,7 @@ def _sup_reference_gap(measure: str, S: Dataset, T: Dataset, cls: StumpClass, re
             best, info = float(gap[i]), {"feature": j, "threshold": float(t[i]), "polarity": 1}
     gap_const = abs(float(np.mean(ref_t == 0)) - float(np.mean(ref_s == 0)))
     if gap_const > best + 1e-15:
-        best, info = gap_const, {"feature": -1, "threshold": math.inf, "polarity": 1}
+        best, info = gap_const, {"feature": -1, "threshold": None, "polarity": 1}
     return DiscrepancyReport(measure, best, "exact-enumeration", details=info,
                              n_source=S.n, n_target=T.n)
 

@@ -16,13 +16,24 @@ axis: :func:`train_erm_many` trains R runs of one architecture that share
 the row count and every setting but the seed in lockstep, one step of
 every run per step of the loop, which saves R - 1 of each step's numpy
 calls on small networks; :func:`train_erm` is its R = 1 case and scoring
-runs one replica. Each run's slice is computed as that run alone would
-compute it: per-slice stacked matmuls and per-run reductions over rows
-give the same bits as the single-run arrays. Both passes read one layer
-table of views into the R x count parameter and statistic arrays, built
-once per training call or scoring call, and write hidden-layer arrays into
-a workspace of buffers reused for one training call or one caller's run of
-scoring calls.
+runs one replica. Both passes read one layer table of views into the
+R x count parameter and statistic arrays, built once per training call or
+scoring call, and write hidden-layer arrays into a workspace of buffers
+reused for one training call or one caller's run of scoring calls.
+
+The layout lets numpy do each per-run, per-unit job as one inner loop
+across the runs: each layer-table entry is one block across the runs
+(``_layers``), and the layers' arrays hold the rows outermost
+(``_Workspace.stack``). Each run's slice still gets the bits it gets alone
+in the R = 1 layout, which is the one-run memory layout: per-run matmuls
+read strided rows (BLAS gemm's bits do not depend on the leading
+dimension), row sums of width 2 or more add rows in order either way,
+width-1 arrays stay runs-first, where numpy sums each run's rows pairwise,
+and a layer with a width-1 side reads per-run contiguous operands
+(``_runs_contiguous``), since its matmuls run BLAS gemv, whose bits follow
+the strides. The loss works runs-first, so its sums over rows are per-run
+contiguous, and its class-axis sums stay reductions over a contiguous
+class axis.
 
 The workspace fixes the compute dtype. Training runs in ``TRAIN_DTYPE``
 (float32): parameters, batch-norm statistics, optimizer state and batches,
@@ -131,29 +142,44 @@ def _layers(arch: Arch, params: np.ndarray, bn_stats: np.ndarray | None = None):
     R x param_count parameter and R x bn_stat_count statistic arrays of R
     runs, one tuple per layer.
 
-    W is R x fan_in x fan_out; b, gamma, beta, mean and var are
-    R x 1 x fan_out, so they broadcast over the rows of each run's batch.
-    gamma/beta are None without batch norm, mean/var also without
-    statistics. The views stay valid while the arrays are updated in place.
+    The arrays hold the runs blocked by table entry: every run's W of the
+    first layer, then every run's b, gamma and beta, then the next layer's
+    entries; the statistics likewise every run's mean, then var. So each
+    entry is one contiguous block across the runs, and with R = 1 the one
+    row is a hypothesis's vector. W is R x fan_in x fan_out; b, gamma, beta,
+    mean and var are R x 1 x fan_out, so they broadcast over the rows of
+    each run's batch. gamma/beta are None without batch norm, mean/var also
+    without statistics. The views stay valid while the arrays are updated
+    in place.
     """
-    ws, R = arch.widths, params.shape[0]
+    R = params.shape[0]
+    p, s = params.reshape(-1), None if bn_stats is None else bn_stats.reshape(-1)
     out, off, soff = [], 0, 0
-    for i in range(len(ws) - 1):
-        fan_in, fan_out = ws[i], ws[i + 1]
-        W = params[:, off : off + fan_in * fan_out].reshape(R, fan_in, fan_out)
-        off += fan_in * fan_out
-        b = params[:, None, off : off + fan_out]
-        off += fan_out
+
+    def block(a, start, *shape):
+        return a[start : start + R * math.prod(shape)].reshape(R, *shape)
+
+    for i, (fan_in, fan_out) in enumerate(zip(arch.widths, arch.widths[1:])):
+        W, b = block(p, off, fan_in, fan_out), block(p, off + R * fan_in * fan_out, 1, fan_out)
+        off += R * (fan_in + 1) * fan_out
         gamma = beta = mean = var = None
         if arch.batch_norm and i < len(arch.hidden):
-            gamma, beta = params[:, None, off : off + fan_out], params[:, None, off + fan_out : off + 2 * fan_out]
-            off += 2 * fan_out
-            if bn_stats is not None:
-                mean = bn_stats[:, None, soff : soff + fan_out]
-                var = bn_stats[:, None, soff + fan_out : soff + 2 * fan_out]
-                soff += 2 * fan_out
+            gamma, beta = block(p, off, 1, fan_out), block(p, off + R * fan_out, 1, fan_out)
+            off += 2 * R * fan_out
+            if s is not None:
+                mean, var = block(s, soff, 1, fan_out), block(s, soff + R * fan_out, 1, fan_out)
+                soff += 2 * R * fan_out
         out.append((W, b, gamma, beta, mean, var))
     return out
+
+
+def _copy_run(dst: list, i: int, src: list, j: int) -> None:
+    """Copy run j of the layer table ``src`` into run i of ``dst`` (tables of
+    one architecture, both with or without statistics), in ``dst``'s dtype."""
+    for dst_entry, src_entry in zip(dst, src):
+        for x, v in zip(dst_entry, src_entry):
+            if x is not None:
+                x[i] = v[j]
 
 
 def init_params(arch: Arch, seed: int = 0) -> np.ndarray:
@@ -180,21 +206,39 @@ def init_bn_stats(arch: Arch) -> np.ndarray:
 class _Workspace:
     """Buffers in the compute ``dtype``, keyed by (role, layer), of which
     ``get`` returns the first elements in a given shape, growing only when
-    needed; plus the R x param_count gradient array and its layer table of
-    the one architecture and run count the workspace serves. The forward
-    and backward passes compute in ``dtype``."""
+    needed, and ``stack`` an R x n x width stack with the rows outermost;
+    plus the R x param_count gradient array and its layer table of the one
+    architecture and run count the workspace serves. The forward and
+    backward passes compute in ``dtype``. Views are kept per shape, since a
+    training call asks for the same few shapes at every step."""
 
     def __init__(self, dtype=np.float64):
         self.dtype = np.dtype(dtype)
         self._bufs: dict = {}
+        self._views: dict = {}
         self._grad: tuple | None = None
 
     def get(self, role: str, layer: int, shape: tuple[int, ...]) -> np.ndarray:
-        size = math.prod(shape)
-        buf = self._bufs.get((role, layer))
-        if buf is None or buf.size < size:
-            buf = self._bufs[(role, layer)] = np.empty(size, self.dtype)
-        return buf[:size].reshape(shape)
+        view = self._views.get((role, layer, shape))
+        if view is None:
+            size = math.prod(shape)
+            buf = self._bufs.get((role, layer))
+            if buf is None or buf.size < size:
+                buf = self._bufs[(role, layer)] = np.empty(size, self.dtype)
+                # kept views of the smaller buffer would keep it alive
+                self._views = {k: v for k, v in self._views.items() if k[:2] != (role, layer)}
+            view = self._views[(role, layer, shape)] = buf[:size].reshape(shape)
+        return view
+
+    def stack(self, role: str, layer: int, runs: int, rows: int, width: int) -> np.ndarray:
+        """An R x n x width view of an n x R x width buffer (rows outermost);
+        of width 1, an R x n x 1 buffer (runs first)."""
+        key = (role, layer, runs, rows, width)
+        view = self._views.get(key)
+        if view is None:
+            view = self._views[key] = (self.get(role, layer, (runs, rows, 1)) if width == 1 else
+                                       self.get(role, layer, (rows, runs, width)).transpose(1, 0, 2))
+        return view
 
     def grad(self, arch: Arch, runs: int) -> tuple[np.ndarray, list]:
         if self._grad is None:
@@ -203,47 +247,61 @@ class _Workspace:
         return self._grad
 
 
+def _runs_contiguous(x: np.ndarray, W: np.ndarray) -> np.ndarray:
+    """The R x n x width stack ``x``, or a runs-first copy of it where the
+    layer of weights ``W`` has a width-1 side and one run's matrix of ``x``
+    is not contiguous (a ``_Workspace.stack`` of R > 1 runs)."""
+    return np.ascontiguousarray(x) if 1 in W.shape[1:] and not x[0].flags.c_contiguous else x
+
+
 def _forward(arch: Arch, layers: list, X: np.ndarray, training: bool, ws: _Workspace,
              cache: list | None = None) -> np.ndarray:
-    """Scores of the R x n x in_dim stack X (one batch per run) as a fresh
-    R x n x out_dim array. Batch norm uses each run's batch statistics in
-    training mode, folding them into the running ``mean``/``var`` when the
-    table has them, and the running statistics otherwise. Hidden layers are
-    computed in ``ws``: in one buffer each plus a shared temporary, or with
-    a ``cache`` in separate buffers for what the backward pass reads."""
+    """Scores of the R x n x in_dim stack X (one batch per run) as an
+    R x n x out_dim ``ws`` stack. Batch norm uses each run's batch
+    statistics in training mode, folding them into the running
+    ``mean``/``var`` when the table has them, and the running statistics
+    otherwise. Hidden layers are computed in ``ws`` stacks: in one each plus
+    a shared temporary, or with a ``cache`` in separate stacks for what the
+    backward pass reads. A layer with a width-1 side reads its input
+    through ``_runs_contiguous``."""
     a, (R, n) = X, X.shape[:2]
     for i, (W, b, gamma, beta, mean, var) in enumerate(layers[:-1]):
-        shape, stat = (R, n, W.shape[2]), (R, 1, W.shape[2])
-        tmp = ws.get("tmp", -1, shape)
-        z = np.matmul(a, W, out=ws.get("z", i, shape))
+        width = W.shape[2]
+        tmp = ws.stack("tmp", -1, R, n, width)
+        a = _runs_contiguous(a, W)
+        z = np.matmul(a, W, out=ws.stack("z", i, R, n, width))
         z += b
         zhat = inv_std = None
         if gamma is not None:
             if training:
                 # the batch mean and z.var over rows in numpy's own order: sums of rows, then / n
-                mu = np.add.reduce(z, axis=1, keepdims=True, out=ws.get("mu", i, stat))
+                mu = np.add.reduce(z, axis=1, keepdims=True, out=ws.get("mu", i, (R, 1, width)))
                 mu /= n
                 z -= mu
-                sig2 = np.add.reduce(np.square(z, out=tmp), axis=1, keepdims=True, out=ws.get("sig2", i, stat))
+                sig2 = np.add.reduce(np.square(z, out=tmp), axis=1, keepdims=True, out=ws.get("sig2", i, (R, 1, width)))
                 sig2 /= n
-                if mean is not None:
-                    mean[...] = BN_MOMENTUM * mean + (1 - BN_MOMENTUM) * mu
-                    var[...] = BN_MOMENTUM * var + (1 - BN_MOMENTUM) * sig2
+                if mean is not None:  # BN_MOMENTUM * mean + (1 - BN_MOMENTUM) * mu, in place
+                    mean *= BN_MOMENTUM
+                    mean += (1 - BN_MOMENTUM) * mu
+                    var *= BN_MOMENTUM
+                    var += (1 - BN_MOMENTUM) * sig2
             else:
                 z -= mean
                 sig2 = var
             inv_std = 1.0 / np.sqrt(sig2 + BN_EPS)
             zhat = np.multiply(z, inv_std, out=z)
-            out = np.multiply(gamma, zhat, out=ws.get("out", i, shape) if cache is not None else z)
+            out = np.multiply(gamma, zhat, out=ws.stack("out", i, R, n, width) if cache is not None else z)
             out += beta
         else:
             out = z
         if cache is not None:
             cache.append((a, zhat, inv_std, out))
-        a = np.multiply(out, arch.negative_slope, out=ws.get("a", i, shape) if cache is not None else tmp)
+        a = np.multiply(out, arch.negative_slope, out=ws.stack("a", i, R, n, width) if cache is not None else tmp)
         a = np.maximum(out, a, out=a if cache is not None else out)
     W, b = layers[-1][:2]
-    s = a @ W + b
+    a = _runs_contiguous(a, W)
+    s = np.matmul(a, W, out=ws.stack("s", -1, R, n, W.shape[2]))
+    s += b
     if cache is not None:
         cache.append((a, None, None, s))
     return s
@@ -252,14 +310,26 @@ def _forward(arch: Arch, layers: list, X: np.ndarray, training: bool, ws: _Works
 def scores(h: Hypothesis, X, ws: _Workspace | None = None) -> np.ndarray:
     """Fresh float64 n x k score matrix (k = 1 signed score for binary
     hypotheses), computed in the dtype of ``ws``, which a run of calls may
-    share; without one, in float64."""
+    share; without one, in float64.
+
+    Float64 scores that are not finite (past float64, or an MLP's NaN from
+    inf - inf) raise ContractError, unless the caller has numpy ignore
+    overflow (as training does, or a caller reading only the signs of a
+    stump's infinite scores); such callers and float32 get them as computed."""
     ws = ws or _Workspace()
     X = np.asarray(X, dtype=ws.dtype)
     if X.ndim != 2 or X.shape[1] != h.arch.in_dim:
         raise ContractError(f"feature dim {X.shape} does not match arch in_dim={h.arch.in_dim}")
     dt = ws.dtype
     layers = _layers(h.arch, h.params.astype(dt, copy=False)[None], h.bn_stats.astype(dt, copy=False)[None])
-    return _forward(h.arch, layers, X[None], False, ws)[0].astype(np.float64, copy=False)
+    if dt != np.float64 or np.geterr()["over"] == "ignore":
+        return _forward(h.arch, layers, X[None], False, ws)[0].astype(np.float64)
+    with np.errstate(over="ignore", invalid="ignore", divide="ignore"):
+        s = _forward(h.arch, layers, X[None], False, ws)[0].copy()
+    if not np.isfinite(s).all():
+        raise ContractError(f"the hypothesis's scores on {X.shape[0]} rows are not finite: "
+                            "they overflow float64 on this data")
+    return s
 
 
 def predict(h: Hypothesis, X) -> np.ndarray:
@@ -272,18 +342,19 @@ def predict(h: Hypothesis, X) -> np.ndarray:
 
 def _backward(arch: Arch, layers: list, cache: list, dscores: np.ndarray, ws: _Workspace) -> np.ndarray:
     """Gradient w.r.t. each run's parameters, overwriting ``ws``'s R x
-    param_count gradient array."""
+    param_count gradient array; ``dscores`` is copied into a ``ws`` stack
+    in ``ws``'s dtype, and the passes keep the layouts of ``_forward``."""
     grad, glayers = ws.grad(arch, dscores.shape[0])
-    delta = dscores
+    delta = ws.stack("dscores", -1, *dscores.shape)
+    delta[...] = dscores
     for i in reversed(range(len(layers))):
         W, _, gamma, _, _, _ = layers[i]
         gW, gb, ggamma, gbeta, _, _ = glayers[i]
         a_in, zhat, inv_std, out = cache[i]
-        shape = delta.shape
-        n = shape[1]
+        R, n, width = delta.shape
         if i < len(arch.hidden):
             # leaky-ReLU derivative: 1 above zero, the slope elsewhere
-            dout = np.greater(out, 0, out=ws.get("dout", i, shape))
+            dout = np.greater(out, 0, out=ws.stack("dout", i, R, n, width))
             dout *= 1 - arch.negative_slope
             dout += arch.negative_slope
             dout *= delta
@@ -291,7 +362,7 @@ def _backward(arch: Arch, layers: list, cache: list, dscores: np.ndarray, ws: _W
             dout = delta
         if gamma is not None:
             # Batch-norm backward with batch statistics.
-            tmp = ws.get("tmp", -1, shape)
+            tmp = ws.stack("tmp", -1, R, n, width)
             np.add.reduce(np.multiply(dout, zhat, out=tmp), axis=1, keepdims=True, out=ggamma)
             np.add.reduce(dout, axis=1, keepdims=True, out=gbeta)
             dzhat = np.multiply(dout, gamma, out=dout)
@@ -304,17 +375,21 @@ def _backward(arch: Arch, layers: list, cache: list, dscores: np.ndarray, ws: _W
             dz *= inv_std / n
         else:
             dz = dout
+        dz = _runs_contiguous(dz, W)
         np.matmul(a_in.transpose(0, 2, 1), dz, out=gW)
         np.add.reduce(dz, axis=1, keepdims=True, out=gb)
         if i > 0:
-            delta = np.matmul(dz, W.transpose(0, 2, 1), out=ws.get("delta", i - 1, (*shape[:2], W.shape[1])))
+            delta = np.matmul(dz, W.transpose(0, 2, 1), out=ws.stack("delta", i - 1, R, n, W.shape[1]))
     return grad
 
 
 def _loss_and_dscores(s: np.ndarray, y: np.ndarray, w: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     """Per-run weighted training-surrogate losses of the R x n x k score
-    stack and their gradient w.r.t. it; y and w are R x n. The surrogate is
-    logistic for a single score and cross-entropy otherwise."""
+    stack and their gradient w.r.t. it, in float64 and laid out runs-first,
+    so that each run's sums over rows are over contiguous rows; y and w are
+    R x n. The surrogate is logistic for a single score and cross-entropy
+    otherwise."""
+    s = np.asarray(s, dtype=np.float64, order="C")
     wsum = np.add.reduce(w, axis=1)
     if s.shape[-1] == 1:
         t = 2.0 * y - 1.0
@@ -325,13 +400,18 @@ def _loss_and_dscores(s: np.ndarray, y: np.ndarray, w: np.ndarray) -> tuple[np.n
         ds = np.zeros_like(s)
         ds[..., 0] = -t * sig * w / wsum[:, None]
         return loss, ds
-    picked = np.arange(y.shape[0])[:, None], np.arange(y.shape[1]), y
-    shifted = s - s.max(axis=2, keepdims=True)
+    k = s.shape[2]
+    picked = y + np.arange(0, s.size, k).reshape(y.shape)  # each row's label in the flat R x n x k order
+    # the class maximum as a chain over class slices, R x n elements per call
+    top = s[..., :1].copy()
+    for j in range(1, k):
+        np.maximum(top, s[..., j : j + 1], out=top)
+    shifted = s - top
     logz = np.log(np.add.reduce(np.exp(shifted), axis=2))
-    logp = shifted[picked] - logz
+    logp = shifted.reshape(-1)[picked] - logz
     loss = np.add.reduce(-w * logp, axis=1) / wsum
     p = np.exp(shifted - logz[..., None])
-    p[picked] -= 1.0
+    p.reshape(-1)[picked] -= 1.0
     return loss, p * (w / wsum[:, None])[..., None]
 
 
@@ -443,12 +523,13 @@ class AmsGrad:
         params -= np.divide(upd, den, out=upd)
 
 
-def _weight_mask(arch: Arch) -> np.ndarray:
-    """True on weight-matrix entries; weight decay skips biases and BN."""
-    mask = np.zeros(arch.param_count(), dtype=bool)
-    for W, *_ in _layers(arch, mask[None]):
+def _weight_mask(arch: Arch, runs: int = 1) -> np.ndarray:
+    """True on weight-matrix entries of ``runs`` runs' (flattened) parameter
+    array; weight decay skips biases and BN."""
+    mask = np.zeros((runs, arch.param_count()), dtype=bool)
+    for W, *_ in _layers(arch, mask):
         W[...] = True
-    return mask
+    return mask.reshape(-1)
 
 
 def train_erm(D: Dataset, arch: Arch, cfg: TrainConfig, sample_weight=None) -> Hypothesis:
@@ -487,9 +568,11 @@ def _train_runs(runs, arch: Arch, metric) -> list[tuple[Hypothesis, tuple[float,
     leading axis of every array: each keeps its own ``init_params(seed)``,
     permutation stream ``child_rng(seed, 5)``, batch-norm statistics,
     optimizer moments, sample weights and best-metric checkpoint, and every
-    per-run slice is computed as one run alone would compute it. Training
-    computes in ``TRAIN_DTYPE``; the snapshots and the returned hypotheses
-    hold the trained values widened to float64.
+    per-run slice is computed as one run alone would compute it. Each
+    run's vectors go in and out of the blocked arrays through the layer
+    tables; the batches are runs-first. Training computes in
+    ``TRAIN_DTYPE``; the snapshots and the returned hypotheses hold the
+    trained values widened to float64.
     """
     runs = list(runs)
     if not runs:
@@ -519,12 +602,20 @@ def _train_runs(runs, arch: Arch, metric) -> list[tuple[Hypothesis, tuple[float,
 
     n, R = D0.n, len(runs)
     rngs = [child_rng(seed, 5) for seed in seeds]
-    params = np.stack([init_params(arch, seed) for seed in seeds]).astype(TRAIN_DTYPE)
-    bn_stats = np.tile(init_bn_stats(arch), (R, 1)).astype(TRAIN_DTYPE)
+    params = np.empty((R, arch.param_count()), TRAIN_DTYPE)
+    bn_stats = np.empty((R, arch.bn_stat_count()), TRAIN_DTYPE)
     layers = _layers(arch, params, bn_stats)
+    for r, seed in enumerate(seeds):
+        _copy_run(layers, r, _layers(arch, init_params(arch, seed)[None], init_bn_stats(arch)[None]), 0)
     ws = _Workspace(TRAIN_DTYPE)
     opt = AmsGrad(params.shape, lr=cfg.lr, dtype=TRAIN_DTYPE)
-    wd_mask = _weight_mask(arch) if cfg.weight_decay > 0 else None
+    wd_mask = _weight_mask(arch, R).reshape(R, -1) if cfg.weight_decay > 0 else None
+
+    def snapshot(r: int, note: str = "") -> Hypothesis:
+        p, stats = np.empty((1, params.shape[1])), np.empty((1, bn_stats.shape[1]))
+        _copy_run(_layers(arch, p, stats), 0, layers, r)
+        return Hypothesis(arch, p[0], stats[0], seed=seeds[r], note=note)
+
     y = np.stack([D.y for D, _, _ in runs])
     w = np.stack(weights)
     y_e, w_e = np.empty_like(y), np.empty_like(w)
@@ -548,29 +639,26 @@ def _train_runs(runs, arch: Arch, metric) -> list[tuple[Hypothesis, tuple[float,
                 batch = slice(start, start + cfg.batch_size)
                 cache: list = []
                 s = _forward(arch, layers, X_e[:, batch], True, ws, cache)
-                loss, ds = _loss_and_dscores(s.astype(np.float64), y_e[:, batch], w_e[:, batch])
+                loss, ds = _loss_and_dscores(s, y_e[:, batch], w_e[:, batch])
                 if not np.all(np.isfinite(loss)):
                     raise TrainingError("training loss diverged to a non-finite value", epoch=epoch)
-                grad = _backward(arch, layers, cache, ds.astype(TRAIN_DTYPE), ws)
+                grad = _backward(arch, layers, cache, ds, ws)
                 if wd_mask is not None:
-                    grad[:, wd_mask] += cfg.weight_decay * params[:, wd_mask]
+                    grad[wd_mask] += cfg.weight_decay * params[wd_mask]
                 opt.step(params, grad)
             if metric is not None:
-                for r, seed in enumerate(seeds):
-                    val = float(metric(Hypothesis(arch, params[r].astype(np.float64),
-                                                  bn_stats[r].astype(np.float64), seed=seed)))
-                    if val < best[r][0]:
-                        best[r] = (val, (params[r].copy(), bn_stats[r].copy()))
+                for r in range(R):
+                    h = snapshot(r)
+                    val = float(metric(h))
+                    if val < best[r][0]:  # kept in TRAIN_DTYPE, which holds the values exactly
+                        best[r] = (val, (h.params.astype(TRAIN_DTYPE), h.bn_stats.astype(TRAIN_DTYPE)))
                     traces[r].append(best[r][0])
     if not np.all(np.isfinite(params)):
         raise TrainingError("parameters diverged to non-finite values", epoch=cfg.epochs - 1)
     surrogate = "logistic" if arch.out_dim == 1 else "cross_entropy"
     meta = f"erm {surrogate} epochs={cfg.epochs} batch={cfg.batch_size} lr={cfg.lr} wd={cfg.weight_decay}"
-    out = []
-    for r, seed in enumerate(seeds):
-        p, stats = best[r][1] or (params[r], bn_stats[r])
-        out.append((Hypothesis(arch, p, stats, seed=seed, note=meta), tuple(traces[r])))
-    return out
+    return [(Hypothesis(arch, *best[r][1], seed=seeds[r], note=meta) if best[r][1] else snapshot(r, meta),
+             tuple(traces[r])) for r in range(R)]
 
 
 def grad_check(arch: Arch, probe: Dataset, eps: float = 1e-5, seed: int = 0) -> float:

@@ -17,6 +17,7 @@ from hypothesis import strategies as st
 
 import phdkit
 from phdkit.cli import main
+from phdkit.models import Arch, Hypothesis, linear_hypothesis, save_hypothesis, stump_hypothesis
 
 
 def run(argv, capsys):
@@ -305,8 +306,10 @@ def overflow_dir(tmp_path_factory):
     """A 40-row pair, one trained two-score model, a one-feature pair whose
     source spans +-1e308 (its neighbouring gaps, and so W1, stay finite), a
     sample {-1e308, 1e308}, a two-feature pair with one column scaled by 1e200,
-    two one-point samples 1.8e308 apart and two two-feature samples 1e308
-    apart row by row."""
+    two one-point samples 1.8e308 apart, two two-feature samples 1e308
+    apart row by row, and two-feature rows at +-1.7e308 with a constant
+    model and two whose scores there overflow: a linear one (+-3.4e308) and
+    an MLP with two infinite units, whose difference is NaN."""
     out = tmp_path_factory.mktemp("overflow")
     assert main(["--seed", "3", "--out", str(out), "gen", "--n", "40", "--d", "2"]) == 0
     assert main(["--out", str(out), "train", "--data", str(out / "pair_source.csv"), "--hidden", "",
@@ -323,6 +326,10 @@ def overflow_dir(tmp_path_factory):
     (out / "high.csv").write_text("x0,label\n9e307,0\n")
     (out / "far_s.csv").write_text("x0,x1,label\n1e308,0,0\n1e308,1,1\n")
     (out / "far_t.csv").write_text("x0,x1,label\n0,0,0\n0,1,1\n")
+    (out / "big.csv").write_text("x0,x1\n1.7e308,0\n-1.7e308,1\n1,2\n")
+    save_hypothesis(linear_hypothesis([0.0, 0.0], 1.0), out / "const.bin")
+    save_hypothesis(linear_hypothesis([2.0, 0.0], 1.0), out / "w2.bin")
+    save_hypothesis(Hypothesis(Arch(2, (2,), 1), [2, 2, 0, 0, 0, 0, 1, -1, 0]), out / "mlp.bin")
     return out
 
 
@@ -342,8 +349,11 @@ def overflow_dir(tmp_path_factory):
       "--top-k", "1"], "CapacityError", "transport cost"),
     (["select", "--sources", "scaled_s.csv,scaled_s.csv", "--target", "scaled_t.csv", "--measure", "phd",
       "--top-k", "1"], "ContractError", "feature 1's mean or standard deviation"),
+    (["phd", "--h1", "w2.bin", "--h2", "const.bin", "--target", "big.csv"], "ContractError", "not finite"),
+    (["phd", "--h1", "mlp.bin", "--h2", "const.bin", "--target", "big.csv"], "ContractError", "not finite"),
 ], ids=["thm4-confidence", "lemma1-hoeffding", "thm6-complexity", "w1-bins-range", "coral-covariance",
-        "w1-cost", "w1-bins-cost", "w1-cost-sum", "w1-1d", "select-w1-cost", "select-phd-zscore"])
+        "w1-cost", "w1-bins-cost", "w1-cost-sum", "w1-1d", "select-w1-cost", "select-phd-zscore",
+        "phd-linear-scores", "phd-mlp-scores"])
 def test_overflowing_values_exit_2_with_one_json_line(argv, error, named, overflow_dir):
     if argv[0] == "bounds":
         argv = argv + ["--target", "pair_target.csv", "--rad-draws", "2",
@@ -396,6 +406,29 @@ def test_stumps_between_neighbours_beyond_half_of_float64_match_enumeration(tmp_
         thresholds = [details["threshold"]] if "threshold" in details else [m[1] for m in details["pair"]]
         assert np.isfinite(thresholds).all(), (command, details)
         assert result["value"] == pytest.approx(expected[command], abs=1e-12), command
+
+
+def _strict_json(text):
+    def reject(token):
+        raise ValueError(f"{token} is not JSON")
+
+    return json.loads(text, parse_constant=reject)
+
+
+@pytest.mark.parametrize("argv,constant", [
+    (["sdisc", "--source", "a.csv", "--target", "b.csv", "--model", "h1.bin"], {"feature": -1, "threshold": None}),
+    (["dh", "--source", "a.csv", "--target", "a.csv"], {"feature": -1, "threshold": None}),
+    (["disc", "--source", "a2.csv", "--target", "b2.csv"], {"pair": [[0, 0.5, 1], [-1, None, 1]]}),
+], ids=["sdisc", "dh-no-threshold", "disc-pair"])
+def test_a_winning_constant_stump_member_is_written_as_json_null(argv, constant, tmp_path):
+    save_hypothesis(stump_hypothesis(0, 0.5, 1, 1), tmp_path / "h1.bin")
+    for name, text in (("a", "x0\n0\n0\n"), ("b", "x0\n1\n1\n"), ("a2", "x0,x1\n0,0\n0,0\n"),
+                       ("b2", "x0,x1\n1,1\n1,1\n")):
+        (tmp_path / f"{name}.csv").write_text(text)
+    proc = _run_subprocess(argv, tmp_path)
+    assert proc.returncode == 0 and proc.stderr == "", proc.stderr
+    details = _strict_json(proc.stdout)["result"]["details"]
+    assert {k: details[k] for k in constant} == constant, details
 
 
 @pytest.mark.parametrize("flag,value", [("--weight-decay", "-1"), ("--weight-decay", "nan"), ("--lr", "inf")])

@@ -237,15 +237,18 @@ def test_one_diverging_run_stops_the_lockstep_call_at_its_epoch():
     assert together.value.epoch == alone.value.epoch
 
 
-@settings(max_examples=30, deadline=None)
-@given(runs=st.integers(1, 5), batch_norm=st.booleans(), out_dim=st.sampled_from([1, 3]),
-       weighted=st.booleans(), batch_size=st.integers(2, 9), full=st.integers(1, 4), rest=st.integers(1, 8),
+@settings(max_examples=50, deadline=None)
+@given(runs=st.integers(1, 5), batch_norm=st.booleans(), out_dim=st.sampled_from([1, 3, 10]),
+       hidden=st.lists(st.sampled_from([1, 2, 5]), min_size=1, max_size=2),
+       weighted=st.booleans(), batch_size=st.integers(2, 17), full=st.integers(1, 4), rest=st.integers(1, 8),
        data_seed=st.integers(0, 2**16))
-def test_lockstep_runs_equal_runs_one_at_a_time(runs, batch_norm, out_dim, weighted, batch_size, full, rest,
-                                                data_seed):
+def test_lockstep_runs_equal_runs_one_at_a_time(runs, batch_norm, out_dim, hidden, weighted, batch_size, full,
+                                                rest, data_seed):
+    # Width-1 layers and outputs take BLAS gemv and, from 8 rows on, numpy's
+    # pairwise row sums; 10 classes take its blocked pairwise class sums.
     n = batch_size * full + min(rest, batch_size - 1)  # ends in a partial batch
     rng = np.random.default_rng(data_seed)
-    arch = Arch(3, (5, 4), out_dim, batch_norm=batch_norm)
+    arch = Arch(3, tuple(hidden), out_dim, batch_norm=batch_norm)
     k = 2 if out_dim == 1 else out_dim
     cfg = TrainConfig(epochs=2, batch_size=batch_size, lr=1e-2, seed=0)
     specs = [(Dataset(rng.standard_normal((n, 3)), rng.integers(0, k, n), k), replace(cfg, seed=seed),
