@@ -23,6 +23,10 @@ with batch norm):
 - ``train_fig2_sources``: training the 20 source models of one fig2
   (seed, sigma) at the default config (8 -> 32 -> 4 with batch norm, 400
   rows, 20 epochs of batch 64) in one ``train_erm_many`` call
+- ``w1_fig2_pool``: the ten W1 values of that fig2 (seed, sigma), one
+  after another: each source and the target's self-training part
+  subsampled to 256 rows, the Euclidean cost matrix and the exact
+  assignment (``discrepancy.w1_exact``), as ``adapt`` computes them
 - ``disc_exact_pair_b``: ``discrepancy.disc_exact`` on the shape of the
   benchmark's ``exact-cli`` disc command (two 300-row Gaussian samples,
   d = 2: 2,398 stumps)
@@ -52,7 +56,8 @@ fill each run's parameters through the layer tables and hand the loss
 float64 scores and the backward pass gradients in the training dtype, so
 they run the same values on trees that lay the runs out differently.
 ``coral_pair_a`` runs like the kernels. ``train_fig2_sources`` runs one
-untimed call, then E2E_REPEATS single calls; the ``disc_exact``
+untimed call, then E2E_REPEATS single calls; ``w1_fig2_pool`` W1_WARMUP
+untimed calls, then REPEATS blocks of W1_CALLS; the ``disc_exact``
 rows run DISC_WARMUP untimed calls, then REPEATS blocks of DISC_CALLS,
 ``stump_scans_pair_a`` STUMP_WARMUP, then REPEATS blocks of STUMP_CALLS, and
 the CSV rows CSV_WARMUP untimed calls, then REPEATS blocks of CSV_CALLS.
@@ -70,8 +75,8 @@ Each run is appended under its ``--label`` to the JSON file ``--out``, whose
 ``summary`` holds, per label, the median over runs of each median. For a
 comparison of two trees, alternate the runs:
 
-    python3 scripts/bench_layers.py --out BENCH_18.json --src ../parent/src --label parent
-    python3 scripts/bench_layers.py --out BENCH_18.json --label change
+    python3 scripts/bench_layers.py --out BENCH_19.json --src ../parent/src --label parent
+    python3 scripts/bench_layers.py --out BENCH_19.json --label change
 
 ``--src`` selects the source tree ``phdkit`` is imported from; it must have
 ``models.train_erm_many``.
@@ -93,6 +98,7 @@ ROOT = Path(__file__).resolve().parent.parent
 THREAD_ENV = ("OPENBLAS_NUM_THREADS", "OMP_NUM_THREADS", "MKL_NUM_THREADS")
 WARMUP, REPEATS, CALLS = 20, 9, 20
 E2E_REPEATS = 3
+W1_WARMUP, W1_CALLS = 3, 5
 DISC_WARMUP, DISC_CALLS = 3, 3
 STUMP_WARMUP, STUMP_CALLS = 3, 10
 CSV_WARMUP, CSV_CALLS = 3, 10
@@ -145,10 +151,11 @@ def _train_step(models, arch, runs: int, rows: int):
 def run() -> tuple[dict, dict, str]:
     import numpy as np
     from phdkit import models, protocols
-    from phdkit.adapt import coral
+    from phdkit.adapt import EVAL_FRAC, _subsample, coral
     from phdkit.bounds import rademacher
-    from phdkit.data import Dataset, gen_gaussian_pair, read_csv, write_csv
-    from phdkit.discrepancy import StumpClass, _scan_threshold_gap, dh_exact, disc_exact, sdisc_exact
+    from phdkit.data import Dataset, gen_gaussian_pair, read_csv, split, write_csv
+    from phdkit.discrepancy import StumpClass, _scan_threshold_gap, dh_exact, disc_exact, sdisc_exact, w1_exact
+    from phdkit.numkit import child_rng
 
     dt = models.TRAIN_DTYPE
     rng = np.random.default_rng(0)
@@ -187,10 +194,18 @@ def run() -> tuple[dict, dict, str]:
     src_arch = models.mlp_arch(fig2.d, fig2.hidden, out_dim=fig2.k, batch_norm=True)
     measured["train_step_fig2_sources"] = _measure(_train_step(models, src_arch, 40, fig2.batch_size))
     measured["train_step_adversarial"] = _measure(_train_step(models, arch, 1, 256))
-    sources, _, _ = protocols._fig2_pool(fig2, 0, 0.3)
+    sources, _, fig2_target = protocols._fig2_pool(fig2, 0, 0.3)
     runs = [(S, models.TrainConfig(epochs=fig2.epochs, batch_size=fig2.batch_size, seed=10 * i + j), None)
             for i, S in enumerate(sources) for j in (1, 2)]
     measured["train_fig2_sources"] = _measure(lambda: models.train_erm_many(runs, src_arch), 1, E2E_REPEATS, 1)
+    T_fit = split(fig2_target.without_labels(), (1.0 - EVAL_FRAC, EVAL_FRAC), seed=0)[0]
+
+    def w1_pool():
+        for i, S in enumerate(sources):
+            draws = child_rng(0, 12, i)
+            w1_exact(_subsample(S, fig2.w1_subsample, draws), _subsample(T_fit, fig2.w1_subsample, draws), seed=i)
+
+    measured["w1_fig2_pool"] = _measure(w1_pool, W1_WARMUP, REPEATS, W1_CALLS)
 
     pair_b = gen_gaussian_pair(300, 2, shift=0.25, rotate=0.3, seed=1)
     binary = (Dataset((rng.random((2000, 784)) < 0.5).astype(float)),
@@ -237,6 +252,8 @@ def environment(train_dtype: str) -> dict:
         "repeats": REPEATS,
         "calls_per_repeat": CALLS,
         "e2e_repeats": E2E_REPEATS,
+        "w1_warmup": W1_WARMUP,
+        "w1_calls_per_repeat": W1_CALLS,
         "disc_warmup": DISC_WARMUP,
         "disc_calls_per_repeat": DISC_CALLS,
         "stump_warmup": STUMP_WARMUP,

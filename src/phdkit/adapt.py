@@ -10,12 +10,14 @@ the transport distance works on the raw input space.
 
 :func:`select_sources_many` runs several selections at once (fig2 runs
 every seed and measure of one noise level): the source hypotheses of all
-its tasks train in lockstep, and so do the pooled classifiers, with the
-bits each task gives alone. :func:`select_sources` is its one-task case.
+its tasks train in lockstep, and so do the pooled classifiers, while one
+worker thread computes the W1 values, with the bits each task gives alone.
+:func:`select_sources` is its one-task case.
 """
 
 from __future__ import annotations
 
+from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass, field, replace
 
 import numpy as np
@@ -134,6 +136,12 @@ def _subsample(D: Dataset, n: int, rng) -> Dataset:
     return D.take(np.sort(rng.choice(D.n, n, replace=False)))
 
 
+def _w1_value(S: Dataset, T_fit: Dataset, n: int, seed: int, i: int) -> float:
+    """Source i's W1 distance to the target, both subsampled to at most n rows."""
+    rng = child_rng(seed, 12, i)
+    return w1_exact(_subsample(S, n, rng), _subsample(T_fit, n, rng), seed=seed + i).value
+
+
 def _train_by_rows(runs: list, arch: Arch) -> list:
     """``train_erm_many`` over runs of any row counts: one call per row count,
     the hypotheses in run order."""
@@ -160,8 +168,10 @@ def select_sources_many(tasks, K: int, cfg: SelectConfig) -> list[SelectionOutco
     pool and grades it on oracle-labeled target data. Both are diagnostics.
 
     The source hypotheses of all tasks train in lockstep, one
-    ``train_erm_many`` call per row count, and so do the pooled classifiers;
-    each outcome holds the bits its task gives alone.
+    ``train_erm_many`` call per row count, and so do the pooled classifiers.
+    One worker thread computes the W1 values meanwhile, and none outlives
+    the call. Each outcome holds the bits its task gives alone, and errors
+    surface in the order of one task at a time.
     """
     tasks = [(list(sources), T, measure, seed, None if flags is None else list(flags), oracle)
              for sources, T, measure, seed, flags, oracle in tasks]
@@ -180,39 +190,45 @@ def select_sources_many(tasks, K: int, cfg: SelectConfig) -> list[SelectionOutco
             raise ContractError("oracle target dataset must be labeled")
 
     # a phd task's source i trains run first + 2i (seed + 10 i + 1), its own hypothesis, and
-    # run first + 2i + 1 (seed + 10 i + 2), which starts its self-training
-    runs, fits = [], []
-    for sources, T, measure, seed, _, _ in tasks:
-        T_fit, T_eval = split(T.without_labels(), (1.0 - EVAL_FRAC, EVAL_FRAC), seed=seed)
-        if measure == "phd":
-            fits.append((T_fit, _zscore(T_fit), _zscore(T_eval, ref=T_fit), len(runs)))
-            for i, Z in enumerate(map(_zscore, sources)):
-                runs += [(Z, replace(cfg.base, seed=seed + 10 * i + j), None) for j in (1, 2)]
-        else:
-            fits.append((T_fit, None, None, None))
-    hs = _train_by_rows(runs, cfg.arch)
-
-    ranked, pooled_runs = [], []
-    for (sources, _, measure, seed, flags, oracle), (T_fit, fit, ev, first) in zip(tasks, fits):
-        values = []
-        for i, S in enumerate(sources):
+    # run first + 2i + 1 (seed + 10 i + 2), which starts its self-training; a w1 task's values
+    # come from one worker thread, whose assignments use no BLAS and release the GIL, so they
+    # run while the sources train, and each is read where the ranking needs it
+    w1_pool = ThreadPoolExecutor(max_workers=1)
+    try:
+        runs, fits = [], []
+        for sources, T, measure, seed, _, _ in tasks:
+            T_fit, T_eval = split(T.without_labels(), (1.0 - EVAL_FRAC, EVAL_FRAC), seed=seed)
             if measure == "phd":
-                r = first + 2 * i
-                h_ssl = train_self(runs[r][0], fit, hs[r + 1], runs[r + 1][1], cfg.ssl_rounds).hypothesis
-                values.append(phd(hs[r], h_ssl, ev).value)
+                fits.append((T_fit, _zscore(T_fit), _zscore(T_eval, ref=T_fit), len(runs), None))
+                for i, Z in enumerate(map(_zscore, sources)):
+                    runs += [(Z, replace(cfg.base, seed=seed + 10 * i + j), None) for j in (1, 2)]
             else:
-                rng = child_rng(seed, 12, i)
-                values.append(w1_exact(_subsample(S, cfg.w1_subsample, rng),
-                                       _subsample(T_fit, cfg.w1_subsample, rng), seed=seed + i).value)
-        ranking = rank_ascending(values)
-        chosen = ranking[:K]
-        score = None if flags is None else int(sum(bool(flags[i]) for i in chosen))
-        ranked.append((tuple(float(v) for v in values), ranking, chosen, score))
-        if oracle is not None:
-            adapted = [coral(sources[i], T_fit) for i in chosen]
-            pooled = Dataset(np.vstack([a.X for a in adapted]), np.concatenate([a.y for a in adapted]),
-                             sources[chosen[0]].k)
-            pooled_runs.append((pooled, replace(cfg.base, seed=seed + 999), None))
+                jobs = [w1_pool.submit(_w1_value, S, T_fit, cfg.w1_subsample, seed, i)
+                        for i, S in enumerate(sources)]
+                fits.append((T_fit, None, None, None, jobs))
+        hs = _train_by_rows(runs, cfg.arch)
+
+        ranked, pooled_runs = [], []
+        for (sources, _, measure, seed, flags, oracle), (T_fit, fit, ev, first, jobs) in zip(tasks, fits):
+            values = []
+            for i in range(len(sources)):
+                if measure == "phd":
+                    r = first + 2 * i
+                    h_ssl = train_self(runs[r][0], fit, hs[r + 1], runs[r + 1][1], cfg.ssl_rounds).hypothesis
+                    values.append(phd(hs[r], h_ssl, ev).value)
+                else:
+                    values.append(jobs[i].result())
+            ranking = rank_ascending(values)
+            chosen = ranking[:K]
+            score = None if flags is None else int(sum(bool(flags[i]) for i in chosen))
+            ranked.append((tuple(float(v) for v in values), ranking, chosen, score))
+            if oracle is not None:
+                adapted = [coral(sources[i], T_fit) for i in chosen]
+                pooled = Dataset(np.vstack([a.X for a in adapted]), np.concatenate([a.y for a in adapted]),
+                                 sources[chosen[0]].k)
+                pooled_runs.append((pooled, replace(cfg.base, seed=seed + 999), None))
+    finally:
+        w1_pool.shutdown(cancel_futures=True)
     clfs = iter(_train_by_rows(pooled_runs, cfg.arch))
 
     return [SelectionOutcome(measure, values, ranking, chosen, score,

@@ -1,3 +1,5 @@
+import re
+import threading
 from dataclasses import replace
 
 import numpy as np
@@ -5,9 +7,18 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from phdkit.adapt import SelectConfig, coral, rank_ascending, select_sources, select_sources_many
-from phdkit.data import Dataset, add_feature_noise, gen_gaussian_pair
-from phdkit.errors import ConfigError, ContractError, DegenerateInputError
+from phdkit.adapt import (
+    EVAL_FRAC,
+    SelectConfig,
+    _subsample,
+    coral,
+    rank_ascending,
+    select_sources,
+    select_sources_many,
+)
+from phdkit.data import Dataset, add_feature_noise, gen_gaussian_pair, split
+from phdkit.discrepancy import w1_exact
+from phdkit.errors import CapacityError, ConfigError, ContractError, DegenerateInputError
 from phdkit.models import TrainConfig, mlp_arch
 from phdkit.numkit import child_rng
 from phdkit.protocols import Fig2Config, run_fig2
@@ -203,6 +214,84 @@ def test_every_task_is_checked_before_any_training(monkeypatch):
                        ((pool, T, "mmd", 0, None, None), "measure")):
         with pytest.raises((ConfigError, ContractError), match=error):
             select_sources_many([good, bad], 1, _select_cfg(2))
+
+
+def _w1_values_one_by_one(sources, T, seed, n):
+    """A w1 task's values from one ``w1_exact`` call per source, in source order."""
+    T_fit, _ = split(T.without_labels(), (1.0 - EVAL_FRAC, EVAL_FRAC), seed=seed)
+    values = []
+    for i, S in enumerate(sources):
+        rng = child_rng(seed, 12, i)
+        values.append(w1_exact(_subsample(S, n, rng), _subsample(T_fit, n, rng), seed=seed + i).value)
+    return values
+
+
+def test_w1_values_equal_one_by_one_w1_exact_calls_bit_for_bit():
+    # 120-row sources and the 210-row fit part of `big` subsample to 100 rows; the 84-row fit
+    # part of `small` is fewer than 100, so `_subsample` hands it over whole
+    pool = [gen_gaussian_pair(120, 3, seed=s, shift=0.3 * s)[0] for s in range(4)]
+    big, _ = gen_gaussian_pair(300, 3, seed=40)
+    small, _ = gen_gaussian_pair(120, 3, seed=41, shift=0.5)
+    assert split(small, (1.0 - EVAL_FRAC, EVAL_FRAC), seed=2)[0].n < 100
+    tasks = [(pool, big.without_labels(), "phd", 1, None, None),
+             (pool, big.without_labels(), "w1", 1, None, None),
+             (pool[:3], small.without_labels(), "w1", 2, None, small),
+             (pool, small.without_labels(), "phd", 2, None, None),
+             (pool[1:], big.without_labels(), "w1", 5, [True, False, True], None)]
+    cfg = replace(_select_cfg(3), w1_subsample=100)
+    before = threading.active_count()
+    outcomes = select_sources_many(tasks, 2, cfg)
+    assert threading.active_count() == before
+    for (sources, T, measure, seed, _, _), out in zip(tasks, outcomes):
+        if measure == "w1":
+            want = np.array(_w1_values_one_by_one(sources, T, seed, 100))
+            assert np.array(out.values).tobytes() == want.tobytes()
+
+
+def _pool_with_an_overflowing_source():
+    # source 1's squared feature-0 distances overflow the W1 cost and its feature-0 variance
+    pool = [gen_gaussian_pair(60, 2, seed=s)[0] for s in range(3)]
+    pool[1] = Dataset(pool[1].X * np.array([1e200, 1.0]), pool[1].y, pool[1].k)
+    return pool
+
+
+def test_a_w1_overflow_raises_the_error_of_one_by_one_calls():
+    pool = _pool_with_an_overflowing_source()
+    T, _ = gen_gaussian_pair(100, 2, seed=90)
+    clean = [gen_gaussian_pair(60, 2, seed=s)[0] for s in range(3, 5)]
+    cfg = _select_cfg(2)
+    with pytest.raises(CapacityError) as one_by_one:
+        _w1_values_one_by_one(pool, T, 0, cfg.w1_subsample)
+    before = threading.active_count()
+    with pytest.raises(CapacityError, match=re.escape(str(one_by_one.value))):
+        select_sources_many([(clean, T, "phd", 0, None, None), (pool, T, "w1", 0, None, None)], 1, cfg)
+    assert threading.active_count() == before
+
+
+@pytest.mark.parametrize("phd_first", [True, False], ids=["phd-first", "w1-first"])
+def test_a_zscore_error_wins_over_a_w1_error(phd_first):
+    # the z-scores are taken before any training and any W1 value is read, whatever the task order
+    pool = _pool_with_an_overflowing_source()
+    T, _ = gen_gaussian_pair(100, 2, seed=90)
+    tasks = [(pool, T, "phd", 0, None, None), (pool, T, "w1", 0, None, None)]
+    before = threading.active_count()
+    with pytest.raises(ContractError, match="feature 0's mean or standard deviation overflows"):
+        select_sources_many(tasks if phd_first else tasks[::-1], 1, _select_cfg(2))
+    assert threading.active_count() == before
+
+
+def test_no_thread_outlives_a_failed_training_with_w1_values_queued(monkeypatch):
+    def failed_training(*args):
+        raise RuntimeError("training failed")
+
+    monkeypatch.setattr("phdkit.adapt.train_erm_many", failed_training)
+    pool = [gen_gaussian_pair(60, 2, seed=s)[0] for s in range(6)]
+    T, _ = gen_gaussian_pair(100, 2, seed=90)
+    tasks = [(pool, T, "w1", seed, None, None) for seed in range(4)] + [(pool, T, "phd", 0, None, None)]
+    before = threading.active_count()
+    with pytest.raises(RuntimeError, match="training failed"):
+        select_sources_many(tasks, 1, _select_cfg(2))
+    assert threading.active_count() == before
 
 
 def test_fig2_rows_match_the_runs_of_single_sigma_seed_pairs():
