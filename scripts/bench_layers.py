@@ -20,6 +20,9 @@ with batch norm):
   ``selection`` op's source training
 - ``train_step_adversarial``: one such step of one run of the adversarial
   network on a 256-row batch, the shape of table1's training
+- ``train_step_adversarial_pair``: one such step of two runs of it, the
+  shape of table1's training with both directions of an estimator in
+  lockstep
 - ``train_fig2_sources``: training the 20 source models of one fig2
   (seed, sigma) at the default config (8 -> 32 -> 4 with batch norm, 400
   rows, 20 epochs of batch 64) in one ``train_erm_many`` call
@@ -75,8 +78,8 @@ Each run is appended under its ``--label`` to the JSON file ``--out``, whose
 ``summary`` holds, per label, the median over runs of each median. For a
 comparison of two trees, alternate the runs:
 
-    python3 scripts/bench_layers.py --out BENCH_19.json --src ../parent/src --label parent
-    python3 scripts/bench_layers.py --out BENCH_19.json --label change
+    python3 scripts/bench_layers.py --out BENCH_20.json --src ../parent/src --label parent
+    python3 scripts/bench_layers.py --out BENCH_20.json --label change
 
 ``--src`` selects the source tree ``phdkit`` is imported from; it must have
 ``models.train_erm_many``.
@@ -194,6 +197,7 @@ def run() -> tuple[dict, dict, str]:
     src_arch = models.mlp_arch(fig2.d, fig2.hidden, out_dim=fig2.k, batch_norm=True)
     measured["train_step_fig2_sources"] = _measure(_train_step(models, src_arch, 40, fig2.batch_size))
     measured["train_step_adversarial"] = _measure(_train_step(models, arch, 1, 256))
+    measured["train_step_adversarial_pair"] = _measure(_train_step(models, arch, 2, 256))
     sources, _, fig2_target = protocols._fig2_pool(fig2, 0, 0.3)
     runs = [(S, models.TrainConfig(epochs=fig2.epochs, batch_size=fig2.batch_size, seed=10 * i + j), None)
             for i, S in enumerate(sources) for j in (1, 2)]

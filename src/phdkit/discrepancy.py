@@ -36,13 +36,14 @@ from .models import (
     Hypothesis,
     LossSpec,
     TrainConfig,
+    _train_runs,
     _Workspace,
     constant_hypothesis,
     empirical_risk,
     predict,
     scores,
     stump_hypothesis,
-    train_erm_traced,
+    train_erm_traced,  # noqa: F401  (uncalled; perfbench's layer tracer wraps this name)
     zero_one,
 )
 from .numkit import child_rng
@@ -386,9 +387,12 @@ def _adversarial_gap(S: Dataset, T: Dataset, ref, arch: Arch, cfg: TrainConfig, 
 
     ``ref`` maps features to reference labels. Direction k (seed offset k)
     trains toward the reference on source and its flip on target, or the
-    reverse for k = 1. Held-out mode fits on one half of each sample, split
-    by ``child_rng(cfg.seed, stream)``, and evaluates on the other. Returns
-    the statistic per direction and the evaluation samples' reference labels.
+    reverse for k = 1. Both directions fit the same rows, so they train in
+    one lockstep call, each traced with its own witness metric and given
+    the bits it gets alone. Held-out mode fits on one half of each sample,
+    split by ``child_rng(cfg.seed, stream)``, and evaluates on the other.
+    Returns the statistic per direction and the evaluation samples'
+    reference labels.
     """
     if eval_mode not in ("insample", "heldout"):
         raise ConfigError(f"unknown eval_mode {eval_mode!r}")
@@ -403,21 +407,20 @@ def _adversarial_gap(S: Dataset, T: Dataset, ref, arch: Arch, cfg: TrainConfig, 
     ref_se, ref_te = ref(S_eval.X), ref(T_eval.X)
     ws = _Workspace(TRAIN_DTYPE)  # the witnesses are training snapshots
 
-    def statistic(h: Hypothesis) -> float:
+    def negated_statistic(h: Hypothesis) -> float:
         # Shifting the output bias keeps the witness inside the class, so
         # the best decision threshold over the scored samples is scanned.
-        return _scan_threshold_gap(scores(h, S_eval.X, ws)[:, 0], ref_se,
-                                   scores(h, T_eval.X, ws)[:, 0], ref_te)
+        return -_scan_threshold_gap(scores(h, S_eval.X, ws)[:, 0], ref_se,
+                                    scores(h, T_eval.X, ws)[:, 0], ref_te)
 
-    stats = {}
-    for k, direction in enumerate(directions):
-        ys, yt = (ref_sf, 1 - ref_tf) if k == 0 else (1 - ref_sf, ref_tf)
-        D = Dataset(np.vstack([S_fit.X, T_fit.X]), np.concatenate([ys, yt]), 2)
-        # Every hypothesis visited during training is a valid witness for the
-        # supremum lower bound; the trace's last entry is the best statistic
-        # over the snapshots, negated.
-        _, trace = train_erm_traced(D, arch, replace(cfg, seed=cfg.seed + k), metric=lambda hyp: -statistic(hyp))
-        stats[direction] = -trace[-1]
+    X = np.vstack([S_fit.X, T_fit.X])
+    labels = (np.concatenate([ref_sf, 1 - ref_tf]), np.concatenate([1 - ref_sf, ref_tf]))
+    runs = [(Dataset(X, y, 2), replace(cfg, seed=cfg.seed + k), None) for k, y in enumerate(labels)]
+    # Every hypothesis visited during training is a valid witness for the
+    # supremum lower bound; each trace's last entry is the best statistic
+    # over that direction's snapshots, negated.
+    traced = _train_runs(runs, arch, [negated_statistic] * len(runs))
+    stats = {direction: -trace[-1] for direction, (_, trace) in zip(directions, traced)}
     return stats, ref_se, ref_te
 
 

@@ -16,10 +16,12 @@ axis: :func:`train_erm_many` trains R runs of one architecture that share
 the row count and every setting but the seed in lockstep, one step of
 every run per step of the loop, which saves R - 1 of each step's numpy
 calls on small networks; :func:`train_erm` is its R = 1 case and scoring
-runs one replica. Both passes read one layer table of views into the
-R x count parameter and statistic arrays, built once per training call or
-scoring call, and write hidden-layer arrays into a workspace of buffers
-reused for one training call or one caller's run of scoring calls.
+runs one replica. A traced training calls each run's own per-epoch metric;
+:func:`train_erm_traced` is its R = 1 case. Both passes read one layer
+table of views into the R x count parameter and statistic arrays, built
+once per training call or scoring call, and write hidden-layer arrays into
+a workspace of buffers reused for one training call or one caller's run of
+scoring calls.
 
 The layout lets numpy do each per-run, per-unit job as one inner loop
 across the runs: each layer-table entry is one block across the runs
@@ -343,7 +345,14 @@ def predict(h: Hypothesis, X) -> np.ndarray:
 def _backward(arch: Arch, layers: list, cache: list, dscores: np.ndarray, ws: _Workspace) -> np.ndarray:
     """Gradient w.r.t. each run's parameters, overwriting ``ws``'s R x
     param_count gradient array; ``dscores`` is copied into a ``ws`` stack
-    in ``ws``'s dtype, and the passes keep the layouts of ``_forward``."""
+    in ``ws``'s dtype, and the passes keep the layouts of ``_forward``.
+
+    A layer of fan-out 1 takes ``delta`` as the outer product of ``dz`` and
+    its weights, where the matmul sums one product per element from +0:
+    the same bits, but for the sign of a zero product (as from the zero
+    output layer of ``init_params``). The AMSGrad moments add the gradient
+    to +0 or to a nonzero value, which drops that sign, so training keeps
+    its bits."""
     grad, glayers = ws.grad(arch, dscores.shape[0])
     delta = ws.stack("dscores", -1, *dscores.shape)
     delta[...] = dscores
@@ -379,7 +388,8 @@ def _backward(arch: Arch, layers: list, cache: list, dscores: np.ndarray, ws: _W
         np.matmul(a_in.transpose(0, 2, 1), dz, out=gW)
         np.add.reduce(dz, axis=1, keepdims=True, out=gb)
         if i > 0:
-            delta = np.matmul(dz, W.transpose(0, 2, 1), out=ws.stack("delta", i - 1, R, n, W.shape[1]))
+            delta = (np.multiply if width == 1 else np.matmul)(
+                dz, W.transpose(0, 2, 1), out=ws.stack("delta", i - 1, R, n, W.shape[1]))
     return grad
 
 
@@ -543,9 +553,10 @@ def train_erm_traced(D: Dataset, arch: Arch, cfg: TrainConfig, sample_weight=Non
 
     ``metric`` is called with a snapshot hypothesis after every epoch; the
     returned hypothesis is then the best-metric checkpoint and the recorded
-    trace is the running minimum (hence non-increasing).
+    trace is the running minimum (hence non-increasing). It is the one-run
+    case of ``_train_runs``.
     """
-    ((h, trace),) = _train_runs([(D, cfg, sample_weight)], arch, metric)
+    ((h, trace),) = _train_runs([(D, cfg, sample_weight)], arch, [metric])
     return h, trace
 
 
@@ -557,11 +568,14 @@ def train_erm_many(runs, arch: Arch) -> list[Hypothesis]:
     ``TrainConfig`` field but ``seed``. Each run's hypothesis holds the
     same bits as ``train_erm`` gives for that run alone.
     """
-    return [h for h, _ in _train_runs(runs, arch, None)]
+    return [h for h, _ in _train_runs(runs, arch)]
 
 
-def _train_runs(runs, arch: Arch, metric) -> list[tuple[Hypothesis, tuple[float, ...]]]:
-    """The training loop behind ``train_erm_many`` and ``train_erm_traced``.
+def _train_runs(runs, arch: Arch, metrics=None) -> list[tuple[Hypothesis, tuple[float, ...]]]:
+    """The training loop behind ``train_erm_many`` and ``train_erm_traced``;
+    one (hypothesis, trace) pair per run. ``metrics`` holds each run's
+    metric (or None), called after every epoch in run order; an untraced
+    run returns its last parameters and an empty trace.
 
     The surrogate follows the score width (see ``_loss_and_dscores``), so
     labels must lie below ``max(2, out_dim)``. The R runs are stacked on a
@@ -646,8 +660,8 @@ def _train_runs(runs, arch: Arch, metric) -> list[tuple[Hypothesis, tuple[float,
                 if wd_mask is not None:
                     grad[wd_mask] += cfg.weight_decay * params[wd_mask]
                 opt.step(params, grad)
-            if metric is not None:
-                for r in range(R):
+            for r, metric in enumerate(metrics or ()):
+                if metric is not None:
                     h = snapshot(r)
                     val = float(metric(h))
                     if val < best[r][0]:  # kept in TRAIN_DTYPE, which holds the values exactly

@@ -1,4 +1,5 @@
 import math
+from dataclasses import replace
 
 import numpy as np
 import pytest
@@ -11,6 +12,8 @@ from phdkit.discrepancy import (
     DiscrepancyReport,
     StumpClass,
     _scan_plan,
+    _scan_threshold_gap,
+    _split_halves,
     _threshold_errors,
     dh_adv,
     dh_exact,
@@ -24,14 +27,19 @@ from phdkit.discrepancy import (
 )
 from phdkit.errors import CapacityError, ConfigError, ContractError
 from phdkit.models import (
+    TRAIN_DTYPE,
+    Arch,
     TrainConfig,
+    _Workspace,
     constant_hypothesis,
     linear_arch,
     linear_hypothesis,
     margin,
     mlp_arch,
     predict,
+    scores,
     stump_hypothesis,
+    train_erm_traced,
 )
 from phdkit.numkit import child_rng
 
@@ -377,6 +385,53 @@ def test_adv_heldout_mode_reports_on_evaluation_halves():
         assert rep.value == max(stats.values())
         assert rep.details["direction"] in directions
         assert run().to_dict() == rep.to_dict()
+
+
+def per_direction_adv(S, T, hS, arch, cfg, eval_mode):
+    """The adversarial estimate with one ``train_erm_traced`` call per
+    direction, one after the other: ``dh_adv`` without ``hS``, else
+    ``sdisc_adv``. Returns the expected (value, details)."""
+    if hS is None:
+        ref, stream, directions = (lambda X: np.ones(X.shape[0], dtype=np.int64)), 6, ("source-as-1", "source-as-0")
+    else:
+        ref, stream, directions = (lambda X: predict(hS, X)), 7, ("agree-on-source", "agree-on-target")
+    if eval_mode == "heldout":
+        rng = child_rng(cfg.seed, stream)
+        (S_fit, S_eval), (T_fit, T_eval) = _split_halves(S, rng), _split_halves(T, rng)
+    else:
+        S_fit, S_eval, T_fit, T_eval = S, S, T, T
+    ref_sf, ref_tf, ref_se, ref_te = ref(S_fit.X), ref(T_fit.X), ref(S_eval.X), ref(T_eval.X)
+    ws = _Workspace(TRAIN_DTYPE)
+
+    def witness(h):
+        return -_scan_threshold_gap(scores(h, S_eval.X, ws)[:, 0], ref_se, scores(h, T_eval.X, ws)[:, 0], ref_te)
+
+    stats = {}
+    for k, direction in enumerate(directions):
+        ys, yt = (ref_sf, 1 - ref_tf) if k == 0 else (1 - ref_sf, ref_tf)
+        D = Dataset(np.vstack([S_fit.X, T_fit.X]), np.concatenate([ys, yt]), 2)
+        _, trace = train_erm_traced(D, arch, replace(cfg, seed=cfg.seed + k), metric=witness)
+        stats[direction] = -trace[-1]
+    if hS is not None:
+        stats["constant"] = abs(float(np.mean(ref_te == 0)) - float(np.mean(ref_se == 0)))
+    best = max(stats, key=lambda k: stats[k])
+    return stats[best], {"direction": best, **{f"stat_{k}": v for k, v in stats.items()}, "eval_mode": eval_mode}
+
+
+@pytest.mark.parametrize("eval_mode", ["insample", "heldout"])
+@pytest.mark.parametrize("arch", [linear_arch(4), Arch(4, (8, 8), 1, batch_norm=True)], ids=["linear", "bn-mlp"])
+@pytest.mark.parametrize("seed", [0, 5])
+def test_lockstep_adv_reports_equal_the_per_direction_loop(eval_mode, arch, seed):
+    rng = child_rng(14, seed)
+    S = Dataset(rng.standard_normal((45, 4)))
+    T = Dataset(rng.standard_normal((38, 4)) + 0.4)
+    cfg = TrainConfig(epochs=6, batch_size=16, lr=2e-2, seed=seed)
+    hS = linear_hypothesis(rng.standard_normal(4), 0.1)
+    for rep, source_h in ((dh_adv(S, T, arch, cfg, eval_mode), None),
+                          (sdisc_adv(S, T, hS, arch, cfg, eval_mode), hS)):
+        value, details = per_direction_adv(S, T, source_h, arch, cfg, eval_mode)
+        assert (rep.value, rep.details) == (value, details)
+        assert float(rep.value).hex() == float(value).hex()
 
 
 # --- transport and histogram distances ---------------------------------------

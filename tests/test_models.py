@@ -5,7 +5,7 @@ from dataclasses import replace
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
 from phdkit.data import Dataset, gen_gaussian_pair
@@ -18,6 +18,8 @@ from phdkit.models import (
     _backward,
     _forward,
     _layers,
+    _runs_contiguous,
+    _train_runs,
     _weight_mask,
     _Workspace,
     accuracy,
@@ -260,6 +262,55 @@ def test_lockstep_runs_equal_runs_one_at_a_time(runs, batch_norm, out_dim, hidde
             (alone.params.tobytes(), alone.bn_stats.tobytes(), alone.seed)
 
 
+def _noisy_metric(seed, n=30):
+    """Zero-one risk against random labels on random rows: a metric whose
+    best epoch is seldom the last, so the checkpoint is a real choice."""
+    rng = np.random.default_rng(seed)
+    probe = Dataset(rng.standard_normal((n, 3)), rng.integers(0, 2, n), 2)
+    return lambda h: empirical_risk(h, None, probe, zero_one())
+
+
+@pytest.mark.parametrize("runs", [2, 3])
+@pytest.mark.parametrize("batch_norm", [False, True])
+def test_traced_lockstep_runs_equal_traced_runs_one_at_a_time(runs, batch_norm):
+    rng = np.random.default_rng(runs)
+    arch = Arch(3, (6, 4), 1, batch_norm=batch_norm)
+    cfg = TrainConfig(epochs=6, batch_size=16, lr=5e-2, seed=0)
+    specs = [(Dataset(rng.standard_normal((40, 3)), rng.integers(0, 2, 40), 2), replace(cfg, seed=10 + r),
+              rng.uniform(0.5, 1.5, 40) if r == 1 else None) for r in range(runs)]
+    # the last run is untraced, as in a call that mixes both kinds
+    metrics = [_noisy_metric(100 + r) for r in range(runs - 1)] + [None]
+    together = _train_runs(specs, arch, metrics)
+    for (D, run_cfg, w), metric, (h, trace) in zip(specs, metrics, together):
+        alone, alone_trace = train_erm_traced(D, arch, run_cfg, sample_weight=w, metric=metric)
+        assert len(trace) == (cfg.epochs if metric else 0)
+        assert trace == alone_trace
+        assert (h.params.tobytes(), h.bn_stats.tobytes(), h.seed, h.note) == \
+            (alone.params.tobytes(), alone.bn_stats.tobytes(), alone.seed, alone.note)
+    D, run_cfg, w = specs[0]
+    assert together[0][0].params.tobytes() != train_erm(D, arch, run_cfg, w).params.tobytes()  # not the last epoch
+
+
+def test_an_exception_from_one_runs_metric_propagates_unchanged():
+    rng = np.random.default_rng(0)
+    D = Dataset(rng.standard_normal((40, 3)), rng.integers(0, 2, 40), 2)
+    cfg = TrainConfig(epochs=5, batch_size=16, seed=0)
+    boom, calls = RuntimeError("witness failed"), []
+
+    def metric(r):
+        def call(h):
+            calls.append(r)
+            if r == 1 and calls.count(1) == 3:
+                raise boom
+            return 0.5
+        return call
+
+    with pytest.raises(RuntimeError) as e:
+        _train_runs([(D, cfg, None), (D, replace(cfg, seed=1), None)], mlp_arch(3, (4,)), [metric(0), metric(1)])
+    assert e.value is boom
+    assert calls == [0, 1] * 3  # each epoch's metrics in run order, up to the failing call
+
+
 @pytest.mark.parametrize("field,value", [("n", 39), ("d", 3), ("epochs", 3), ("lr", 2e-3), ("batch_size", 8)])
 def test_mismatched_lockstep_runs_are_rejected_before_training(field, value, monkeypatch):
     def no_training(*args, **kwargs):
@@ -392,6 +443,92 @@ def test_leaky_relu_passes_match_the_select_oracle(slope, dtype):
     expected = np.concatenate([(X.T @ dout).ravel(), dout.sum(axis=0), (act.T @ ds).ravel(), ds.sum(axis=0)])
     assert grad.dtype == expected.dtype == dtype
     assert grad.tobytes() == expected.tobytes()
+
+
+def _matmul_delta_backward(arch, layers, cache, dscores, ws):
+    """``models._backward`` with every layer's delta taken as ``dz @ W.T``
+    by np.matmul, the form that a fan-out-1 layer's outer product replaces."""
+    grad, glayers = ws.grad(arch, dscores.shape[0])
+    delta = ws.stack("dscores", -1, *dscores.shape)
+    delta[...] = dscores
+    for i in reversed(range(len(layers))):
+        W, _, gamma, _, _, _ = layers[i]
+        gW, gb, ggamma, gbeta, _, _ = glayers[i]
+        a_in, zhat, inv_std, out = cache[i]
+        R, n, width = delta.shape
+        if i < len(arch.hidden):
+            dout = np.greater(out, 0, out=ws.stack("dout", i, R, n, width))
+            dout *= 1 - arch.negative_slope
+            dout += arch.negative_slope
+            dout *= delta
+        else:
+            dout = delta
+        if gamma is not None:
+            tmp = ws.stack("tmp", -1, R, n, width)
+            np.add.reduce(np.multiply(dout, zhat, out=tmp), axis=1, keepdims=True, out=ggamma)
+            np.add.reduce(dout, axis=1, keepdims=True, out=gbeta)
+            dzhat = np.multiply(dout, gamma, out=dout)
+            sum_dzhat = np.add.reduce(dzhat, axis=1, keepdims=True)
+            sum_dzhat_zhat = np.add.reduce(np.multiply(dzhat, zhat, out=tmp), axis=1, keepdims=True)
+            dz = np.multiply(dzhat, n, out=dzhat)
+            dz -= sum_dzhat
+            dz -= np.multiply(zhat, sum_dzhat_zhat, out=tmp)
+            dz *= inv_std / n
+        else:
+            dz = dout
+        dz = _runs_contiguous(dz, W)
+        np.matmul(a_in.transpose(0, 2, 1), dz, out=gW)
+        np.add.reduce(dz, axis=1, keepdims=True, out=gb)
+        if i > 0:
+            delta = np.matmul(dz, W.transpose(0, 2, 1), out=ws.stack("delta", i - 1, R, n, W.shape[1]))
+    return grad
+
+
+def _backward_pair(arch, runs, rows, dtype, seed, params=None):
+    """The gradients of ``_backward`` and of its matmul-delta form on one
+    random training-mode batch per run, each pass with its own workspace."""
+    rng = np.random.default_rng(seed)
+    if params is None:
+        params = rng.standard_normal((runs, arch.param_count()))
+    layers = _layers(arch, params.astype(dtype), np.tile(init_bn_stats(arch), (runs, 1)).astype(dtype))
+    cache: list = []
+    s = _forward(arch, layers, rng.standard_normal((runs, rows, arch.in_dim)).astype(dtype), True,
+                 _Workspace(dtype), cache)
+    ds = rng.standard_normal(s.shape).astype(dtype)
+    return (_backward(arch, layers, cache, ds, _Workspace(dtype)).copy(),
+            _matmul_delta_backward(arch, layers, cache, ds, _Workspace(dtype)).copy())
+
+
+@settings(max_examples=60, deadline=None)
+@given(runs=st.integers(1, 4), rows=st.integers(1, 300), fan_in=st.integers(1, 200),
+       width1_hidden=st.booleans(), batch_norm=st.booleans(), dtype=st.sampled_from(DTYPES),
+       seed=st.integers(0, 2**16))
+def test_fan_out_one_delta_gives_the_matmul_gradient_bits(runs, rows, fan_in, width1_hidden, batch_norm, dtype,
+                                                           seed):
+    # A batch-normalized layer's dz is exactly zero on a one-row batch, and
+    # a zero product's sign is the one difference (see the next test).
+    assume(not (batch_norm and width1_hidden and rows == 1))
+    arch = Arch(3, (5, 1, fan_in) if width1_hidden else (fan_in,), 1, batch_norm=batch_norm)
+    got, want = _backward_pair(arch, runs, rows, dtype, seed)
+    assert got.dtype == want.dtype == dtype
+    assert got.tobytes() == want.tobytes()
+
+
+@pytest.mark.parametrize("dtype", DTYPES)
+def test_fan_out_one_delta_from_the_zero_output_layer_steps_to_the_same_bits(dtype):
+    # init_params zeroes the output layer, so the first step's output-layer
+    # delta holds zero products, which the outer product leaves signed and
+    # the matmul's sum from +0 does not; the optimizer's moments drop the sign.
+    arch = Arch(16, (32, 32), 1, batch_norm=True)
+    params = np.stack([init_params(arch, seed) for seed in (0, 1)])
+    got, want = _backward_pair(arch, 2, 64, dtype, 0, params)
+    assert np.array_equal(got, want)
+    stepped = []
+    for grad in (got, want):
+        p, opt = params.astype(dtype), AmsGrad(params.shape, dtype=dtype)
+        opt.step(p, grad)
+        stepped.append((p.tobytes(), opt.m.tobytes(), opt.v.tobytes()))
+    assert stepped[0] == stepped[1]
 
 
 def test_scores_with_a_reused_workspace_equal_fresh_scores():
