@@ -1,8 +1,9 @@
 #!/usr/bin/env python3
 """Per-call time and minor page faults of the MLP hot path, the exact
 pair-enumeration discrepancy, the stump scans, CORAL and CSV reading and
-writing, plus one seed of table1, table2 and table3 and one fig2 (seed,
-sigma) end to end, appended to a BENCH file.
+writing, plus the start-up of a fresh interpreter, one seed of table1,
+table2 and table3 and one fig2 (seed, sigma) end to end, appended to a BENCH
+file.
 
 Measures, for the adversarial estimators' network (16 -> 128 -> 128 -> 1
 with batch norm):
@@ -65,6 +66,16 @@ rows run DISC_WARMUP untimed calls, then REPEATS blocks of DISC_CALLS,
 ``stump_scans_pair_a`` STUMP_WARMUP, then REPEATS blocks of STUMP_CALLS, and
 the CSV rows CSV_WARMUP untimed calls, then REPEATS blocks of CSV_CALLS.
 
+Two rows time a fresh interpreter, COLD_WARMUP untimed runs, then REPEATS
+single runs, each the wall time of the whole child process:
+
+- ``import_phdkit_cold``: ``python -c "import phdkit"``
+- ``cli_phd_cold``: ``python -m phdkit.cli phd`` of two saved linear
+  hypotheses on one target file of pair a's shape, the benchmark's
+  ``exact-cli`` phd command
+
+Their minor faults are this process's, not the child's, and read about 0.
+
 The end-to-end rows time, E2E_REPEATS times after the kernels,
 ``protocols.run_table1``, ``run_table2`` and ``run_table3`` at their default
 configurations for seed 0 (``table1_seed0``, ``table2_seed0``,
@@ -78,8 +89,8 @@ Each run is appended under its ``--label`` to the JSON file ``--out``, whose
 ``summary`` holds, per label, the median over runs of each median. For a
 comparison of two trees, alternate the runs:
 
-    python3 scripts/bench_layers.py --out BENCH_20.json --src ../parent/src --label parent
-    python3 scripts/bench_layers.py --out BENCH_20.json --label change
+    python3 scripts/bench_layers.py --out BENCH_21.json --src ../parent/src --label parent
+    python3 scripts/bench_layers.py --out BENCH_21.json --label change
 
 ``--src`` selects the source tree ``phdkit`` is imported from; it must have
 ``models.train_erm_many``.
@@ -91,6 +102,7 @@ import os
 import platform
 import resource
 import statistics
+import subprocess
 import sys
 import tempfile
 import time
@@ -105,6 +117,7 @@ W1_WARMUP, W1_CALLS = 3, 5
 DISC_WARMUP, DISC_CALLS = 3, 3
 STUMP_WARMUP, STUMP_CALLS = 3, 10
 CSV_WARMUP, CSV_CALLS = 3, 10
+COLD_WARMUP = 1
 
 
 def _measure(fn, warmup: int = WARMUP, repeats: int = REPEATS, calls: int = CALLS) -> dict:
@@ -237,10 +250,21 @@ def run() -> tuple[dict, dict, str]:
                                                CSV_WARMUP, REPEATS, CSV_CALLS)
         measured["write_csv_pair_a"] = _measure(lambda: write_csv(pair_a, path), CSV_WARMUP, REPEATS, CSV_CALLS)
 
-    e2e = {f"{name}_seed0": _measure(lambda: protocol(config(seeds=(0,))), 0, E2E_REPEATS, 1)
-           for name, protocol, config in (("table1", protocols.run_table1, protocols.Table1Config),
-                                     ("table2", protocols.run_table2, protocols.Table2Config),
-                                     ("table3", protocols.run_table3, protocols.Table3Config))}
+        for name in ("h1.bin", "h2.bin"):
+            models.save_hypothesis(models.linear_hypothesis(rng.standard_normal(16), 0.1), Path(tmp) / name)
+        write_csv(pair_a_target, Path(tmp) / "a_target.csv")
+        env = dict(os.environ, PYTHONPATH=str(Path(models.__file__).resolve().parents[1]))
+        cold = {"import_phdkit_cold": ["-c", "import phdkit"],
+                "cli_phd_cold": ["-m", "phdkit.cli", "phd", "--h1", "h1.bin", "--h2", "h2.bin",
+                                 "--target", "a_target.csv"]}
+        e2e = {name: _measure(lambda: subprocess.run([sys.executable, *argv], env=env, cwd=tmp, check=True,
+                                                     capture_output=True), COLD_WARMUP, REPEATS, 1)
+               for name, argv in cold.items()}
+
+    e2e |= {f"{name}_seed0": _measure(lambda: protocol(config(seeds=(0,))), 0, E2E_REPEATS, 1)
+            for name, protocol, config in (("table1", protocols.run_table1, protocols.Table1Config),
+                                           ("table2", protocols.run_table2, protocols.Table2Config),
+                                           ("table3", protocols.run_table3, protocols.Table3Config))}
     e2e["fig2_seed0_sigma0.3"] = _measure(lambda: protocols.run_fig2(fig2), 0, E2E_REPEATS, 1)
     fig2_seeds2 = replace(fig2, seeds=(0, 1))
     e2e["fig2_seeds2_sigma0.3"] = _measure(lambda: protocols.run_fig2(fig2_seeds2), 0, E2E_REPEATS, 1)
@@ -264,6 +288,7 @@ def environment(train_dtype: str) -> dict:
         "stump_calls_per_repeat": STUMP_CALLS,
         "csv_warmup": CSV_WARMUP,
         "csv_calls_per_repeat": CSV_CALLS,
+        "cold_warmup": COLD_WARMUP,
         "train_dtype": train_dtype,
         "nproc": len(os.sched_getaffinity(0)),
         "python": platform.python_version(),

@@ -428,8 +428,8 @@ def _add_pair_flags(p: argparse.ArgumentParser) -> None:
     p.add_argument("--label-col", default=DEFAULT_LABEL_COL)
 
 
-def build_parser() -> tuple[argparse.ArgumentParser, dict]:
-    """The root parser and its subcommand parsers by name."""
+def build_parser() -> argparse.ArgumentParser:
+    """The root parser, with one subcommand parser per command."""
     # no abbreviated root flags: _with_config must see --config spelled out
     root = _Parser(prog="phdkit", description=__doc__, allow_abbrev=False)
     root.add_argument("--seed", type=int, default=0)
@@ -540,10 +540,10 @@ def build_parser() -> tuple[argparse.ArgumentParser, dict]:
     p.add_argument("--set", action="append", default=[],
                    help="override a protocol config field, key=value (repeatable)")
     p.set_defaults(func=cmd_repro)
-    return root, sub.choices
+    return root
 
 
-def _with_config(argv: list[str], commands) -> list[str]:
+def _with_config(argv: list[str]) -> list[str]:
     """Splice the INI file named by --config into argv as --key=value flags.
 
     [global] entries go before argv, so explicit root flags after them win;
@@ -551,11 +551,13 @@ def _with_config(argv: list[str], commands) -> list[str]:
     Unknown keys then fail in argparse like any unknown flag.
     """
     pre = _Parser(add_help=False, allow_abbrev=False)
-    pre.add_argument("--config")
-    path = pre.parse_known_args(argv)[0].config
+    for flag in ("--seed", "--config", "--out", "--format"):  # the root flags: no value of theirs is the command
+        pre.add_argument(flag)
+    pre.add_argument("command", nargs="?")
+    known = pre.parse_known_args(argv)[0]
+    path, command = known.config, known.command
     if path is None:
         return argv
-    command = next((a for a in argv if a in commands), None)
     ini = configparser.ConfigParser()
     try:
         if not ini.read(path, encoding="utf-8"):
@@ -570,9 +572,9 @@ def _with_config(argv: list[str], commands) -> list[str]:
 
 def main(argv: list[str] | None = None) -> int:
     argv = list(sys.argv[1:] if argv is None else argv)
-    root, commands = build_parser()
+    root = build_parser()
     try:
-        args = root.parse_args(_with_config(argv, commands))
+        args = root.parse_args(_with_config(argv))
         args.func(args)
         return EXIT_OK
     except (PhdkitError, OSError) as e:

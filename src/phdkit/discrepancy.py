@@ -25,8 +25,6 @@ import math
 from dataclasses import dataclass, field, replace
 
 import numpy as np
-from scipy.optimize import linear_sum_assignment
-from scipy.spatial.distance import cdist
 
 from .data import Dataset
 from .errors import CapacityError, ConfigError, ContractError, DegenerateInputError
@@ -500,7 +498,9 @@ def w1_exact(S: Dataset, T: Dataset, seed: int = 0, cap: int = W1_ASSIGNMENT_CAP
     One-dimensional data uses the CDF-quantile coupling (any sizes). Higher
     dimensions solve an exact min-cost perfect matching on the Euclidean
     cost matrix; unequal sizes are equalized by seeded subsampling of the
-    larger sample and the matching size is capped.
+    larger sample and the matching size is capped. The matching is scipy's
+    (``cdist`` and ``linear_sum_assignment``), imported on the first call that
+    reaches it, so ``import phdkit`` and the 1-D path load no scipy.
     """
     _require_pair(S, T)
     if cap < 1:
@@ -513,6 +513,10 @@ def w1_exact(S: Dataset, T: Dataset, seed: int = 0, cap: int = W1_ASSIGNMENT_CAP
         raise CapacityError(
             f"assignment at n={n} exceeds the cap {cap}; subsample both datasets to at most {cap} rows"
         )
+    # scipy loads here, on the first matching, not at import: it is most of phdkit's start-up
+    from scipy.optimize import linear_sum_assignment
+    from scipy.spatial.distance import cdist
+
     rng = child_rng(seed, 8)
     Xs = S.X if S.n == n else S.X[np.sort(rng.choice(S.n, n, replace=False))]
     Xt = T.X if T.n == n else T.X[np.sort(rng.choice(T.n, n, replace=False))]

@@ -1,12 +1,18 @@
+import os
+import pickle
 import re
+import subprocess
+import sys
 import threading
 from dataclasses import replace
+from pathlib import Path
 
 import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+import phdkit
 from phdkit.adapt import (
     EVAL_FRAC,
     SelectConfig,
@@ -292,6 +298,31 @@ def test_no_thread_outlives_a_failed_training_with_w1_values_queued(monkeypatch)
     with pytest.raises(RuntimeError, match="training failed"):
         select_sources_many(tasks, 1, _select_cfg(2))
     assert threading.active_count() == before
+
+
+def test_a_fresh_interpreter_imports_scipy_on_the_worker_thread_and_gets_the_same_values(tmp_path):
+    # scipy loads on the first w1_exact; in a fresh interpreter that call runs on the worker
+    # thread while the main thread trains the phd task's sources
+    pool = [gen_gaussian_pair(80, 3, seed=s, shift=0.3 * s)[0] for s in range(3)]
+    T, _ = gen_gaussian_pair(200, 3, seed=40)
+    tasks = [(pool, T.without_labels(), "phd", 1, None, None), (pool, T.without_labels(), "w1", 1, None, T)]
+    cfg = _select_cfg(3)
+    (tmp_path / "tasks.pkl").write_bytes(pickle.dumps((tasks, cfg)))
+    script = ("import pickle, sys\n"
+              "from pathlib import Path\n"
+              "from phdkit.adapt import select_sources_many\n"
+              "tasks, cfg = pickle.loads(Path('tasks.pkl').read_bytes())\n"
+              "assert 'scipy.optimize' not in sys.modules\n"
+              "outcomes = select_sources_many(tasks, 2, cfg)\n"
+              "assert 'scipy.optimize' in sys.modules\n"
+              "Path('outcomes.pkl').write_bytes(pickle.dumps(outcomes))\n")
+    src = str(Path(phdkit.__file__).parents[1])
+    env = dict(os.environ, PYTHONPATH=os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")])))
+    proc = subprocess.run([sys.executable, "-c", script], env=env, cwd=tmp_path, capture_output=True, text=True,
+                          timeout=300)
+    assert proc.returncode == 0, proc.stderr
+    fresh = pickle.loads((tmp_path / "outcomes.pkl").read_bytes())
+    assert repr(fresh) == repr(select_sources_many(tasks, 2, cfg))
 
 
 def test_fig2_rows_match_the_runs_of_single_sigma_seed_pairs():

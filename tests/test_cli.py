@@ -250,11 +250,32 @@ def _run_subprocess(argv, cwd, python=("-m", "phdkit.cli")):
 def test_import_loads_the_library_modules_but_not_the_front_end(tmp_path):
     # the start-up work that `import phdkit` does, which perfbench's setup_s times
     probe = ("import sys, phdkit; phdkit.discrepancy.phd; "
-             "print(*sorted(m for m in sys.modules if m.partition('.')[0] == 'phdkit'))")
+             "print(*sorted(m for m in sys.modules if m.partition('.')[0] == 'phdkit')); "
+             "print(*(m for m in ('scipy.optimize', 'scipy.spatial') if m in sys.modules))")
     proc = _run_subprocess([], tmp_path, python=("-c", probe))
     assert proc.returncode == 0 and proc.stderr == "", proc.stderr
     library = ("adapt", "bounds", "data", "discrepancy", "errors", "models", "numkit", "semisup", "tritrain")
-    assert proc.stdout.split() == ["phdkit", *(f"phdkit.{m}" for m in library)]
+    modules, scipy_parts = proc.stdout.splitlines()
+    assert modules.split() == ["phdkit", *(f"phdkit.{m}" for m in library)]
+    assert scipy_parts == ""  # W1's matching imports them on its first call
+
+
+@pytest.mark.parametrize("command,loads_scipy", [("phd", False), ("dh", False), ("w1", True)])
+def test_only_w1_loads_scipy_in_a_fresh_cli_process(command, loads_scipy, tmp_path, capsys):
+    src, tgt = _gen(tmp_path, capsys, n=40)
+    for name, w in (("h1.bin", [1.0, -0.5]), ("h2.bin", [0.5, 1.0])):
+        save_hypothesis(linear_hypothesis(w, 0.1), tmp_path / name)
+    argv = {"phd": ["phd", "--h1", str(tmp_path / "h1.bin"), "--h2", str(tmp_path / "h2.bin"), "--target", str(tgt)],
+            "dh": ["dh", "--source", str(src), "--target", str(tgt), "--method", "exact"],
+            "w1": ["w1", "--source", str(src), "--target", str(tgt)]}[command]
+    proc = _run_subprocess(argv, tmp_path, python=("-X", "importtime", "-m", "phdkit.cli"))
+    assert proc.returncode == 0, proc.stderr
+    imported = [line.rpartition("|")[2].strip() for line in proc.stderr.splitlines() if line.startswith("import time:")]
+    parts = {"scipy.optimize", "scipy.spatial"}
+    loaded = {p for p in parts for m in imported if m == p or m.startswith(p + ".")}
+    assert loaded == (parts if loads_scipy else set())
+    code, out, _ = run(argv, capsys)
+    assert code == 0 and proc.stdout == out
 
 
 def test_features_beyond_float32_give_one_json_line_on_stderr(tmp_path):
@@ -585,6 +606,15 @@ def test_config_file_supplies_required_flags_and_explicit_flags_win(tmp_path, ca
     assert doc["result"]["method"] == "exact-enumeration"
     code, out, _ = run(["--config", str(cfg), "--seed", "6", "dh", "--method", "exact"], capsys)
     assert code == 0 and json.loads(out)["run_config"]["seed"] == 6
+
+
+def test_config_section_is_the_command_not_a_root_flag_value_naming_one(tmp_path, capsys, monkeypatch):
+    src, tgt = _gen(tmp_path, capsys, n=40)
+    (tmp_path / "c.ini").write_text("[w1]\nbins = 3\n")
+    monkeypatch.chdir(tmp_path)
+    code, _, err = run(["--config", "c.ini", "--out", "w1", "dh", "--source", str(src), "--target", str(tgt)], capsys)
+    assert code == 0, err
+    assert json.loads((tmp_path / "w1" / "dh_report.json").read_text())["command"] == "dh"
 
 
 @pytest.mark.parametrize("argv", [
