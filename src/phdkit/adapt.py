@@ -10,8 +10,9 @@ the transport distance works on the raw input space.
 
 :func:`select_sources_many` runs several selections at once (fig2 runs
 every seed and measure of one noise level): the source hypotheses of all
-its tasks train in lockstep, and so do the pooled classifiers, while one
-worker thread computes the W1 values, with the bits each task gives alone.
+its tasks train in one ``train_erm_many`` call, and so do the pooled
+classifiers, while one worker thread computes the W1 values, with the bits
+each task gives alone.
 :func:`select_sources` is its one-task case.
 """
 
@@ -142,17 +143,6 @@ def _w1_value(S: Dataset, T_fit: Dataset, n: int, seed: int, i: int) -> float:
     return w1_exact(_subsample(S, n, rng), _subsample(T_fit, n, rng), seed=seed + i).value
 
 
-def _train_by_rows(runs: list, arch: Arch) -> list:
-    """``train_erm_many`` over runs of any row counts: one call per row count,
-    the hypotheses in run order."""
-    hs = [None] * len(runs)
-    for n in sorted({D.n for D, _, _ in runs}):
-        group = [r for r, (D, _, _) in enumerate(runs) if D.n == n]
-        for r, h in zip(group, train_erm_many([runs[r] for r in group], arch)):
-            hs[r] = h
-    return hs
-
-
 def select_sources_many(tasks, K: int, cfg: SelectConfig) -> list[SelectionOutcome]:
     """Rank sources by discrepancy to a target and evaluate the top-K pool,
     for several tasks at once; one outcome per task.
@@ -167,10 +157,10 @@ def select_sources_many(tasks, K: int, cfg: SelectConfig) -> list[SelectionOutco
     downstream accuracy trains one classifier on the CORAL-adapted chosen
     pool and grades it on oracle-labeled target data. Both are diagnostics.
 
-    The source hypotheses of all tasks train in lockstep, one
-    ``train_erm_many`` call per row count, and so do the pooled classifiers.
-    One worker thread computes the W1 values meanwhile, and none outlives
-    the call. Each outcome holds the bits its task gives alone, and errors
+    The source hypotheses of all tasks train in one ``train_erm_many``
+    call, and so do the pooled classifiers, on the largest class count of
+    the chosen sources. One worker thread computes the W1 values meanwhile,
+    and none outlives the call. Each outcome holds the bits its task gives alone, and errors
     surface in the order of one task at a time.
     """
     tasks = [(list(sources), T, measure, seed, None if flags is None else list(flags), oracle)
@@ -206,7 +196,7 @@ def select_sources_many(tasks, K: int, cfg: SelectConfig) -> list[SelectionOutco
                 jobs = [w1_pool.submit(_w1_value, S, T_fit, cfg.w1_subsample, seed, i)
                         for i, S in enumerate(sources)]
                 fits.append((T_fit, None, None, None, jobs))
-        hs = _train_by_rows(runs, cfg.arch)
+        hs = [h for h, _ in train_erm_many(runs, cfg.arch)]
 
         ranked, pooled_runs = [], []
         for (sources, _, measure, seed, flags, oracle), (T_fit, fit, ev, first, jobs) in zip(tasks, fits):
@@ -225,11 +215,11 @@ def select_sources_many(tasks, K: int, cfg: SelectConfig) -> list[SelectionOutco
             if oracle is not None:
                 adapted = [coral(sources[i], T_fit) for i in chosen]
                 pooled = Dataset(np.vstack([a.X for a in adapted]), np.concatenate([a.y for a in adapted]),
-                                 sources[chosen[0]].k)
+                                 max(sources[i].k for i in chosen))
                 pooled_runs.append((pooled, replace(cfg.base, seed=seed + 999), None))
     finally:
         w1_pool.shutdown(cancel_futures=True)
-    clfs = iter(_train_by_rows(pooled_runs, cfg.arch))
+    clfs = (h for h, _ in train_erm_many(pooled_runs, cfg.arch))
 
     return [SelectionOutcome(measure, values, ranking, chosen, score,
                              None if oracle is None else accuracy(next(clfs), oracle), seed, K)

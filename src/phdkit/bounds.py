@@ -141,7 +141,7 @@ def rademacher(T: Dataset, cls, draws: int = DEFAULT_DRAWS, seed: int = 0,
         sigmas = list(sigmas)
         hs = train_erm_many([(Dataset(T.X, ((sigma + 1) // 2).astype(np.int64), 2),
                               replace(cfg, seed=seed + 1000 * k), None) for k, sigma in enumerate(sigmas)], cls)
-        vals = [float(np.mean(sigma * (2.0 * predict(h, T.X) - 1.0))) for h, sigma in zip(hs, sigmas)]
+        vals = [float(np.mean(sigma * (2.0 * predict(h, T.X) - 1.0))) for (h, _), sigma in zip(hs, sigmas)]
         method, descr = "fit-to-noise", f"arch{cls.widths}"
     else:
         raise ContractError(f"unsupported class descriptor {type(cls).__name__}")

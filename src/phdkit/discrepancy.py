@@ -34,13 +34,13 @@ from .models import (
     Hypothesis,
     LossSpec,
     TrainConfig,
-    _train_runs,
     _Workspace,
     constant_hypothesis,
     empirical_risk,
     predict,
     scores,
     stump_hypothesis,
+    train_erm_many,
     train_erm_traced,  # noqa: F401  (uncalled; perfbench's layer tracer wraps this name)
     zero_one,
 )
@@ -417,7 +417,7 @@ def _adversarial_gap(S: Dataset, T: Dataset, ref, arch: Arch, cfg: TrainConfig, 
     # Every hypothesis visited during training is a valid witness for the
     # supremum lower bound; each trace's last entry is the best statistic
     # over that direction's snapshots, negated.
-    traced = _train_runs(runs, arch, [negated_statistic] * len(runs))
+    traced = train_erm_many(runs, arch, [negated_statistic] * len(runs))
     stats = {direction: -trace[-1] for direction, (_, trace) in zip(directions, traced)}
     return stats, ref_se, ref_te
 

@@ -12,16 +12,16 @@ and its derivative slope + (1 - slope) * [x > 0] are exact because the
 slope must lie in [0, 1].
 
 Every array of the passes and the optimizer carries a leading replica
-axis: :func:`train_erm_many` trains R runs of one architecture that share
-the row count and every setting but the seed in lockstep, one step of
-every run per step of the loop, which saves R - 1 of each step's numpy
-calls on small networks; :func:`train_erm` is its R = 1 case and scoring
-runs one replica. A traced training calls each run's own per-epoch metric;
-:func:`train_erm_traced` is its R = 1 case. Both passes read one layer
-table of views into the R x count parameter and statistic arrays, built
-once per training call or scoring call, and write hidden-layer arrays into
-a workspace of buffers reused for one training call or one caller's run of
-scoring calls.
+axis: :func:`train_erm_many`, the one training loop, trains runs of one
+architecture that share every setting but the seed, and the R runs of each
+row count train in lockstep, one step of every run per step of the loop,
+which saves R - 1 of each step's numpy calls on small networks. Each run
+may carry its own per-epoch metric. :func:`train_erm` and
+:func:`train_erm_traced` are its one-run cases, and scoring runs one
+replica. Both passes read one layer table of views into the R x count
+parameter and statistic arrays, built once per lockstep pass or scoring
+call, and write hidden-layer arrays into a workspace of buffers reused for
+one lockstep pass or one caller's run of scoring calls.
 
 The layout lets numpy do each per-run, per-unit job as one inner loop
 across the runs: each layer-table entry is one block across the runs
@@ -544,7 +544,7 @@ def _weight_mask(arch: Arch, runs: int = 1) -> np.ndarray:
 
 def train_erm(D: Dataset, arch: Arch, cfg: TrainConfig, sample_weight=None) -> Hypothesis:
     """Seeded minibatch ERM with Adam-AMSGrad; returns a frozen hypothesis."""
-    return train_erm_many([(D, cfg, sample_weight)], arch)[0]
+    return train_erm_many([(D, cfg, sample_weight)], arch)[0][0]
 
 
 def train_erm_traced(D: Dataset, arch: Arch, cfg: TrainConfig, sample_weight=None, metric=None
@@ -554,43 +554,38 @@ def train_erm_traced(D: Dataset, arch: Arch, cfg: TrainConfig, sample_weight=Non
     ``metric`` is called with a snapshot hypothesis after every epoch; the
     returned hypothesis is then the best-metric checkpoint and the recorded
     trace is the running minimum (hence non-increasing). It is the one-run
-    case of ``_train_runs``.
+    case of ``train_erm_many``.
     """
-    ((h, trace),) = _train_runs([(D, cfg, sample_weight)], arch, [metric])
-    return h, trace
+    return train_erm_many([(D, cfg, sample_weight)], arch, [metric])[0]
 
 
-def train_erm_many(runs, arch: Arch) -> list[Hypothesis]:
-    """Train several runs of ``arch`` in lockstep; one hypothesis per run.
+def train_erm_many(runs, arch: Arch, metrics=None) -> list[tuple[Hypothesis, tuple[float, ...]]]:
+    """The one training loop: train runs of ``arch``, those of one row count
+    in lockstep; one (hypothesis, trace) pair per run, in run order.
 
     Each run is a ``(Dataset, TrainConfig, sample_weight | None)`` tuple.
-    The runs must share the row count, the feature count and every
-    ``TrainConfig`` field but ``seed``. Each run's hypothesis holds the
-    same bits as ``train_erm`` gives for that run alone.
-    """
-    return [h for h, _ in _train_runs(runs, arch)]
-
-
-def _train_runs(runs, arch: Arch, metrics=None) -> list[tuple[Hypothesis, tuple[float, ...]]]:
-    """The training loop behind ``train_erm_many`` and ``train_erm_traced``;
-    one (hypothesis, trace) pair per run. ``metrics`` holds each run's
-    metric (or None), called after every epoch in run order; an untraced
-    run returns its last parameters and an empty trace.
+    The runs must share the feature count and every ``TrainConfig`` field
+    but ``seed``, and every run is checked before any run trains.
+    ``metrics`` holds each run's metric (or None), called after every epoch
+    in run order; an untraced run returns its last parameters and an empty
+    trace. Each run's pair holds the same bits as that run gives alone.
 
     The surrogate follows the score width (see ``_loss_and_dscores``), so
-    labels must lie below ``max(2, out_dim)``. The R runs are stacked on a
-    leading axis of every array: each keeps its own ``init_params(seed)``,
-    permutation stream ``child_rng(seed, 5)``, batch-norm statistics,
-    optimizer moments, sample weights and best-metric checkpoint, and every
-    per-run slice is computed as one run alone would compute it. Each
-    run's vectors go in and out of the blocked arrays through the layer
-    tables; the batches are runs-first. Training computes in
-    ``TRAIN_DTYPE``; the snapshots and the returned hypotheses hold the
-    trained values widened to float64.
+    labels must lie below ``max(2, out_dim)``. The runs of each row count
+    train as one lockstep pass, in ascending row count. A pass stacks its R
+    runs on a leading axis of every array: each keeps its own
+    ``init_params(seed)``, permutation stream ``child_rng(seed, 5)``,
+    batch-norm statistics, optimizer moments, sample weights and
+    best-metric checkpoint, and every per-run slice is computed as one run
+    alone would compute it. Each run's vectors go in and out of the blocked
+    arrays through the layer tables; the batches are runs-first. Training
+    computes in ``TRAIN_DTYPE``; the snapshots and the returned hypotheses
+    hold the trained values widened to float64.
     """
     runs = list(runs)
-    if not runs:
-        raise ContractError("no training runs given")
+    metrics = [None] * len(runs) if metrics is None else list(metrics)
+    if len(metrics) != len(runs):
+        raise ContractError(f"got {len(metrics)} metrics for {len(runs)} runs")
     weights = []
     for D, run_cfg, sample_weight in runs:
         if D.n == 0:
@@ -608,71 +603,73 @@ def _train_runs(runs, arch: Arch, metrics=None) -> list[tuple[Hypothesis, tuple[
         if not (np.all(np.isfinite(w)) and np.all(w >= 0) and w.sum() > 0):
             raise ContractError("sample_weight must be finite and non-negative with a positive sum")
         weights.append(w)
-    D0, cfg, _ = runs[0]
-    if any(D.n != D0.n or replace(run_cfg, seed=cfg.seed) != cfg for D, run_cfg, _ in runs):
-        raise ContractError("runs trained together must share the row count and every training setting "
-                            "but the seed")
-    seeds = [run_cfg.seed for _, run_cfg, _ in runs]
+    if any(replace(run_cfg, seed=runs[0][1].seed) != runs[0][1] for _, run_cfg, _ in runs):
+        raise ContractError("runs trained together must share every training setting but the seed")
 
-    n, R = D0.n, len(runs)
-    rngs = [child_rng(seed, 5) for seed in seeds]
-    params = np.empty((R, arch.param_count()), TRAIN_DTYPE)
-    bn_stats = np.empty((R, arch.bn_stat_count()), TRAIN_DTYPE)
-    layers = _layers(arch, params, bn_stats)
-    for r, seed in enumerate(seeds):
-        _copy_run(layers, r, _layers(arch, init_params(arch, seed)[None], init_bn_stats(arch)[None]), 0)
-    ws = _Workspace(TRAIN_DTYPE)
-    opt = AmsGrad(params.shape, lr=cfg.lr, dtype=TRAIN_DTYPE)
-    wd_mask = _weight_mask(arch, R).reshape(R, -1) if cfg.weight_decay > 0 else None
+    results: list = [None] * len(runs)
+    for n in sorted({D.n for D, _, _ in runs}):
+        group = [r for r, (D, _, _) in enumerate(runs) if D.n == n]
+        cfg, seeds, R = runs[group[0]][1], [runs[r][1].seed for r in group], len(group)
+        rngs = [child_rng(seed, 5) for seed in seeds]
+        params = np.empty((R, arch.param_count()), TRAIN_DTYPE)
+        bn_stats = np.empty((R, arch.bn_stat_count()), TRAIN_DTYPE)
+        layers = _layers(arch, params, bn_stats)
+        for i, seed in enumerate(seeds):
+            _copy_run(layers, i, _layers(arch, init_params(arch, seed)[None], init_bn_stats(arch)[None]), 0)
+        ws = _Workspace(TRAIN_DTYPE)
+        opt = AmsGrad(params.shape, lr=cfg.lr, dtype=TRAIN_DTYPE)
+        wd_mask = _weight_mask(arch, R).reshape(R, -1) if cfg.weight_decay > 0 else None
 
-    def snapshot(r: int, note: str = "") -> Hypothesis:
-        p, stats = np.empty((1, params.shape[1])), np.empty((1, bn_stats.shape[1]))
-        _copy_run(_layers(arch, p, stats), 0, layers, r)
-        return Hypothesis(arch, p[0], stats[0], seed=seeds[r], note=note)
+        def snapshot(i: int, note: str = "") -> Hypothesis:
+            p, stats = np.empty((1, params.shape[1])), np.empty((1, bn_stats.shape[1]))
+            _copy_run(_layers(arch, p, stats), 0, layers, i)
+            return Hypothesis(arch, p[0], stats[0], seed=seeds[i], note=note)
 
-    y = np.stack([D.y for D, _, _ in runs])
-    w = np.stack(weights)
-    y_e, w_e = np.empty_like(y), np.empty_like(w)
-    offsets = np.arange(R)[:, None] * n  # of each run's rows in the flattened stacks
+        y = np.stack([runs[r][0].y for r in group])
+        w = np.stack([weights[r] for r in group])
+        y_e, w_e = np.empty_like(y), np.empty_like(w)
+        offsets = np.arange(R)[:, None] * n  # of each run's rows in the flattened stacks
 
-    traces: list[list[float]] = [[] for _ in runs]
-    best: list = [(math.inf, None)] * R
-    # Overflow and NaN end in a TrainingError below; numpy's warnings would only precede it.
-    with np.errstate(over="ignore", invalid="ignore"):
-        X = np.stack([D.X.astype(TRAIN_DTYPE) for D, _, _ in runs])
-        X_e = np.empty_like(X)
-        for epoch in range(cfg.epochs):
-            # each epoch's permuted rows, gathered once; "clip" (the indices are valid)
-            # writes straight into the buffers, where "raise" would copy through a temporary
-            order = np.stack([rng.permutation(n) for rng in rngs])
-            order += offsets
-            np.take(X.reshape(R * n, -1), order, axis=0, out=X_e, mode="clip")
-            np.take(y, order, out=y_e, mode="clip")
-            np.take(w, order, out=w_e, mode="clip")
-            for start in range(0, n, cfg.batch_size):
-                batch = slice(start, start + cfg.batch_size)
-                cache: list = []
-                s = _forward(arch, layers, X_e[:, batch], True, ws, cache)
-                loss, ds = _loss_and_dscores(s, y_e[:, batch], w_e[:, batch])
-                if not np.all(np.isfinite(loss)):
-                    raise TrainingError("training loss diverged to a non-finite value", epoch=epoch)
-                grad = _backward(arch, layers, cache, ds, ws)
-                if wd_mask is not None:
-                    grad[wd_mask] += cfg.weight_decay * params[wd_mask]
-                opt.step(params, grad)
-            for r, metric in enumerate(metrics or ()):
-                if metric is not None:
-                    h = snapshot(r)
-                    val = float(metric(h))
-                    if val < best[r][0]:  # kept in TRAIN_DTYPE, which holds the values exactly
-                        best[r] = (val, (h.params.astype(TRAIN_DTYPE), h.bn_stats.astype(TRAIN_DTYPE)))
-                    traces[r].append(best[r][0])
-    if not np.all(np.isfinite(params)):
-        raise TrainingError("parameters diverged to non-finite values", epoch=cfg.epochs - 1)
-    surrogate = "logistic" if arch.out_dim == 1 else "cross_entropy"
-    meta = f"erm {surrogate} epochs={cfg.epochs} batch={cfg.batch_size} lr={cfg.lr} wd={cfg.weight_decay}"
-    return [(Hypothesis(arch, *best[r][1], seed=seeds[r], note=meta) if best[r][1] else snapshot(r, meta),
-             tuple(traces[r])) for r in range(R)]
+        traces: list[list[float]] = [[] for _ in group]
+        best: list = [(math.inf, None)] * R
+        # Overflow and NaN end in a TrainingError below; numpy's warnings would only precede it.
+        with np.errstate(over="ignore", invalid="ignore"):
+            X = np.stack([runs[r][0].X.astype(TRAIN_DTYPE) for r in group])
+            X_e = np.empty_like(X)
+            for epoch in range(cfg.epochs):
+                # each epoch's permuted rows, gathered once; "clip" (the indices are valid)
+                # writes straight into the buffers, where "raise" would copy through a temporary
+                order = np.stack([rng.permutation(n) for rng in rngs])
+                order += offsets
+                np.take(X.reshape(R * n, -1), order, axis=0, out=X_e, mode="clip")
+                np.take(y, order, out=y_e, mode="clip")
+                np.take(w, order, out=w_e, mode="clip")
+                for start in range(0, n, cfg.batch_size):
+                    batch = slice(start, start + cfg.batch_size)
+                    cache: list = []
+                    s = _forward(arch, layers, X_e[:, batch], True, ws, cache)
+                    loss, ds = _loss_and_dscores(s, y_e[:, batch], w_e[:, batch])
+                    if not np.all(np.isfinite(loss)):
+                        raise TrainingError("training loss diverged to a non-finite value", epoch=epoch)
+                    grad = _backward(arch, layers, cache, ds, ws)
+                    if wd_mask is not None:
+                        grad[wd_mask] += cfg.weight_decay * params[wd_mask]
+                    opt.step(params, grad)
+                for i, r in enumerate(group):
+                    if metrics[r] is not None:
+                        h = snapshot(i)
+                        val = float(metrics[r](h))
+                        if val < best[i][0]:  # kept in TRAIN_DTYPE, which holds the values exactly
+                            best[i] = (val, (h.params.astype(TRAIN_DTYPE), h.bn_stats.astype(TRAIN_DTYPE)))
+                        traces[i].append(best[i][0])
+        if not np.all(np.isfinite(params)):
+            raise TrainingError("parameters diverged to non-finite values", epoch=cfg.epochs - 1)
+        surrogate = "logistic" if arch.out_dim == 1 else "cross_entropy"
+        meta = f"erm {surrogate} epochs={cfg.epochs} batch={cfg.batch_size} lr={cfg.lr} wd={cfg.weight_decay}"
+        for i, r in enumerate(group):
+            results[r] = (Hypothesis(arch, *best[i][1], seed=seeds[i], note=meta) if best[i][1]
+                          else snapshot(i, meta), tuple(traces[i]))
+    return results
 
 
 def grad_check(arch: Arch, probe: Dataset, eps: float = 1e-5, seed: int = 0) -> float:

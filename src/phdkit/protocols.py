@@ -220,7 +220,7 @@ def _table3_case(cfg: Table3Config, seed: int, unrelated: bool) -> dict:
     T_fit, T_eval, T_star = split(T, (0.4, 0.3, 0.3), seed=seed)
     # self-training runs under its own seed, so it starts from its own source model
     ssl_cfg = replace(base, seed=seed + 1)
-    h_s, h0 = train_erm_many([(S, base, None), (S, ssl_cfg, None)], arch)
+    (h_s, _), (h0, _) = train_erm_many([(S, base, None), (S, ssl_cfg, None)], arch)
     h_ssl = train_self(S, T_fit.without_labels(), h0, ssl_cfg, cfg.ssl_rounds).hypothesis
     h_t_star = train_erm(T_star, arch, replace(base, seed=seed + 7))
     return {

@@ -185,6 +185,29 @@ def test_selection_with_oracle_reports_accuracy():
     assert out.accuracy is not None and 0.0 <= out.accuracy <= 1.0
 
 
+def test_the_pooled_classifier_takes_the_largest_class_count_of_the_chosen_sources():
+    # read_csv sets k from each file's largest label: the top-ranked source holds 3 classes, the other 4
+    near = gen_gaussian_pair(120, 2, seed=0, k=3)[0]
+    far = gen_gaussian_pair(120, 2, seed=1, shift=3.0, k=4)[1]
+    T, _ = gen_gaussian_pair(200, 2, seed=2, k=4)
+    assert (near.k, int(near.y.max()), far.k, int(far.y.max())) == (3, 2, 4, 3)
+    out = select_sources([far, near], T.without_labels(), "w1", 2, _select_cfg(2, k=4), seed=0, oracle=T)
+    assert out.ranking == (1, 0) and 0.0 <= out.accuracy <= 1.0
+
+
+def test_a_bad_label_in_any_source_is_rejected_before_any_forward_pass(monkeypatch):
+    def no_forward(*args):
+        raise AssertionError("a forward pass ran before every run was checked")
+
+    monkeypatch.setattr("phdkit.models._forward", no_forward)
+    small = gen_gaussian_pair(60, 2, seed=0)[0]
+    big = gen_gaussian_pair(90, 2, seed=1, k=3)[0]  # its rows train after the smaller source's
+    assert int(big.y.max()) == 2
+    T, _ = gen_gaussian_pair(100, 2, seed=90)
+    with pytest.raises(ContractError, match="labels must lie below 2"):
+        select_sources([small, big], T.without_labels(), "phd", 1, _select_cfg(2), seed=0)
+
+
 def test_many_tasks_give_the_outcomes_of_one_task_calls():
     # two pools of different row counts, so both training batches split by rows; overlapping
     # classes keep the accuracies apart, so a classifier graded for the wrong task shows

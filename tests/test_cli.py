@@ -707,7 +707,7 @@ def test_bad_repro_overrides_exit_2_before_training(argv, tmp_path, capsys, monk
     def no_training(*args, **kwargs):
         raise AssertionError("training ran before the config check")
 
-    monkeypatch.setattr("phdkit.models._train_runs", no_training)
+    monkeypatch.setattr("phdkit.models._forward", no_training)
     small = {"table3": ["seeds=0", "n=60", "epochs=1"],
              "fig2": ["seeds=0", "sigmas=0.5", "n_source=40", "n_target=60", "epochs=1", "ssl_rounds=1"]}[argv[0]]
     code, _, err = run(["--out", str(tmp_path), "repro", *argv, *[a for s in small for a in ("--set", s)]], capsys)

@@ -19,7 +19,6 @@ from phdkit.models import (
     _forward,
     _layers,
     _runs_contiguous,
-    _train_runs,
     _weight_mask,
     _Workspace,
     accuracy,
@@ -248,18 +247,24 @@ def test_lockstep_runs_equal_runs_one_at_a_time(runs, batch_norm, out_dim, hidde
                                                 rest, data_seed):
     # Width-1 layers and outputs take BLAS gemv and, from 8 rows on, numpy's
     # pairwise row sums; 10 classes take its blocked pairwise class sums.
-    n = batch_size * full + min(rest, batch_size - 1)  # ends in a partial batch
     rng = np.random.default_rng(data_seed)
     arch = Arch(3, tuple(hidden), out_dim, batch_norm=batch_norm)
     k = 2 if out_dim == 1 else out_dim
     cfg = TrainConfig(epochs=2, batch_size=batch_size, lr=1e-2, seed=0)
-    specs = [(Dataset(rng.standard_normal((n, 3)), rng.integers(0, k, n), k), replace(cfg, seed=seed),
-              rng.uniform(0.1, 2.0, n) if weighted else None) for seed in rng.integers(0, 1000, runs)]
+
+    def spec(seed):
+        # each run draws its row count, full or full + 1 batches, and ends in a partial batch
+        n = batch_size * (full + int(rng.integers(0, 2))) + min(rest, batch_size - 1)
+        return (Dataset(rng.standard_normal((n, 3)), rng.integers(0, k, n), k), replace(cfg, seed=seed),
+                rng.uniform(0.1, 2.0, n) if weighted else None)
+
+    specs = [spec(seed) for seed in rng.integers(0, 1000, runs)]
     together = train_erm_many(specs, arch)
-    for (D, run_cfg, w), h in zip(specs, together):
+    assert len(together) == runs and train_erm_many([], arch) == []
+    for (D, run_cfg, w), (h, trace) in zip(specs, together):
         alone = train_erm(D, arch, run_cfg, sample_weight=w)
-        assert (h.params.tobytes(), h.bn_stats.tobytes(), h.seed) == \
-            (alone.params.tobytes(), alone.bn_stats.tobytes(), alone.seed)
+        assert (h.params.tobytes(), h.bn_stats.tobytes(), h.seed, trace) == \
+            (alone.params.tobytes(), alone.bn_stats.tobytes(), alone.seed, ())
 
 
 def _noisy_metric(seed, n=30):
@@ -280,7 +285,7 @@ def test_traced_lockstep_runs_equal_traced_runs_one_at_a_time(runs, batch_norm):
               rng.uniform(0.5, 1.5, 40) if r == 1 else None) for r in range(runs)]
     # the last run is untraced, as in a call that mixes both kinds
     metrics = [_noisy_metric(100 + r) for r in range(runs - 1)] + [None]
-    together = _train_runs(specs, arch, metrics)
+    together = train_erm_many(specs, arch, metrics)
     for (D, run_cfg, w), metric, (h, trace) in zip(specs, metrics, together):
         alone, alone_trace = train_erm_traced(D, arch, run_cfg, sample_weight=w, metric=metric)
         assert len(trace) == (cfg.epochs if metric else 0)
@@ -306,12 +311,12 @@ def test_an_exception_from_one_runs_metric_propagates_unchanged():
         return call
 
     with pytest.raises(RuntimeError) as e:
-        _train_runs([(D, cfg, None), (D, replace(cfg, seed=1), None)], mlp_arch(3, (4,)), [metric(0), metric(1)])
+        train_erm_many([(D, cfg, None), (D, replace(cfg, seed=1), None)], mlp_arch(3, (4,)), [metric(0), metric(1)])
     assert e.value is boom
     assert calls == [0, 1] * 3  # each epoch's metrics in run order, up to the failing call
 
 
-@pytest.mark.parametrize("field,value", [("n", 39), ("d", 3), ("epochs", 3), ("lr", 2e-3), ("batch_size", 8)])
+@pytest.mark.parametrize("field,value", [("d", 3), ("epochs", 3), ("lr", 2e-3), ("batch_size", 8)])
 def test_mismatched_lockstep_runs_are_rejected_before_training(field, value, monkeypatch):
     def no_training(*args, **kwargs):
         raise AssertionError("a forward pass ran before the run check")
@@ -320,9 +325,9 @@ def test_mismatched_lockstep_runs_are_rejected_before_training(field, value, mon
     rng = np.random.default_rng(0)
     cfg = TrainConfig(epochs=2, batch_size=16, lr=1e-3, seed=0)
     D = Dataset(rng.standard_normal((40, 2)), rng.integers(0, 2, 40), 2)
-    n, d = (value, 2) if field == "n" else (40, value) if field == "d" else (40, 2)
-    other = Dataset(rng.standard_normal((n, d)), rng.integers(0, 2, n), 2)
-    other_cfg = replace(cfg, seed=1, **({field: value} if field not in ("n", "d") else {}))
+    d = value if field == "d" else 2
+    other = Dataset(rng.standard_normal((40, d)), rng.integers(0, 2, 40), 2)
+    other_cfg = replace(cfg, seed=1, **({field: value} if field != "d" else {}))
     with pytest.raises(ContractError):
         train_erm_many([(D, cfg, None), (other, other_cfg, None)], mlp_arch(2, (4,)))
 

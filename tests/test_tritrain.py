@@ -82,7 +82,7 @@ def test_zero_coverage_rounds_are_skipped_with_warning(monkeypatch):
     T = Dataset(child_rng(9).standard_normal((40, 2)))
     # the two labelers come out as opposite constants, so no target row is agreed on
     monkeypatch.setattr("phdkit.tritrain.train_erm_many",
-                        lambda runs, arch: [constant_hypothesis(2, 1), constant_hypothesis(2, 0)])
+                        lambda runs, arch: [(constant_hypothesis(2, 1), ()), (constant_hypothesis(2, 0), ())])
     res = tritrain_round(S, T, linear_arch(2), _cfg(), rounds=2, seed=0)
     assert all(r.skipped and r.warning for r in res.rounds)
     assert np.array_equal(res.h.params, res.h1.params)  # fallback
