@@ -48,6 +48,10 @@ with batch norm):
   ``data.write_csv`` of one file of the shape of the benchmark's
   ``exact-cli`` pair a (2,000 rows of 16 features and a label, written by
   ``write_csv``)
+- ``cli_main_phd``: one in-process ``cli.main`` call of the benchmark's
+  ``exact-cli`` phd command (two saved linear hypotheses on a target file
+  of pair a's shape), stdout discarded: the fixed cost of a command, i.e.
+  parsing argv, reading the CSV, scoring and writing the JSON report
 
 The training kernels and the witness compute in the trainer's dtype
 (``models.TRAIN_DTYPE``). Each kernel runs WARMUP untimed calls, then
@@ -64,7 +68,8 @@ untimed call, then E2E_REPEATS single calls; ``w1_fig2_pool`` W1_WARMUP
 untimed calls, then REPEATS blocks of W1_CALLS; the ``disc_exact``
 rows run DISC_WARMUP untimed calls, then REPEATS blocks of DISC_CALLS,
 ``stump_scans_pair_a`` STUMP_WARMUP, then REPEATS blocks of STUMP_CALLS, and
-the CSV rows CSV_WARMUP untimed calls, then REPEATS blocks of CSV_CALLS.
+the CSV rows and ``cli_main_phd`` CSV_WARMUP untimed calls, then REPEATS
+blocks of CSV_CALLS.
 
 Two rows time a fresh interpreter, COLD_WARMUP untimed runs, then REPEATS
 single runs, each the wall time of the whole child process:
@@ -89,14 +94,15 @@ Each run is appended under its ``--label`` to the JSON file ``--out``, whose
 ``summary`` holds, per label, the median over runs of each median. For a
 comparison of two trees, alternate the runs:
 
-    python3 scripts/bench_layers.py --out BENCH_21.json --src ../parent/src --label parent
-    python3 scripts/bench_layers.py --out BENCH_21.json --label change
+    python3 scripts/bench_layers.py --out BENCH_23.json --src ../parent/src --label parent
+    python3 scripts/bench_layers.py --out BENCH_23.json --label change
 
 ``--src`` selects the source tree ``phdkit`` is imported from; it must have
 ``models.train_erm_many``.
 """
 
 import argparse
+import io
 import json
 import os
 import platform
@@ -106,6 +112,7 @@ import subprocess
 import sys
 import tempfile
 import time
+from contextlib import redirect_stdout
 from dataclasses import replace
 from pathlib import Path
 
@@ -166,7 +173,7 @@ def _train_step(models, arch, runs: int, rows: int):
 
 def run() -> tuple[dict, dict, str]:
     import numpy as np
-    from phdkit import models, protocols
+    from phdkit import cli, models, protocols
     from phdkit.adapt import EVAL_FRAC, _subsample, coral
     from phdkit.bounds import rademacher
     from phdkit.data import Dataset, gen_gaussian_pair, read_csv, split, write_csv
@@ -253,6 +260,14 @@ def run() -> tuple[dict, dict, str]:
         for name in ("h1.bin", "h2.bin"):
             models.save_hypothesis(models.linear_hypothesis(rng.standard_normal(16), 0.1), Path(tmp) / name)
         write_csv(pair_a_target, Path(tmp) / "a_target.csv")
+        phd_argv = ["phd", "--h1", f"{tmp}/h1.bin", "--h2", f"{tmp}/h2.bin", "--target", f"{tmp}/a_target.csv"]
+
+        def cli_phd():
+            with redirect_stdout(io.StringIO()):
+                if cli.main(phd_argv) != 0:
+                    raise RuntimeError(f"phdkit {' '.join(phd_argv)} failed")
+
+        measured["cli_main_phd"] = _measure(cli_phd, CSV_WARMUP, REPEATS, CSV_CALLS)
         env = dict(os.environ, PYTHONPATH=str(Path(models.__file__).resolve().parents[1]))
         cold = {"import_phdkit_cold": ["-c", "import phdkit"],
                 "cli_phd_cold": ["-m", "phdkit.cli", "phd", "--h1", "h1.bin", "--h2", "h2.bin",

@@ -428,8 +428,13 @@ def _add_pair_flags(p: argparse.ArgumentParser) -> None:
     p.add_argument("--label-col", default=DEFAULT_LABEL_COL)
 
 
-def build_parser() -> argparse.ArgumentParser:
-    """The root parser, with one subcommand parser per command."""
+def build_parser(command: str | None = None) -> argparse.ArgumentParser:
+    """The root parser, with one subcommand parser per command.
+
+    Every command is registered, so help and usage errors list them all,
+    but only ``command``'s parser gets its flags (every parser when it is
+    None): adding all of them costs each run more than its own.
+    """
     # no abbreviated root flags: _with_config must see --config spelled out
     root = _Parser(prog="phdkit", description=__doc__, allow_abbrev=False)
     root.add_argument("--seed", type=int, default=0)
@@ -438,113 +443,118 @@ def build_parser() -> argparse.ArgumentParser:
     root.add_argument("--format", choices=("json", "csv"), default="json")
     sub = root.add_subparsers(dest="command", required=True)
 
-    p = sub.add_parser("gen", help="generate a synthetic source/target pair")
-    p.add_argument("--n", type=int, default=500)
-    p.add_argument("--d", type=int, default=2)
-    p.add_argument("--k", type=int, default=2)
-    p.add_argument("--shift", default="0")
-    p.add_argument("--rotate", type=float, default=0.0)
-    p.add_argument("--rule", default="linear")
-    p.add_argument("--layout-seed", type=int, default=None)
-    p.add_argument("--prefix", default="pair")
-    p.set_defaults(func=cmd_gen)
+    def add(name: str, summary: str) -> argparse.ArgumentParser | None:
+        p = sub.add_parser(name, help=summary)
+        return p if command in (None, name) else None
 
-    p = sub.add_parser("train", help="train an ERM hypothesis")
-    p.add_argument("--data", required=True)
-    p.add_argument("--labels", default=None)
-    p.add_argument("--label-col", default=DEFAULT_LABEL_COL)
-    p.add_argument("--model-name", default="model.bin")
-    _add_train_flags(p)
-    p.set_defaults(func=cmd_train)
+    if p := add("gen", "generate a synthetic source/target pair"):
+        p.add_argument("--n", type=int, default=500)
+        p.add_argument("--d", type=int, default=2)
+        p.add_argument("--k", type=int, default=2)
+        p.add_argument("--shift", default="0")
+        p.add_argument("--rotate", type=float, default=0.0)
+        p.add_argument("--rule", default="linear")
+        p.add_argument("--layout-seed", type=int, default=None)
+        p.add_argument("--prefix", default="pair")
+        p.set_defaults(func=cmd_gen)
 
-    p = sub.add_parser("phd", help="paired hypotheses discrepancy of two saved models")
-    p.add_argument("--h1", required=True)
-    p.add_argument("--h2", required=True)
-    p.add_argument("--target", required=True)
-    p.add_argument("--labels", default=None)
-    p.add_argument("--label-col", default=DEFAULT_LABEL_COL)
-    p.add_argument("--loss", choices=("zero_one", "margin"), default="zero_one")
-    p.add_argument("--rho", type=float, default=1.0)
-    p.set_defaults(func=cmd_phd)
+    if p := add("train", "train an ERM hypothesis"):
+        p.add_argument("--data", required=True)
+        p.add_argument("--labels", default=None)
+        p.add_argument("--label-col", default=DEFAULT_LABEL_COL)
+        p.add_argument("--model-name", default="model.bin")
+        _add_train_flags(p)
+        p.set_defaults(func=cmd_train)
+
+    if p := add("phd", "paired hypotheses discrepancy of two saved models"):
+        p.add_argument("--h1", required=True)
+        p.add_argument("--h2", required=True)
+        p.add_argument("--target", required=True)
+        p.add_argument("--labels", default=None)
+        p.add_argument("--label-col", default=DEFAULT_LABEL_COL)
+        p.add_argument("--loss", choices=("zero_one", "margin"), default="zero_one")
+        p.add_argument("--rho", type=float, default=1.0)
+        p.set_defaults(func=cmd_phd)
 
     for name in ("dh", "sdisc"):
-        p = sub.add_parser(name, help=f"{name} estimate (exact stumps or adversarial)")
+        if p := add(name, f"{name} estimate (exact stumps or adversarial)"):
+            _add_pair_flags(p)
+            p.add_argument("--method", choices=("exact", "adv"), default="exact")
+            p.add_argument("--eval-mode", choices=("insample", "heldout"), default="insample")
+            p.add_argument("--model", default=None, help="saved source hypothesis (sdisc)")
+            _add_train_flags(p, epochs=40)
+            p.set_defaults(func=cmd_measure)
+
+    if p := add("disc", "exact discrepancy distance over the stump class"):
         _add_pair_flags(p)
-        p.add_argument("--method", choices=("exact", "adv"), default="exact")
-        p.add_argument("--eval-mode", choices=("insample", "heldout"), default="insample")
-        p.add_argument("--model", default=None, help="saved source hypothesis (sdisc)")
-        _add_train_flags(p, epochs=40)
         p.set_defaults(func=cmd_measure)
 
-    p = sub.add_parser("disc", help="exact discrepancy distance over the stump class")
-    _add_pair_flags(p)
-    p.set_defaults(func=cmd_measure)
+    if p := add("w1", "exact empirical Wasserstein-1 (and optional L1 histogram)"):
+        _add_pair_flags(p)
+        p.add_argument("--cap", type=int, default=512)
+        p.add_argument("--bins", type=int, default=0)
+        p.set_defaults(func=cmd_w1)
 
-    p = sub.add_parser("w1", help="exact empirical Wasserstein-1 (and optional L1 histogram)")
-    _add_pair_flags(p)
-    p.add_argument("--cap", type=int, default=512)
-    p.add_argument("--bins", type=int, default=0)
-    p.set_defaults(func=cmd_w1)
+    if p := add("bounds", "evaluate one generalization-bound expression"):
+        p.add_argument("--bound", required=True, choices=tuple(BOUNDS))
+        p.add_argument("--target", required=True)
+        p.add_argument("--source", default=None)
+        p.add_argument("--labels", default=None)
+        p.add_argument("--label-col", default=DEFAULT_LABEL_COL)
+        for flag in ("--h", "--h1", "--h2", "--h1-star", "--h2-star", "--ht-star"):
+            p.add_argument(flag, default=None)
+        p.add_argument("--delta", type=float, default=0.05)
+        p.add_argument("--disc-value", type=float, default=None)
+        p.add_argument("--rho", type=float, default=1.0)
+        p.add_argument("--k-classes", type=int, default=2)
+        p.add_argument("--bound-m", type=float, default=1.0)
+        p.add_argument("--rad-draws", type=int, default=50)
+        p.set_defaults(func=cmd_bounds)
 
-    p = sub.add_parser("bounds", help="evaluate one generalization-bound expression")
-    p.add_argument("--bound", required=True, choices=tuple(BOUNDS))
-    p.add_argument("--target", required=True)
-    p.add_argument("--source", default=None)
-    p.add_argument("--labels", default=None)
-    p.add_argument("--label-col", default=DEFAULT_LABEL_COL)
-    for flag in ("--h", "--h1", "--h2", "--h1-star", "--h2-star", "--ht-star"):
-        p.add_argument(flag, default=None)
-    p.add_argument("--delta", type=float, default=0.05)
-    p.add_argument("--disc-value", type=float, default=None)
-    p.add_argument("--rho", type=float, default=1.0)
-    p.add_argument("--k-classes", type=int, default=2)
-    p.add_argument("--bound-m", type=float, default=1.0)
-    p.add_argument("--rad-draws", type=int, default=50)
-    p.set_defaults(func=cmd_bounds)
+    if p := add("tritrain", "agreement-set tri-training with per-round bounds"):
+        _add_pair_flags(p)
+        p.add_argument("--rounds", type=int, default=3)
+        p.add_argument("--holdout-frac", type=float, default=0.25)
+        p.add_argument("--no-bounds", action="store_true")
+        _add_train_flags(p)
+        p.set_defaults(func=cmd_tritrain)
 
-    p = sub.add_parser("tritrain", help="agreement-set tri-training with per-round bounds")
-    _add_pair_flags(p)
-    p.add_argument("--rounds", type=int, default=3)
-    p.add_argument("--holdout-frac", type=float, default=0.25)
-    p.add_argument("--no-bounds", action="store_true")
-    _add_train_flags(p)
-    p.set_defaults(func=cmd_tritrain)
+    if p := add("select", "rank candidate sources against a target"):
+        p.add_argument("--sources", required=True, help="comma-separated dataset paths")
+        p.add_argument("--target", required=True)
+        p.add_argument("--label-col", default=DEFAULT_LABEL_COL)
+        p.add_argument("--measure", choices=("phd", "w1"), default="phd")
+        p.add_argument("--top-k", type=int, default=5)
+        p.add_argument("--clean-flags", default=None)
+        p.add_argument("--oracle", default=None)
+        p.add_argument("--ssl-rounds", type=int, default=2)
+        _add_train_flags(p, epochs=20)
+        p.set_defaults(func=cmd_select)
 
-    p = sub.add_parser("select", help="rank candidate sources against a target")
-    p.add_argument("--sources", required=True, help="comma-separated dataset paths")
-    p.add_argument("--target", required=True)
-    p.add_argument("--label-col", default=DEFAULT_LABEL_COL)
-    p.add_argument("--measure", choices=("phd", "w1"), default="phd")
-    p.add_argument("--top-k", type=int, default=5)
-    p.add_argument("--clean-flags", default=None)
-    p.add_argument("--oracle", default=None)
-    p.add_argument("--ssl-rounds", type=int, default=2)
-    _add_train_flags(p, epochs=20)
-    p.set_defaults(func=cmd_select)
+    if p := add("coral", "correlation-align a source onto a target"):
+        _add_pair_flags(p)
+        p.add_argument("--ridge", type=float, default=1e-6)
+        p.add_argument("--prefix", default="adapted")
+        p.set_defaults(func=cmd_coral)
 
-    p = sub.add_parser("coral", help="correlation-align a source onto a target")
-    _add_pair_flags(p)
-    p.add_argument("--ridge", type=float, default=1e-6)
-    p.add_argument("--prefix", default="adapted")
-    p.set_defaults(func=cmd_coral)
+    if p := add("gradcheck", "finite-difference check of the backpropagation"):
+        p.add_argument("--d", type=int, default=3)
+        p.add_argument("--probe-n", type=int, default=4)
+        p.add_argument("--eps", type=float, default=1e-5)
+        _add_arch_flags(p)
+        p.set_defaults(func=cmd_gradcheck)
 
-    p = sub.add_parser("gradcheck", help="finite-difference check of the backpropagation")
-    p.add_argument("--d", type=int, default=3)
-    p.add_argument("--probe-n", type=int, default=4)
-    p.add_argument("--eps", type=float, default=1e-5)
-    _add_arch_flags(p)
-    p.set_defaults(func=cmd_gradcheck)
-
-    p = sub.add_parser("repro", help="rerun a whole experiment protocol")
-    p.add_argument("protocol", choices=sorted(PROTOCOLS))
-    p.add_argument("--set", action="append", default=[],
-                   help="override a protocol config field, key=value (repeatable)")
-    p.set_defaults(func=cmd_repro)
+    if p := add("repro", "rerun a whole experiment protocol"):
+        p.add_argument("protocol", choices=sorted(PROTOCOLS))
+        p.add_argument("--set", action="append", default=[],
+                       help="override a protocol config field, key=value (repeatable)")
+        p.set_defaults(func=cmd_repro)
     return root
 
 
-def _with_config(argv: list[str]) -> list[str]:
-    """Splice the INI file named by --config into argv as --key=value flags.
+def _with_config(argv: list[str]) -> tuple[list[str], str | None]:
+    """Splice the INI file named by --config into argv as --key=value flags,
+    and name the command that argv runs.
 
     [global] entries go before argv, so explicit root flags after them win;
     the command's section goes after argv, minus the flags given explicitly.
@@ -557,7 +567,7 @@ def _with_config(argv: list[str]) -> list[str]:
     known = pre.parse_known_args(argv)[0]
     path, command = known.config, known.command
     if path is None:
-        return argv
+        return argv, command
     ini = configparser.ConfigParser()
     try:
         if not ini.read(path, encoding="utf-8"):
@@ -567,14 +577,14 @@ def _with_config(argv: list[str]) -> list[str]:
     except (configparser.Error, UnicodeDecodeError) as e:
         raise ConfigError(f"bad config file {path}: {e}") from None
     explicit = {a.split("=", 1)[0] for a in argv}
-    return head + argv + [t for t in tail if t.split("=", 1)[0] not in explicit]
+    return head + argv + [t for t in tail if t.split("=", 1)[0] not in explicit], command
 
 
 def main(argv: list[str] | None = None) -> int:
     argv = list(sys.argv[1:] if argv is None else argv)
-    root = build_parser()
     try:
-        args = root.parse_args(_with_config(argv))
+        argv, command = _with_config(argv)
+        args = build_parser(command).parse_args(argv)
         args.func(args)
         return EXIT_OK
     except (PhdkitError, OSError) as e:

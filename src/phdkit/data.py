@@ -10,6 +10,7 @@ run on external files.
 
 from __future__ import annotations
 
+import codecs
 import csv as _csv
 import math
 import struct
@@ -258,6 +259,31 @@ def read_idx(images_path, labels_path=None) -> Dataset:
     return Dataset(X, y, k)
 
 
+# The bytes of a body that np.loadtxt reads as float() would: digits, signs,
+# points, exponents, commas and line ends. No whitespace, for loadtxt strips
+# characters (such as \x1c-\x1f) that float() rejects.
+_PLAIN_DECIMAL = b"0123456789+-.eE,\r\n"
+
+
+def _read_plain_body(body: bytes, lines: list[str], ncols: int, label_idx: int | None) -> np.ndarray | None:
+    """The data rows of a plain-decimal ``body`` in one C call, or None when
+    the line loop must read it (see ``read_csv``)."""
+    # a body without a digit holds no row, and loadtxt would warn of that
+    if body.translate(None, _PLAIN_DECIMAL) or not body.strip(b"+-.eE,\r\n"):
+        return None
+    try:
+        X = np.loadtxt(lines, delimiter=",", comments=None, dtype=np.float64, ndmin=2)
+    except ValueError:
+        return None
+    if X.shape[1] != ncols:
+        return None
+    if label_idx is not None:
+        label = X[:, label_idx]
+        if not np.all((label == np.trunc(label)) & (label >= -2.0**63) & (label < 2.0**63)):
+            return None
+    return X
+
+
 def read_csv(path, label_col: str | None = None, *, label_optional: bool = False) -> Dataset:
     """Parse a header-row CSV into a Dataset.
 
@@ -267,25 +293,35 @@ def read_csv(path, label_col: str | None = None, *, label_optional: bool = False
     (``1`` and ``1.0`` alike); the class count is one more than the largest
     label, and at least 2.
 
-    The header and any line that holds a ``"`` are parsed by ``csv``; every
-    other line is split on commas, and each cell is read by ``float()``.
-    A data cell that holds ``_`` or a non-ASCII character, which ``float()``
-    would accept, is malformed, as is a non-finite feature. A malformed line
-    raises a ``FormatError`` whose ``offset`` is the byte offset of the
-    line's start, computed only when raising; a non-finite feature is
-    reported after every line has parsed.
+    One leading UTF-8 byte order mark, which spreadsheet exports write, is
+    dropped. The header and any line that holds a ``"`` are parsed by
+    ``csv``; every other line is split on commas, and each cell is read by
+    ``float()``. A data cell that holds ``_`` or a non-ASCII character, which
+    ``float()`` would accept, is malformed, as is a non-finite feature. A
+    malformed line raises a ``FormatError`` whose ``offset`` is the byte
+    offset of the line's start in the file, computed only when raising; a
+    non-finite feature is reported after every line has parsed.
+
+    A body (the lines after the header) that holds only plain decimal
+    numbers, commas and line ends is read in one ``np.loadtxt`` call, which
+    hands each cell to the C conversion ``float()`` uses, so it yields the
+    same bits and accepts the same cells. A body it does not read cleanly
+    (a bad cell, a row wider or narrower than the header, a label that is
+    not an int64 integer) is read again line by line, which raises what it
+    always did, so the accepted grammar and every error are the line loop's.
     """
     with open(path, "rb") as f:
         raw = f.read()
+    bom = len(codecs.BOM_UTF8) if raw.startswith(codecs.BOM_UTF8) else 0
     try:
-        lines = raw.decode("utf-8").splitlines(keepends=True)
+        lines = raw[bom:].decode("utf-8").splitlines(keepends=True)
     except UnicodeDecodeError as e:
-        raise FormatError(f"CSV file {path} is not UTF-8 text", offset=e.start) from None
+        raise FormatError(f"CSV file {path} is not UTF-8 text", offset=bom + e.start) from None
     if not lines:
         raise FormatError(f"empty CSV file {path}", offset=0)
 
     def fail(message: str, lineno: int) -> FormatError:
-        return FormatError(message, offset=len("".join(lines[: lineno - 1]).encode("utf-8")))
+        return FormatError(message, offset=bom + len("".join(lines[: lineno - 1]).encode("utf-8")))
 
     def parse(lineno: int) -> list[str]:
         line = lines[lineno - 1]
@@ -302,34 +338,36 @@ def read_csv(path, label_col: str | None = None, *, label_optional: bool = False
     if label_idx is None and label_col is not None and not label_optional:
         raise FormatError(f"label column {label_col!r} not in header {header}")
 
-    body = raw[len(lines[0].encode("utf-8")):]
-    odd_body = not body.isascii() or b"_" in body  # only then are lines checked one by one
-    flat: list[float] = []
-    for lineno, line in enumerate(lines[1:], start=2):
-        if not line.strip():
-            continue
-        rec = parse(lineno)
-        if len(rec) != ncols:
-            raise fail(f"ragged CSV row at line {lineno}: {len(rec)} fields, expected {ncols}", lineno)
-        if odd_body and (not line.isascii() or "_" in line):
-            for v in rec:
-                if not v.isascii() or "_" in v:
-                    raise fail(f"cell {v!r} at line {lineno} holds '_' or a non-ASCII character", lineno)
-        try:
-            flat += map(float, rec)
-        except ValueError:
-            try:  # name the first bad cell in reading order: features, then the label
-                [float(v) for i, v in enumerate(rec) if i != label_idx]
-                float(rec[label_idx])
-            except ValueError as e:
-                raise fail(f"non-numeric value at line {lineno}: {e}", lineno) from None
-        if label_idx is not None:
-            label = flat[label_idx - ncols]
-            if not (label.is_integer() and -2**63 <= label < 2**63):  # NaN and inf fail is_integer
-                raise fail(f"label {rec[label_idx]!r} at line {lineno} is not an int64 integer", lineno)
-    if not flat:
-        raise FormatError(f"CSV file {path} has a header but no data rows", offset=len(raw))
-    X = np.array(flat).reshape(-1, ncols)
+    body = raw[bom + len(lines[0].encode("utf-8")):]
+    X = _read_plain_body(body, lines[1:], ncols, label_idx)
+    if X is None:
+        odd_body = not body.isascii() or b"_" in body  # only then are lines checked one by one
+        flat: list[float] = []
+        for lineno, line in enumerate(lines[1:], start=2):
+            if not line.strip():
+                continue
+            rec = parse(lineno)
+            if len(rec) != ncols:
+                raise fail(f"ragged CSV row at line {lineno}: {len(rec)} fields, expected {ncols}", lineno)
+            if odd_body and (not line.isascii() or "_" in line):
+                for v in rec:
+                    if not v.isascii() or "_" in v:
+                        raise fail(f"cell {v!r} at line {lineno} holds '_' or a non-ASCII character", lineno)
+            try:
+                flat += map(float, rec)
+            except ValueError:
+                try:  # name the first bad cell in reading order: features, then the label
+                    [float(v) for i, v in enumerate(rec) if i != label_idx]
+                    float(rec[label_idx])
+                except ValueError as e:
+                    raise fail(f"non-numeric value at line {lineno}: {e}", lineno) from None
+            if label_idx is not None:
+                label = flat[label_idx - ncols]
+                if not (label.is_integer() and -2**63 <= label < 2**63):  # NaN and inf fail is_integer
+                    raise fail(f"label {rec[label_idx]!r} at line {lineno} is not an int64 integer", lineno)
+        if not flat:
+            raise FormatError(f"CSV file {path} has a header but no data rows", offset=len(raw))
+        X = np.array(flat).reshape(-1, ncols)
     finite = np.isfinite(X)
     if not finite.all():  # labels are finite integers by now, so a feature is at fault
         r, c = np.argwhere(~finite)[0]

@@ -1,3 +1,4 @@
+import argparse
 import csv
 import io
 import json
@@ -16,7 +17,8 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 import phdkit
-from phdkit.cli import main
+from phdkit.cli import _with_config, build_parser, main
+from phdkit.errors import ConfigError
 from phdkit.models import Arch, Hypothesis, linear_hypothesis, save_hypothesis, stump_hypothesis
 
 
@@ -615,6 +617,63 @@ def test_config_section_is_the_command_not_a_root_flag_value_naming_one(tmp_path
     code, _, err = run(["--config", "c.ini", "--out", "w1", "dh", "--source", str(src), "--target", str(tgt)], capsys)
     assert code == 0, err
     assert json.loads((tmp_path / "w1" / "dh_report.json").read_text())["command"] == "dh"
+
+
+# one argv per command, giving some of its flags a value other than their default
+_COMMAND_ARGV = {
+    "gen": ["gen", "--n", "10", "--shift", "1,2", "--layout-seed", "4"],
+    "train": ["train", "--data", "d.csv", "--hidden", "", "--epochs", "3", "--no-batch-norm"],
+    "phd": ["phd", "--h1", "a", "--h2", "b", "--target", "t.csv", "--loss", "margin"],
+    "dh": ["dh", "--source", "s", "--target", "t", "--method", "adv", "--lr", "0.1"],
+    "sdisc": ["sdisc", "--source", "s", "--target", "t", "--model", "m"],
+    "disc": ["disc", "--source", "s", "--target", "t", "--label-col", "y"],
+    "w1": ["w1", "--source", "s", "--target", "t", "--bins", "3"],
+    "bounds": ["bounds", "--bound", "thm4", "--target", "t", "--h", "h", "--h2-star", "g"],
+    "tritrain": ["tritrain", "--source", "s", "--target", "t", "--no-bounds"],
+    "select": ["select", "--sources", "a,b", "--target", "t", "--measure", "w1"],
+    "coral": ["coral", "--source", "s", "--target", "t", "--ridge", "0.1"],
+    "gradcheck": ["gradcheck", "--d", "2", "--hidden", "3"],
+    "repro": ["repro", "table1", "--set", "n=5"],
+}
+
+
+def _printed(parse, argv) -> str:
+    """What a parse that prints and exits (help) writes to stdout."""
+    out = io.StringIO()
+    with redirect_stdout(out), pytest.raises(SystemExit):
+        parse(argv)
+    return out.getvalue()
+
+
+def test_every_command_has_a_representative_argv():
+    (sub,) = (a for a in build_parser()._actions if isinstance(a, argparse._SubParsersAction))
+    assert sorted(sub.choices) == sorted(_COMMAND_ARGV)
+
+
+@pytest.mark.parametrize("command", sorted(_COMMAND_ARGV))
+def test_the_parser_of_the_invoked_command_parses_as_the_full_parser(command):
+    argv = ["--seed", "3", "--format=csv", *_COMMAND_ARGV[command]]
+    assert _with_config(argv) == (argv, command)
+    assert vars(build_parser(command).parse_args(argv)) == vars(build_parser().parse_args(argv))
+    assert _printed(main, [command, "--help"]) == _printed(build_parser().parse_args, [command, "--help"])
+
+
+def test_root_help_and_unknown_command_read_as_with_the_full_parser(capsys):
+    assert _printed(main, ["--help"]) == _printed(build_parser().parse_args, ["--help"])
+    with pytest.raises(ConfigError) as e:
+        build_parser().parse_args(["--seed", "1", "nosuch"])
+    code, _, err = run(["--seed", "1", "nosuch"], capsys)
+    assert code == 2 and json.loads(err) == {"error": "ConfigError", "message": str(e.value)}
+
+
+def test_config_section_of_the_invoked_command_is_applied_and_no_other(tmp_path, capsys):
+    cfg = tmp_path / "run.ini"
+    # [gen] holds flags that gradcheck's parser rejects, so applying it would fail
+    cfg.write_text("[gen]\nn = 64\nrotate = 0.5\n\n[gradcheck]\nd = 2\nprobe_n = 3\n")
+    code, out, err = run(["--config", str(cfg), "gradcheck", "--hidden", "", "--probe-n", "5"], capsys)
+    assert code == 0, err
+    run_config = json.loads(out)["run_config"]
+    assert run_config["command"] == "gradcheck" and run_config["d"] == 2 and run_config["probe_n"] == 5
 
 
 @pytest.mark.parametrize("argv", [

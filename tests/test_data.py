@@ -1,5 +1,6 @@
 import csv
 import math
+import random
 import re
 
 import numpy as np
@@ -8,6 +9,7 @@ from hypothesis import example, given, settings
 from hypothesis import strategies as st
 from scipy import stats
 
+from phdkit import data
 from phdkit.data import (
     Dataset,
     add_feature_noise,
@@ -416,6 +418,88 @@ def test_read_csv_matches_the_per_line_reader(case, tmp_path_factory):
     p = tmp_path_factory.mktemp("csv") / "d.csv"
     p.write_bytes(text.encode("utf-8"))
     assert _csv_outcome(read_csv, p, label_col) == _csv_outcome(_read_csv_per_line, p, label_col)
+
+
+def _plain_cell(rng: random.Random, label: bool) -> str:
+    """One cell over the plain-decimal alphabet: mostly a number the column
+    accepts, sometimes an empty, malformed or out-of-grammar cell."""
+    r = rng.random()
+    if r < 0.9:
+        return str(rng.randint(0, 3)) if label else rng.choice(
+            [repr(rng.uniform(-1.0, 1.0) * 10.0 ** rng.randint(-30, 30)), str(rng.randint(-5, 5))])
+    if r < 0.95:
+        return rng.choice(["", "1.0", "1.5", "-0.0", "1e30", "1e999", "-1", "2E0", "+.5", "1e-999"])
+    return "".join(rng.choices("0123456789+-.eE", k=rng.randint(0, 5)))
+
+
+def _plain_csv_text(rng: random.Random) -> tuple[str, str | None]:
+    """A CSV text whose body is all digits, signs, points, exponents, commas
+    and line ends, with ragged rows and blank lines, and the label column to
+    read it with."""
+    ncols = rng.randint(1, 4)
+    label_at = rng.choice([None, *range(ncols)])
+    lines = [",".join("label" if j == label_at else f"x{j}" for j in range(ncols))]
+    for _ in range(rng.randint(0, 6)):
+        kind = rng.choices(["row", "blank", "ragged"], [0.85, 0.08, 0.07])[0]
+        width = ncols if kind == "row" else 0 if kind == "blank" else rng.randint(1, ncols + 1)
+        lines.append(",".join(_plain_cell(rng, j == label_at) for j in range(width)))
+    ends = rng.choices(["\n", "\r\n", "\r"], k=len(lines))
+    if rng.random() < 0.5:
+        ends[-1] = ""
+    return "".join(line + end for line, end in zip(lines, ends)), rng.choice([None, "label"])
+
+
+def test_read_csv_bulk_path_matches_the_per_line_reader(tmp_path, monkeypatch):
+    bulk = []
+
+    def counted(*args):
+        X = read_plain_body(*args)
+        bulk.append(X is not None)
+        return X
+
+    read_plain_body = data._read_plain_body
+    monkeypatch.setattr(data, "_read_plain_body", counted)
+    rng = random.Random(0)
+    p = tmp_path / "d.csv"
+    parsed = 0
+    for _ in range(600):
+        text, label_col = _plain_csv_text(rng)
+        p.write_bytes(text.encode())
+        outcome = _csv_outcome(read_csv, p, label_col)
+        assert outcome == _csv_outcome(_read_csv_per_line, p, label_col), text
+        parsed += not isinstance(outcome[0], type)
+    # the draws run both the bulk reader and its fall-back, and many parse
+    assert sum(bulk) >= 150 and bulk.count(False) >= 150 and parsed >= 150
+
+
+# np.loadtxt strips \x1c-\x1f as whitespace and reads the first two as 2.0; float() rejects them
+@pytest.mark.parametrize("cell", ["\x1f2", "2\x1c", "1_0", "nan"])
+def test_cells_outside_the_plain_alphabet_fail_as_in_the_line_loop(cell, tmp_path):
+    p = tmp_path / "d.csv"
+    p.write_text(f"x,label\n0.5,0\n{cell},1\n")
+    outcome = _csv_outcome(read_csv, p, "label")
+    assert outcome == _csv_outcome(_read_csv_per_line, p, "label")
+    assert outcome[0] is FormatError and outcome[2] == len("x,label\n0.5,0\n")
+
+
+def test_csv_byte_order_mark_is_not_part_of_the_first_column_name(tmp_path):
+    p = tmp_path / "d.csv"
+    p.write_bytes(b"\xef\xbb\xbflabel,x0\r\n1,0.5\r\n0,1.5\r\n")
+    for D in (read_csv(p, label_col="label"), read_csv(p, label_col="label", label_optional=True)):
+        assert D.y.tolist() == [1, 0] and D.X.tolist() == [[0.5], [1.5]]
+    # offsets still count the file's bytes, the mark's three included
+    p.write_bytes(b"\xef\xbb\xbfx,label\n0.5,0\n1.5,abc\n")
+    with pytest.raises(FormatError, match="line 3") as e:
+        read_csv(p, label_col="label")
+    assert e.value.offset == 3 + len("x,label\n0.5,0\n")
+    p.write_bytes(b"\xef\xbb\xbfx,label\n\xe9,0\n")
+    with pytest.raises(FormatError, match="not UTF-8") as e:
+        read_csv(p, label_col="label")
+    assert e.value.offset == 3 + len("x,label\n")
+    p.write_bytes(b"\xef\xbb\xbf")
+    with pytest.raises(FormatError, match="empty CSV file") as e:
+        read_csv(p)
+    assert e.value.offset == 0
 
 
 # --- split -----------------------------------------------------------------
