@@ -37,6 +37,10 @@ with batch norm):
 - ``disc_exact_binary_784``: ``disc_exact`` on two 2,000-row samples of
   784 binary features (1,570 stumps): many features of one threshold each,
   where pair b has few features of many thresholds
+
+  Both ``disc_exact`` rows also record ``traced_peak_bytes``, the peak that
+  ``tracemalloc`` (which numpy reports its buffers to) sees during one
+  more call after the timed ones: the call's own working memory.
 - ``stump_scans_pair_a``: the sorted prefix-sum stump scans on the shape
   of the benchmark's ``exact-cli`` pair a (two 2,000-row samples of 16
   Gaussian features): ``StumpClass.from_data`` of both samples,
@@ -91,11 +95,11 @@ benchmark's ``selection`` workload, and for seeds 0 and 1 at sigma 0.3
 run in lockstep across both seeds.
 
 Each run is appended under its ``--label`` to the JSON file ``--out``, whose
-``summary`` holds, per label, the median over runs of each median. For a
-comparison of two trees, alternate the runs:
+``summary`` holds, per label, the median over runs of each median and of
+each traced peak. For a comparison of two trees, alternate the runs:
 
-    python3 scripts/bench_layers.py --out BENCH_23.json --src ../parent/src --label parent
-    python3 scripts/bench_layers.py --out BENCH_23.json --label change
+    python3 scripts/bench_layers.py --out BENCH_24.json --src ../parent/src --label parent
+    python3 scripts/bench_layers.py --out BENCH_24.json --label change
 
 ``--src`` selects the source tree ``phdkit`` is imported from; it must have
 ``models.train_erm_many``.
@@ -112,8 +116,10 @@ import subprocess
 import sys
 import tempfile
 import time
+import tracemalloc
 from contextlib import redirect_stdout
 from dataclasses import replace
+from functools import partial
 from pathlib import Path
 
 ROOT = Path(__file__).resolve().parent.parent
@@ -141,6 +147,16 @@ def _measure(fn, warmup: int = WARMUP, repeats: int = REPEATS, calls: int = CALL
     q1, med, q3 = statistics.quantiles(blocks, n=4)
     return {"us_per_call": {"median": med, "q1": q1, "q3": q3, "blocks": blocks},
             "minflt_per_call": faults / (repeats * calls)}
+
+
+def _traced_peak(fn) -> int:
+    """Peak bytes traced by ``tracemalloc`` during one call of ``fn``."""
+    tracemalloc.start()
+    try:
+        fn()
+        return tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
 
 
 def _train_step(models, arch, runs: int, rows: int):
@@ -236,7 +252,8 @@ def run() -> tuple[dict, dict, str]:
               Dataset((rng.random((2000, 784)) < 0.4).astype(float)))
     for name, (S, T) in (("disc_exact_pair_b", pair_b), ("disc_exact_binary_784", binary)):
         cls = StumpClass.from_data(S, T)
-        measured[name] = _measure(lambda: disc_exact(S, T, cls), DISC_WARMUP, REPEATS, DISC_CALLS)
+        call = partial(disc_exact, S, T, cls)
+        measured[name] = _measure(call, DISC_WARMUP, REPEATS, DISC_CALLS) | {"traced_peak_bytes": _traced_peak(call)}
 
     pair_a, pair_a_target = gen_gaussian_pair(2000, 16, shift=0.25, rotate=0.3)
     hS = models.linear_hypothesis(rng.standard_normal(16), 0.1)
@@ -321,6 +338,9 @@ def _summary(runs: list) -> dict:
         for part in ("kernels", "end_to_end"):
             for name in mine[0][part]:
                 out[label][name + "_us"] = statistics.median(r[part][name]["us_per_call"]["median"] for r in mine)
+                if "traced_peak_bytes" in mine[0][part][name]:
+                    out[label][name + "_traced_peak_bytes"] = statistics.median(
+                        r[part][name]["traced_peak_bytes"] for r in mine)
     return out
 
 
@@ -342,8 +362,9 @@ def main() -> int:
     runs.append(record)
     out.write_text(json.dumps({"summary": _summary(runs), "runs": runs}, indent=2, sort_keys=True) + "\n")
     for name, r in {**kernels, **e2e}.items():
+        peak = f", {r['traced_peak_bytes'] / 2**20:.1f} MiB traced peak" if "traced_peak_bytes" in r else ""
         print(f"{args.label} {name}: {r['us_per_call']['median']:.1f} us/call, "
-              f"{r['minflt_per_call']:.1f} minor faults/call")
+              f"{r['minflt_per_call']:.1f} minor faults/call{peak}")
     return 0
 
 

@@ -428,12 +428,17 @@ def _add_pair_flags(p: argparse.ArgumentParser) -> None:
     p.add_argument("--label-col", default=DEFAULT_LABEL_COL)
 
 
-def build_parser(command: str | None = None) -> argparse.ArgumentParser:
-    """The root parser, with one subcommand parser per command.
+COMMANDS = ("gen", "train", "phd", "dh", "sdisc", "disc", "w1", "bounds", "tritrain", "select", "coral",
+            "gradcheck", "repro")
 
-    Every command is registered, so help and usage errors list them all,
-    but only ``command``'s parser gets its flags (every parser when it is
-    None): adding all of them costs each run more than its own.
+
+def build_parser(command: str | None = None) -> argparse.ArgumentParser:
+    """The root parser, with the subcommand parser of ``command``.
+
+    For one of ``COMMANDS`` only its parser is built: building the others
+    costs each run more than its own. Otherwise (None or an unknown name)
+    every command is registered, so root help and usage errors list them
+    all, and every parser gets its flags when ``command`` is None.
     """
     # no abbreviated root flags: _with_config must see --config spelled out
     root = _Parser(prog="phdkit", description=__doc__, allow_abbrev=False)
@@ -444,6 +449,8 @@ def build_parser(command: str | None = None) -> argparse.ArgumentParser:
     sub = root.add_subparsers(dest="command", required=True)
 
     def add(name: str, summary: str) -> argparse.ArgumentParser | None:
+        if command in COMMANDS and name != command:
+            return None
         p = sub.add_parser(name, help=summary)
         return p if command in (None, name) else None
 
@@ -584,6 +591,8 @@ def main(argv: list[str] | None = None) -> int:
     argv = list(sys.argv[1:] if argv is None else argv)
     try:
         argv, command = _with_config(argv)
+        if any(a == "--help" or a.startswith("-h") for a in argv):  # root help lists every command
+            command = None
         args = build_parser(command).parse_args(argv)
         args.func(args)
         return EXIT_OK

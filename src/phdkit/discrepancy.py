@@ -48,6 +48,7 @@ from .numkit import child_rng
 
 W1_ASSIGNMENT_CAP = 512
 DISC_CLASS_CAP = 4096
+PAIR_BLOCK_BYTES = 1 << 20  # risks per sample per block of disc_exact's pair scan
 HIST_CELL_CAP = 1 << 24
 
 
@@ -298,6 +299,11 @@ def disc_exact(S: Dataset, T: Dataset, cls: StumpClass) -> DiscrepancyReport:
     dimensions all pairs are enumerated through the Gram matrix of the
     polarity +1 members' predictions on each sample (a member and its
     polarity flip differ only in sign), which caps the workable class size.
+    The pairs are scanned in blocks of first members, about
+    ``PAIR_BLOCK_BYTES`` of risks per sample at a time, so memory grows
+    linearly with the class size. Gram entries are integers, exact in
+    float32 while n < 2**24 however the rows are blocked, and every later
+    step is elementwise: the value and the pair do not depend on the block.
     """
     _require_pair(S, T)
     if cls.d == 1:
@@ -314,14 +320,28 @@ def disc_exact(S: Dataset, T: Dataset, cls: StumpClass) -> DiscrepancyReport:
             f"class size {cls.size} exceeds the pair-enumeration cap {DISC_CLASS_CAP}; "
             "subsample the data or restrict features"
         )
-    gap = _pair_risks(cls, T)
-    gap -= _pair_risks(cls, S)
-    np.abs(gap, out=gap)
+    Pt, Ps = (cls.prediction_matrix(D.X)[0::2].astype(np.float32) for D in (T, S))
+    h = Pt.shape[0]
+    rows = max(1, PAIR_BLOCK_BYTES // (2 * 4 * h))
+    risk_t, risk_s = np.empty((2, rows, h), np.float32), np.empty((2, rows, h), np.float32)
+
+    def gap(a0: int, a1: int, b0: int) -> np.ndarray:
+        """|risk_T - risk_S| of the pairs (2a+p, 2b+p') with a0 <= a < a1 and b >= b0."""
+        g = _pair_risks(Pt[a0:a1], Pt[b0:], T.n, risk_t)
+        g -= _pair_risks(Ps[a0:a1], Ps[b0:], S.n, risk_s)
+        return np.abs(g, out=g)
+
+    best = np.empty(h, np.float32)
+    for a0 in range(0, h, rows):
+        a1 = min(a0 + rows, h)
+        gap(a0, a1, a0).max(axis=(0, 2), out=best[a0:a1])
     # Rows 2a and 2a+1 of the full m x m gap matrix hold the same values, so
     # its first row-major maximum lies in row 2a of the first a to reach it,
-    # whose entries are gap[0, a] and gap[1, a] interleaved.
-    a = int(np.argmax(gap.max(axis=(0, 2))))
-    row = gap[:, a].T.ravel()
+    # whose entries are gap[0, a] and gap[1, a] interleaved. The matrix is
+    # symmetric, so that maximum has b >= a (else row b reached it first):
+    # a block needs only the members from its own first one on.
+    a = int(np.argmax(best))
+    row = gap(a, a + 1, 0)[:, 0].T.ravel()
     j = int(np.argmax(row))
     members = list(cls.members())
     return DiscrepancyReport("disc", float(row[j]), "exact-enumeration",
@@ -329,20 +349,23 @@ def disc_exact(S: Dataset, T: Dataset, cls: StumpClass) -> DiscrepancyReport:
                              n_source=S.n, n_target=T.n)
 
 
-def _pair_risks(cls: StumpClass, D: Dataset) -> np.ndarray:
-    """Zero-one risks on D of the member pairs (2a+p, 2b+p') of the class,
-    as a 2 x (m/2) x (m/2) array: [0] at equal polarities, [1] at opposite.
+def _pair_risks(A: np.ndarray, B: np.ndarray, n: int, out: np.ndarray) -> np.ndarray:
+    """Zero-one risks on a sample of every member pair (2a+p, 2b+p') with
+    2a a row of ``A`` and 2b a row of ``B``, written into the front of
+    ``out`` and returned as a 2 x len(A) x len(B) view of it: [0] at equal
+    polarities, [1] at opposite.
 
-    For signed predictions risk(h, h') = (1 - <p_h, p_h'>/n) / 2. Member
-    2a+1 is member 2a negated, so with q the Gram of the even (polarity +1)
-    rows over n the risks are (1 - q)/2 and (1 + q)/2, bit for bit as from
-    the full Gram: its entries are integers exact in float32, and x / n is
-    sign symmetric.
+    ``A`` and ``B`` hold polarity +1 members' signed predictions on the
+    sample's n rows as float32. For signed predictions risk(h, h') =
+    (1 - <p_h, p_h'>/n) / 2. Member 2a+1 is member 2a negated, so with q
+    the Gram entries over n the risks are (1 - q)/2 and (1 + q)/2, bit for
+    bit as from the full member Gram: each entry is an integer below 2**24,
+    exact in float32 whichever rows a block holds, and x / n is sign
+    symmetric.
     """
-    P = cls.prediction_matrix(D.X)[0::2].astype(np.float32)
-    risks = np.empty((2, P.shape[0], P.shape[0]), dtype=np.float32)
-    q = np.matmul(P, P.T, out=risks[1])
-    q /= D.n
+    risks = out[:, :A.shape[0], :B.shape[0]]
+    q = np.matmul(A, B.T, out=risks[1])
+    q /= n
     np.subtract(1.0, q, out=risks[0])
     q += 1.0
     risks /= 2.0

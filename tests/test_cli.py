@@ -17,7 +17,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 import phdkit
-from phdkit.cli import _with_config, build_parser, main
+from phdkit.cli import COMMANDS, _with_config, build_parser, main
 from phdkit.errors import ConfigError
 from phdkit.models import Arch, Hypothesis, linear_hypothesis, save_hypothesis, stump_hypothesis
 
@@ -648,6 +648,7 @@ def _printed(parse, argv) -> str:
 def test_every_command_has_a_representative_argv():
     (sub,) = (a for a in build_parser()._actions if isinstance(a, argparse._SubParsersAction))
     assert sorted(sub.choices) == sorted(_COMMAND_ARGV)
+    assert tuple(sub.choices) == COMMANDS
 
 
 @pytest.mark.parametrize("command", sorted(_COMMAND_ARGV))
@@ -660,6 +661,8 @@ def test_the_parser_of_the_invoked_command_parses_as_the_full_parser(command):
 
 def test_root_help_and_unknown_command_read_as_with_the_full_parser(capsys):
     assert _printed(main, ["--help"]) == _printed(build_parser().parse_args, ["--help"])
+    for argv in (["--help", "phd"], ["-h", "--seed", "2", "disc"], ["--out", "phd", "-h", "phd"]):
+        assert _printed(main, argv) == _printed(build_parser().parse_args, argv)
     with pytest.raises(ConfigError) as e:
         build_parser().parse_args(["--seed", "1", "nosuch"])
     code, _, err = run(["--seed", "1", "nosuch"], capsys)

@@ -1,4 +1,5 @@
 import math
+import tracemalloc
 from dataclasses import replace
 
 import numpy as np
@@ -6,9 +7,11 @@ import pytest
 from scipy.optimize import linear_sum_assignment
 from scipy.spatial.distance import cdist
 
+from phdkit import discrepancy
 from phdkit.bounds import rademacher
-from phdkit.data import Dataset
+from phdkit.data import Dataset, gen_gaussian_pair
 from phdkit.discrepancy import (
+    PAIR_BLOCK_BYTES,
     DiscrepancyReport,
     StumpClass,
     _scan_plan,
@@ -172,14 +175,20 @@ def test_disc_exact_matches_double_loop_oracle():
         assert disc_exact(S, T, cls).value == pytest.approx(brute_disc(S, T, cls), abs=1e-6)
 
 
-def full_member_gram_disc(S, T, cls):
-    """disc over the m x m Gram of every member's signed predictions, with
-    the first row-major maximum as the reported pair."""
+def full_member_gap(S, T, cls):
+    """|risk_T - risk_S| of every ordered member pair, from the m x m Gram of
+    every member's signed predictions."""
     Ps = cls.prediction_matrix(S.X).astype(np.float32)
     Pt = cls.prediction_matrix(T.X).astype(np.float32)
     Rs = (1.0 - (Ps @ Ps.T) / S.n) / 2.0
     Rt = (1.0 - (Pt @ Pt.T) / T.n) / 2.0
-    gap = np.abs(Rt - Rs)
+    return np.abs(Rt - Rs)
+
+
+def full_member_gram_disc(S, T, cls):
+    """disc over the full member gap, with the first row-major maximum as
+    the reported pair."""
+    gap = full_member_gap(S, T, cls)
     i, j = np.unravel_index(int(np.argmax(gap)), gap.shape)
     members = list(cls.members())
     return DiscrepancyReport("disc", float(gap[i, j]), "exact-enumeration",
@@ -206,6 +215,25 @@ def disc_instance(rng, kind):
     return (S, S) if kind == "same-sample" else (S, Dataset(X[ns:]))
 
 
+def block_instances():
+    """(kind, S, T) whose polarity +1 members span three or more of
+    disc_exact's blocks of first members."""
+    rng = child_rng(24)
+    X = rng.standard_normal((500, 1))
+    X[250:] += 0.5
+    X = np.hstack([X, X])  # a duplicate column: each member's row recurs 499 rows on
+    yield "tie-across-blocks", Dataset(X[:250]), Dataset(X[250:])
+    x = np.sort(rng.random(600))
+    t = x.copy()
+    t[(x > 0.85) & (x < 0.86)] -= 0.01  # the CDF gap rises here and falls back past 0.95,
+    t[(x > 0.95) & (x < 0.96)] += 0.01  # so only pairs of top thresholds reach its range
+    flags = (rng.random(600) < 0.5).astype(float)
+    yield "last-partial-block", Dataset(np.column_stack([flags, x])), Dataset(np.column_stack([flags, t]))
+    B = (rng.random((80, 600)) < 0.5).astype(float)
+    B[40:] = rng.random((40, 600)) < 0.3
+    yield "one-threshold-features", Dataset(B[:40]), Dataset(B[40:])
+
+
 def test_disc_exact_matches_the_full_member_gram():
     rng = child_rng(12)
     unequal = 0
@@ -215,6 +243,41 @@ def test_disc_exact_matches_the_full_member_gram():
         cls = StumpClass.from_data(S, T)
         assert disc_exact(S, T, cls).to_dict() == full_member_gram_disc(S, T, cls).to_dict()
     assert unequal > 100
+    for kind, S, T in block_instances():
+        cls = StumpClass.from_data(S, T)
+        h = cls.size // 2
+        rows = PAIR_BLOCK_BYTES // (2 * 4 * h)
+        assert 1 <= rows and 2 * rows < h, kind
+        row_max = full_member_gap(S, T, cls).max(axis=1)[0::2]
+        blocks = set(np.flatnonzero(row_max == row_max.max()) // rows)  # blocks of the rows at the maximum
+        if kind == "tie-across-blocks":
+            assert len(blocks) > 1
+        elif kind == "last-partial-block":
+            assert blocks == {(h - 1) // rows} and h % rows
+        assert disc_exact(S, T, cls).to_dict() == full_member_gram_disc(S, T, cls).to_dict(), kind
+
+
+@pytest.mark.parametrize("block_rows", [1, 2, 5])
+def test_disc_exact_bits_do_not_depend_on_the_block_size(monkeypatch, block_rows):
+    rng = child_rng(25)
+    for i in range(30):
+        S, T = disc_instance(rng, DISC_KINDS[i % len(DISC_KINDS)])
+        cls = StumpClass.from_data(S, T)
+        monkeypatch.setattr(discrepancy, "PAIR_BLOCK_BYTES", 2 * 4 * block_rows * (cls.size // 2))
+        assert disc_exact(S, T, cls).to_dict() == full_member_gram_disc(S, T, cls).to_dict()
+
+
+def test_disc_exact_memory_stays_below_the_pair_arrays():
+    S, T = gen_gaussian_pair(300, 2, shift=0.25, rotate=0.3, seed=1)  # the shape of the benchmark's disc command
+    cls = StumpClass.from_data(S, T)
+    assert cls.size == 2398  # two 2 x 1,199 x 1,199 float32 risk arrays would take 23 MiB
+    tracemalloc.start()
+    try:
+        disc_exact(S, T, cls)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < 8 * 2**20
 
 
 def degenerate_stump_instances():
