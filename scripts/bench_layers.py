@@ -46,6 +46,8 @@ with batch norm):
   Gaussian features): ``StumpClass.from_data`` of both samples,
   ``dh_exact`` and ``sdisc_exact`` over that class, and a 50-draw stump
   ``bounds.rademacher`` on the target
+- ``rademacher_stumps_pair_a``: that 50-draw stump ``bounds.rademacher``
+  alone (its scan plans, sign draws and blocked prefix-sum scan)
 - ``coral_pair_a``: ``adapt.coral`` of the benchmark's ``exact-cli`` pair a
   (its source aligned to its unlabeled target, the ``coral`` command's call)
 - ``read_csv_pair_a`` and ``write_csv_pair_a``: ``data.read_csv`` and
@@ -71,7 +73,7 @@ they run the same values on trees that lay the runs out differently.
 untimed call, then E2E_REPEATS single calls; ``w1_fig2_pool`` W1_WARMUP
 untimed calls, then REPEATS blocks of W1_CALLS; the ``disc_exact``
 rows run DISC_WARMUP untimed calls, then REPEATS blocks of DISC_CALLS,
-``stump_scans_pair_a`` STUMP_WARMUP, then REPEATS blocks of STUMP_CALLS, and
+the two stump rows STUMP_WARMUP, then REPEATS blocks of STUMP_CALLS, and
 the CSV rows and ``cli_main_phd`` CSV_WARMUP untimed calls, then REPEATS
 blocks of CSV_CALLS.
 
@@ -95,11 +97,14 @@ benchmark's ``selection`` workload, and for seeds 0 and 1 at sigma 0.3
 run in lockstep across both seeds.
 
 Each run is appended under its ``--label`` to the JSON file ``--out``, whose
-``summary`` holds, per label, the median over runs of each median and of
-each traced peak. For a comparison of two trees, alternate the runs:
+``summary`` holds, per label, the median over runs of each median (``_us``)
+with the quartiles of those per-run medians (``_us_q1``, ``_us_q3``), and the
+median of each traced peak. Runs of one tree on a shared host differ by far
+more than the blocks within a run, so compare trees by those quartiles over
+five or more runs each, alternating the trees:
 
-    python3 scripts/bench_layers.py --out BENCH_24.json --src ../parent/src --label parent
-    python3 scripts/bench_layers.py --out BENCH_24.json --label change
+    python3 scripts/bench_layers.py --out BENCH_25.json --src ../parent/src --label parent
+    python3 scripts/bench_layers.py --out BENCH_25.json --label change
 
 ``--src`` selects the source tree ``phdkit`` is imported from; it must have
 ``models.train_erm_many``.
@@ -265,6 +270,9 @@ def run() -> tuple[dict, dict, str]:
         rademacher(pair_a_target, StumpClass.from_data(pair_a_target), draws=50, seed=0)
 
     measured["stump_scans_pair_a"] = _measure(stump_scans, STUMP_WARMUP, REPEATS, STUMP_CALLS)
+    target_stumps = StumpClass.from_data(pair_a_target)
+    measured["rademacher_stumps_pair_a"] = _measure(
+        lambda: rademacher(pair_a_target, target_stumps, draws=50, seed=0), STUMP_WARMUP, REPEATS, STUMP_CALLS)
     unlabeled_target = pair_a_target.without_labels()
     measured["coral_pair_a"] = _measure(lambda: coral(pair_a, unlabeled_target))
     with tempfile.TemporaryDirectory() as tmp:
@@ -337,7 +345,9 @@ def _summary(runs: list) -> dict:
         out[label] = {"runs": len(mine)}
         for part in ("kernels", "end_to_end"):
             for name in mine[0][part]:
-                out[label][name + "_us"] = statistics.median(r[part][name]["us_per_call"]["median"] for r in mine)
+                meds = [r[part][name]["us_per_call"]["median"] for r in mine]
+                q1, med, q3 = statistics.quantiles(meds, n=4) if len(meds) > 1 else meds * 3
+                out[label] |= {name + "_us": med, name + "_us_q1": q1, name + "_us_q3": q3}
                 if "traced_peak_bytes" in mine[0][part][name]:
                     out[label][name + "_traced_peak_bytes"] = statistics.median(
                         r[part][name]["traced_peak_bytes"] for r in mine)

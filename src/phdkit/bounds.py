@@ -18,7 +18,7 @@ from dataclasses import dataclass, replace
 import numpy as np
 
 from .data import Dataset
-from .discrepancy import StumpClass, _threshold_errors, phd
+from .discrepancy import StumpClass, _signed_prefix_sums, phd
 from .errors import ConfigError, ContractError, DegenerateInputError
 from .models import (
     Arch,
@@ -36,6 +36,7 @@ from .numkit import child_rng
 FIT_TO_NOISE_EPOCHS = 30
 DEFAULT_DELTA = 0.05
 DEFAULT_DRAWS = 100
+RAD_BLOCK_BYTES = 1 << 20  # int32 signs per block of draws in the stump Rademacher scan
 
 
 @dataclass(frozen=True)
@@ -106,19 +107,6 @@ class RademacherEstimate:
     method: str  # exact-finite | fit-to-noise
 
 
-def _stump_sup_correlation(plans: list, sigma: np.ndarray) -> float:
-    """Exact sup over the stump class of (1/n) sum sigma_i h(x_i) from the scan
-    plans of the sample's columns: a pol-+ stump with m mistakes against the
-    sign labels correlates n - 2m, and its polarity-- twin the negation."""
-    n = sigma.shape[0]
-    labels = (sigma > 0).astype(np.int64)
-    best = abs(float(sigma.sum()))
-    for plan in plans:
-        m = _threshold_errors(plan, labels)
-        best = max(best, float(np.abs(n - 2 * m).max()))
-    return best / n
-
-
 def rademacher(T: Dataset, cls, draws: int = DEFAULT_DRAWS, seed: int = 0,
                train_cfg: TrainConfig | None = None) -> RademacherEstimate:
     """Monte Carlo estimate of the empirical Rademacher complexity.
@@ -126,6 +114,13 @@ def rademacher(T: Dataset, cls, draws: int = DEFAULT_DRAWS, seed: int = 0,
     ``cls`` may be a StumpClass (inner sup exact by enumeration) or an Arch
     (sup approximated by fitting the architecture to the signs with its
     training surrogate for a few epochs).
+
+    Stump draws are scanned in blocks, the columns of an n x b int32 sign
+    matrix of about ``RAD_BLOCK_BYTES``, so memory does not grow with
+    ``draws``. With P the signs' sums below a column's thresholds, a
+    polarity +1 stump there correlates sum(sigma) - 2P, its twin the
+    negation and the constants +-sum(sigma): each draw's sup is an exact
+    integer over n, whatever the block.
     """
     if draws < 1:
         raise ConfigError(f"draws must be >= 1, got {draws}")
@@ -134,7 +129,18 @@ def rademacher(T: Dataset, cls, draws: int = DEFAULT_DRAWS, seed: int = 0,
     sigmas = (child_rng(seed, 9, k).choice([-1.0, 1.0], size=T.n) for k in range(draws))
     if isinstance(cls, StumpClass):
         plans = [plan for _, _, plan in cls.scan_plans(T.X)]
-        vals = [_stump_sup_correlation(plans, sigma) for sigma in sigmas]
+        block, vals = max(1, RAD_BLOCK_BYTES // (4 * T.n)), []
+        for k0 in range(0, draws, block):
+            sigma = np.empty((T.n, min(block, draws - k0)), np.int32)
+            for i in range(sigma.shape[1]):
+                sigma[:, i] = next(sigmas)
+            total = sigma.sum(axis=0)
+            best = np.abs(total)
+            for plan in plans:
+                P = _signed_prefix_sums(plan, sigma)
+                np.maximum(best, total - 2 * P.min(axis=0), out=best)
+                np.maximum(best, 2 * P.max(axis=0) - total, out=best)
+            vals += (best / T.n).tolist()
         method, descr = "exact-finite", f"stumps({cls.size})"
     elif isinstance(cls, Arch):
         cfg = train_cfg or TrainConfig(epochs=FIT_TO_NOISE_EPOCHS, seed=seed)

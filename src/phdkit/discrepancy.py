@@ -8,9 +8,11 @@ finite stump class of a sample (every column's stumps plus both constants)
 the suprema are computed exactly by enumeration; for trained architectures
 they are estimated adversarially, which is where complex classes overestimate.
 
-Every threshold scan, here and in ``bounds``, counts mistakes with one
-prefix-count kernel over a column's scan plan (sort order and threshold
-positions), so a column scanned against many labellings is sorted once.
+Every threshold scan, here and in ``bounds``, runs one prefix-count
+kernel over a column's scan plan (sort order and threshold positions): the
+sums of ±1 signs below each threshold, for one labelling (mistake counts) or
+for a matrix of sign draws at once (the stump Rademacher scan). A column
+scanned against many labellings is sorted once.
 The two adversarial estimators share one routine and differ only in the
 reference labelling: constant one for ``d_H``, the source hypothesis's
 predictions for S-disc.
@@ -149,14 +151,21 @@ class StumpClass:
     def hypotheses(self):
         return [self.hypothesis(m) for m in self.members()]
 
+    def check_features(self, X: np.ndarray) -> None:
+        """Reject samples whose feature count is not the class's."""
+        if X.shape[1] != self.d:
+            raise ContractError(f"stump class has {self.d} features, the sample {X.shape[1]}")
+
     def scan_plans(self, X: np.ndarray):
         """(feature, thresholds, :func:`_scan_plan` of X's column) for every
         feature that has a threshold."""
+        self.check_features(X)
         return ((j, t, _scan_plan(X[:, j], t)) for j, t in enumerate(self.thresholds) if t.size)
 
     def prediction_matrix(self, X) -> np.ndarray:
         """Signed predictions, one row per member, entries in {-1, +1}."""
         X = np.asarray(X, dtype=np.float64)
+        self.check_features(X)
         rows = []
         for j, t in enumerate(self.thresholds):
             if not t.size:
@@ -186,17 +195,30 @@ def _scan_plan(x: np.ndarray, thresholds: np.ndarray) -> tuple[np.ndarray, np.nd
     return order, np.searchsorted(x[order], thresholds, side="left")
 
 
+def _signed_prefix_sums(plan: tuple[np.ndarray, np.ndarray], signs: np.ndarray) -> np.ndarray:
+    """Sums of ``signs`` over the rows of x below each threshold of a
+    :func:`_scan_plan` of x, exactly in the signs' integer dtype.
+
+    ``signs`` is n long, or n x k for k labellings scanned at once; the
+    result has one row per threshold.
+    """
+    order, pos = plan
+    cum = np.empty((order.shape[0] + 1, *signs.shape[1:]), signs.dtype)
+    cum[0] = 0
+    np.cumsum(signs.take(order, axis=0), axis=0, out=cum[1:])
+    return cum[pos]
+
+
 def _threshold_errors(plan: tuple[np.ndarray, np.ndarray], ref: np.ndarray) -> np.ndarray:
     """Zero-one mistakes of the pol-+ stump 1{x >= t} against ``ref`` at each
     threshold of a :func:`_scan_plan` of x.
 
-    Reference-1 rows below t plus reference-0 rows at or above t, counted
-    exactly in integers from one prefix sum.
+    Reference-1 rows below t plus the other rows at or above t: with signs
+    +1 where ref is 1 and -1 elsewhere, the count of other rows plus the
+    signs' sum below t.
     """
-    order, pos = plan
-    cum1 = np.concatenate([[0], np.cumsum(ref[order] == 1)])
-    below1 = cum1[pos]
-    return below1 + (order.shape[0] - cum1[-1] - (pos - below1))
+    is1 = ref == 1
+    return (ref.shape[0] - np.count_nonzero(is1)) + _signed_prefix_sums(plan, np.where(is1, 1, -1))
 
 
 def stump_erm(cls: StumpClass, D: Dataset) -> Hypothesis:
@@ -307,6 +329,7 @@ def disc_exact(S: Dataset, T: Dataset, cls: StumpClass) -> DiscrepancyReport:
     """
     _require_pair(S, T)
     if cls.d == 1:
+        cls.check_features(T.X)
         t = cls.thresholds[0]
         gap = (np.searchsorted(np.sort(T.X[:, 0]), t, side="left") / T.n
                - np.searchsorted(np.sort(S.X[:, 0]), t, side="left") / S.n)

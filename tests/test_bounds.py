@@ -1,9 +1,11 @@
 import math
+import tracemalloc
 
 import mpmath
 import numpy as np
 import pytest
 
+from phdkit import bounds
 from phdkit.bounds import (
     RademacherEstimate,
     Term,
@@ -44,18 +46,57 @@ def d1(*vals):
 # --- Rademacher ---------------------------------------------------------------
 
 
+def rademacher_instances():
+    """One Gaussian column; several columns with ties and a constant one;
+    binary columns; a sample whose columns are all constant."""
+    rng = child_rng(4)
+    yield Dataset(rng.standard_normal((64, 1)))
+    yield Dataset(np.column_stack([rng.standard_normal(50), rng.integers(0, 4, 50), np.full(50, 3.0),
+                                   rng.integers(-2, 3, 50) * 0.5]))
+    yield Dataset(rng.integers(0, 2, (33, 5)).astype(float))
+    yield Dataset(np.full((7, 2), 1.5))
+
+
+def check_rademacher_oracle(monkeypatch=None, block_draws=None):
+    draws, seed = 12, 5
+    for T in rademacher_instances():
+        if block_draws is not None:
+            monkeypatch.setattr(bounds, "RAD_BLOCK_BYTES", 4 * T.n * block_draws)
+        cls = StumpClass.from_data(T)
+        P = cls.prediction_matrix(T.X).astype(float)
+        vals = [float((P @ child_rng(seed, 9, k).choice([-1.0, 1.0], size=T.n)).max()) / T.n
+                for k in range(draws)]
+        # the estimate over the first m draws pins draw m - 1: draws are multiples of 1/n
+        for m in range(1, draws + 1):
+            est = rademacher(T, cls, draws=m, seed=seed)
+            assert est.value == math.fsum(vals[:m]) / m
+            assert est.stderr == (float(np.std(vals[:m], ddof=1) / math.sqrt(m)) if m > 1 else 0.0)
+
+
 def test_stump_rademacher_matches_enumeration_oracle():
-    n, draws, seed = 64, 12, 5
-    T = Dataset(child_rng(4).standard_normal((n, 1)))
+    check_rademacher_oracle()
+
+
+@pytest.mark.parametrize("block_draws", [1, 2, 5])
+def test_stump_rademacher_bits_do_not_depend_on_the_block_size(monkeypatch, block_draws):
+    check_rademacher_oracle(monkeypatch, block_draws)
+
+
+def test_stump_rademacher_memory_does_not_grow_with_the_draws():
+    _, T = gen_gaussian_pair(2000, 16, shift=0.25, rotate=0.3)  # the shape of the benchmark's pair a
     cls = StumpClass.from_data(T)
-    est = rademacher(T, cls, draws=draws, seed=seed)
-    P = cls.prediction_matrix(T.X).astype(float)
-    vals = []
-    for k in range(draws):
-        sigma = child_rng(seed, 9, k).choice([-1.0, 1.0], size=n)
-        vals.append(float((P @ sigma).max()) / n)
-    assert est.value == pytest.approx(math.fsum(vals) / draws, abs=1e-12)
-    assert est.stderr == pytest.approx(np.std(vals, ddof=1) / math.sqrt(draws), abs=1e-12)
+    block = bounds.RAD_BLOCK_BYTES // (4 * T.n)
+
+    def peak(draws):
+        tracemalloc.start()
+        try:
+            rademacher(T, cls, draws=draws, seed=0)
+            return tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+
+    assert 1 < block < 1000
+    assert peak(1000) <= 1.1 * peak(block)
 
 
 def test_fit_to_noise_runs_and_reports_method():

@@ -350,6 +350,26 @@ def test_supremum_orderings_hold_on_random_instances():
         assert dc + 1e-9 >= dh
 
 
+STUMP_SCAN_ENTRIES = {  # every scan entry that takes a StumpClass, called as (cls, S, T)
+    "rademacher": lambda cls, S, T: rademacher(T, cls, draws=3, seed=0),
+    "dh_exact": lambda cls, S, T: dh_exact(S, T, cls),
+    "sdisc_exact": lambda cls, S, T: sdisc_exact(S, T, constant_hypothesis(S.d, 1), cls),
+    "stump_erm": lambda cls, S, T: stump_erm(cls, S),
+    "disc_exact": lambda cls, S, T: disc_exact(S, T, cls),
+}
+
+
+@pytest.mark.parametrize("entry", sorted(STUMP_SCAN_ENTRIES))
+@pytest.mark.parametrize("cls_d, data_d", [(1, 3), (3, 1), (2, 3)])
+def test_a_stump_class_of_another_feature_count_is_rejected(entry, cls_d, data_d):
+    rng = child_rng(26)
+    cls = StumpClass.from_data(Dataset(rng.standard_normal((12, cls_d))))
+    S = Dataset(rng.standard_normal((10, data_d)), rng.integers(0, 2, 10), 2)
+    T = Dataset(rng.standard_normal((9, data_d)) + 0.5)
+    with pytest.raises(ContractError, match="features"):
+        STUMP_SCAN_ENTRIES[entry](cls, S, T)
+
+
 def test_scan_plan_counts_equal_brute_force_mistakes():
     rng = np.random.default_rng(8)
     x = rng.integers(-5, 6, size=300).astype(float)  # many ties
