@@ -213,43 +213,32 @@ def _read_be32(buf: bytes, offset: int, what: str) -> int:
     return struct.unpack_from(">I", buf, offset)[0]
 
 
-def _read_idx_images(path) -> np.ndarray:
+def _read_idx(path, magic: int, what: str, dim_names: tuple[str, ...]) -> tuple[np.ndarray, list[int]]:
+    """An IDX file's flat uint8 payload and header dimensions, named ``dim_names`` in errors."""
     with open(path, "rb") as f:
         buf = f.read()
-    magic = _read_be32(buf, 0, "image magic")
-    if magic != IDX_IMAGE_MAGIC:
-        raise FormatError(f"bad image magic {magic} (expected {IDX_IMAGE_MAGIC}) in {path}", offset=0)
-    n = _read_be32(buf, 4, "image count")
-    rows = _read_be32(buf, 8, "row count")
-    cols = _read_be32(buf, 12, "column count")
-    if n == 0:
-        raise FormatError(f"IDX image file {path} holds no images", offset=4)
-    need = 16 + n * rows * cols
-    if len(buf) < need:
-        raise FormatError(f"truncated image payload in {path}: have {len(buf)} bytes, need {need}", offset=len(buf))
-    pixels = np.frombuffer(buf, dtype=np.uint8, count=n * rows * cols, offset=16)
-    return pixels.reshape(n, rows * cols).astype(np.float64) / 255.0
-
-
-def _read_idx_labels(path) -> np.ndarray:
-    with open(path, "rb") as f:
-        buf = f.read()
-    magic = _read_be32(buf, 0, "label magic")
-    if magic != IDX_LABEL_MAGIC:
-        raise FormatError(f"bad label magic {magic} (expected {IDX_LABEL_MAGIC}) in {path}", offset=0)
-    n = _read_be32(buf, 4, "label count")
-    if len(buf) < 8 + n:
-        raise FormatError(f"truncated label payload in {path}: have {len(buf)} bytes, need {8 + n}", offset=len(buf))
-    return np.frombuffer(buf, dtype=np.uint8, count=n, offset=8).astype(np.int64)
+    got = _read_be32(buf, 0, f"{what} magic")
+    if got != magic:
+        raise FormatError(f"bad {what} magic {got} (expected {magic}) in {path}", offset=0)
+    dims = [_read_be32(buf, 4 * i, name) for i, name in enumerate(dim_names, 1)]
+    head, size = 4 + 4 * len(dims), math.prod(dims)
+    if len(buf) < head + size:
+        raise FormatError(f"truncated {what} payload in {path}: have {len(buf)} bytes, need {head + size}",
+                          offset=len(buf))
+    return np.frombuffer(buf, dtype=np.uint8, count=size, offset=head), dims
 
 
 def read_idx(images_path, labels_path=None) -> Dataset:
     """Read an IDX image file (pixels scaled to b/255) plus optional labels."""
-    X = _read_idx_images(images_path)
+    pixels, (n, rows, cols) = _read_idx(images_path, IDX_IMAGE_MAGIC, "image",
+                                        ("image count", "row count", "column count"))
+    if n == 0:  # zero images need no payload, so the header alone was read
+        raise FormatError(f"IDX image file {images_path} holds no images", offset=4)
+    X = pixels.reshape(n, rows * cols).astype(np.float64) / 255.0
     y = None
     k = 2
     if labels_path is not None:
-        y = _read_idx_labels(labels_path)
+        y = _read_idx(labels_path, IDX_LABEL_MAGIC, "label", ("label count",))[0].astype(np.int64)
         if y.shape[0] != X.shape[0]:
             raise FormatError(
                 f"label count {y.shape[0]} does not match image count {X.shape[0]}",

@@ -162,23 +162,6 @@ class StumpClass:
         self.check_features(X)
         return ((j, t, _scan_plan(X[:, j], t)) for j, t in enumerate(self.thresholds) if t.size)
 
-    def prediction_matrix(self, X) -> np.ndarray:
-        """Signed predictions, one row per member, entries in {-1, +1}."""
-        X = np.asarray(X, dtype=np.float64)
-        self.check_features(X)
-        rows = []
-        for j, t in enumerate(self.thresholds):
-            if not t.size:
-                continue
-            plus = np.where(X[:, j][None, :] >= t[:, None], 1, -1).astype(np.int8)
-            inter = np.empty((2 * t.size, X.shape[0]), dtype=np.int8)
-            inter[0::2] = plus
-            inter[1::2] = -plus
-            rows.append(inter)
-        rows.append(np.ones((1, X.shape[0]), dtype=np.int8))
-        rows.append(-np.ones((1, X.shape[0]), dtype=np.int8))
-        return np.vstack(rows)
-
 
 def _midpoints(u: np.ndarray) -> np.ndarray:
     """Midpoints of neighbouring sorted values, from their halves only where the sum overflows."""
@@ -280,7 +263,7 @@ def _sup_reference_gap(measure: str, S: Dataset, T: Dataset, cls: StumpClass, re
     ref_s, ref_t = ref(S.X), ref(T.X)
     best, info = -1.0, {}
     for (j, t, plan_t), (_, _, plan_s) in zip(cls.scan_plans(T.X), cls.scan_plans(S.X)):
-        gap = np.abs(_threshold_errors(plan_t, ref_t) / T.n - _threshold_errors(plan_s, ref_s) / S.n)
+        gap = _gap(plan_t, ref_t, plan_s, ref_s)
         i = int(np.argmax(gap))
         if gap[i] > best + 1e-15:
             best, info = float(gap[i]), {"feature": j, "threshold": float(t[i]), "polarity": 1}
@@ -289,6 +272,12 @@ def _sup_reference_gap(measure: str, S: Dataset, T: Dataset, cls: StumpClass, re
         best, info = gap_const, {"feature": -1, "threshold": None, "polarity": 1}
     return DiscrepancyReport(measure, best, "exact-enumeration", details=info,
                              n_source=S.n, n_target=T.n)
+
+
+def _gap(plan_t, ref_t: np.ndarray, plan_s, ref_s: np.ndarray) -> np.ndarray:
+    """|risk_T - risk_S| against the references of the pol-+ stump at each scan plan threshold."""
+    return np.abs(_threshold_errors(plan_t, ref_t) / ref_t.shape[0]
+                  - _threshold_errors(plan_s, ref_s) / ref_s.shape[0])
 
 
 def _require_pair(S: Dataset, T: Dataset) -> None:
@@ -328,8 +317,8 @@ def disc_exact(S: Dataset, T: Dataset, cls: StumpClass) -> DiscrepancyReport:
     step is elementwise: the value and the pair do not depend on the block.
     """
     _require_pair(S, T)
+    cls.check_features(T.X)
     if cls.d == 1:
-        cls.check_features(T.X)
         t = cls.thresholds[0]
         gap = (np.searchsorted(np.sort(T.X[:, 0]), t, side="left") / T.n
                - np.searchsorted(np.sort(S.X[:, 0]), t, side="left") / S.n)
@@ -343,8 +332,12 @@ def disc_exact(S: Dataset, T: Dataset, cls: StumpClass) -> DiscrepancyReport:
             f"class size {cls.size} exceeds the pair-enumeration cap {DISC_CLASS_CAP}; "
             "subsample the data or restrict features"
         )
-    Pt, Ps = (cls.prediction_matrix(D.X)[0::2].astype(np.float32) for D in (T, S))
-    h = Pt.shape[0]
+    h = cls.size // 2  # polarity +1 members' signed predictions, the constant one last
+    first = np.cumsum([0, *(t.size for t in cls.thresholds)])  # feature j's rows start at first[j]
+    Pt, Ps = np.ones((h, T.n), np.float32), np.ones((h, S.n), np.float32)
+    for P, X in ((Pt, T.X), (Ps, S.X)):
+        for j, t in enumerate(cls.thresholds):  # +1 where x >= t, -1 elsewhere
+            np.subtract((X[:, j] >= t[:, None]) * np.float32(2), 1, out=P[first[j]:first[j + 1]])
     rows = max(1, PAIR_BLOCK_BYTES // (2 * 4 * h))
     risk_t, risk_s = np.empty((2, rows, h), np.float32), np.empty((2, rows, h), np.float32)
 
@@ -409,14 +402,9 @@ def _scan_threshold_gap(score_s: np.ndarray, ref_s: np.ndarray,
     range reproduce the two constants.
     """
     pooled = np.unique(np.concatenate([score_s, score_t]))
-    if pooled.size == 1:
-        thresholds = np.array([pooled[0] - 1.0, pooled[0] + 1.0])
-    else:
-        mids = (pooled[:-1] + pooled[1:]) / 2.0
-        thresholds = np.concatenate([[pooled[0] - 1.0], mids, [pooled[-1] + 1.0]])
-    gap = np.abs(_threshold_errors(_scan_plan(score_t, thresholds), ref_t) / score_t.shape[0]
-                 - _threshold_errors(_scan_plan(score_s, thresholds), ref_s) / score_s.shape[0])
-    return float(gap.max())
+    mids = (pooled[:-1] + pooled[1:]) / 2.0
+    thresholds = np.concatenate([[pooled[0] - 1.0], mids, [pooled[-1] + 1.0]])
+    return float(_gap(_scan_plan(score_t, thresholds), ref_t, _scan_plan(score_s, thresholds), ref_s).max())
 
 
 def _split_halves(D: Dataset, rng) -> tuple[Dataset, Dataset]:

@@ -285,6 +285,8 @@ class Fig2Config:
     def __post_init__(self):
         if self.d < 2:
             raise ConfigError(f"fig2 styles rotate the first two features and need d >= 2, got d={self.d}")
+        if not (math.isfinite(self.pixel_span) and self.pixel_span > 0):
+            raise ConfigError(f"pixel_span must be finite and > 0, got {self.pixel_span}")
         for name in ("style_rotate_range", "style_contrast_range"):
             r = getattr(self, name)
             if not (len(r) == 2 and r[0] <= r[1]):
@@ -365,20 +367,11 @@ def run_fig2(cfg: Fig2Config = Fig2Config()) -> dict:
                 "accuracy": out.accuracy,
                 "values": list(out.values),
             })
-    summary = {}
-    for measure in ("phd", "w1"):
-        summary[measure] = {
-            "score_by_sigma": {
-                repr(sig): float(np.mean([r["score"] for r in rows
-                                          if r["measure"] == measure and r["sigma"] == sig]))
-                for sig in cfg.sigmas
-            },
-            "accuracy_by_sigma": {
-                repr(sig): float(np.mean([r["accuracy"] for r in rows
-                                          if r["measure"] == measure and r["sigma"] == sig]))
-                for sig in cfg.sigmas
-            },
-        }
+    summary = {measure: {f"{key}_by_sigma": {repr(sig): float(np.mean([r[key] for r in rows
+                                                                     if r["measure"] == measure and r["sigma"] == sig]))
+                                              for sig in cfg.sigmas}
+                         for key in ("score", "accuracy")}
+               for measure in ("phd", "w1")}
     return {"protocol": "fig2", "config": asdict(cfg), "rows": rows, "summary": summary}
 
 

@@ -63,7 +63,9 @@ def check_rademacher_oracle(monkeypatch=None, block_draws=None):
         if block_draws is not None:
             monkeypatch.setattr(bounds, "RAD_BLOCK_BYTES", 4 * T.n * block_draws)
         cls = StumpClass.from_data(T)
-        P = cls.prediction_matrix(T.X).astype(float)
+        # every member's signs from its hypothesis; a score x - t past float64 is an infinity of the right sign
+        with np.errstate(over="ignore"):
+            P = np.array([np.where(predict(h, T.X) == 1, 1.0, -1.0) for h in cls.hypotheses()])
         vals = [float((P @ child_rng(seed, 9, k).choice([-1.0, 1.0], size=T.n)).max()) / T.n
                 for k in range(draws)]
         # the estimate over the first m draws pins draw m - 1: draws are multiples of 1/n

@@ -764,7 +764,9 @@ def test_each_command_writes_its_own_meta_file(tmp_path, capsys):
     ["fig2", "--set", "d=1"],
     ["fig2", "--set", "style_rotate_range=0.1"],
     ["fig2", "--set", "style_contrast_range=1.2,0.8"],
-], ids=["shift-dim-past-d", "negative-shift-dim", "fig2-d-1", "one-value-range", "reversed-range"])
+    *(["fig2", "--set", f"pixel_span={v}"] for v in ("0", "-4", "nan", "inf")),
+], ids=["shift-dim-past-d", "negative-shift-dim", "fig2-d-1", "one-value-range", "reversed-range",
+        "zero-pixel-span", "negative-pixel-span", "nan-pixel-span", "infinite-pixel-span"])
 def test_bad_repro_overrides_exit_2_before_training(argv, tmp_path, capsys, monkeypatch):
     def no_training(*args, **kwargs):
         raise AssertionError("training ran before the config check")

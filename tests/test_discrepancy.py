@@ -175,11 +175,18 @@ def test_disc_exact_matches_double_loop_oracle():
         assert disc_exact(S, T, cls).value == pytest.approx(brute_disc(S, T, cls), abs=1e-6)
 
 
+def member_signs(cls, X):
+    """Every member's signed predictions on X, one row per member in member
+    order, each from its hypothesis's ``predict``."""
+    with np.errstate(over="ignore"):  # a score x - t past float64 is an infinity of the right sign
+        return np.array([np.where(predict(h, X) == 1, 1, -1) for h in cls.hypotheses()])
+
+
 def full_member_gap(S, T, cls):
     """|risk_T - risk_S| of every ordered member pair, from the m x m Gram of
     every member's signed predictions."""
-    Ps = cls.prediction_matrix(S.X).astype(np.float32)
-    Pt = cls.prediction_matrix(T.X).astype(np.float32)
+    Ps = member_signs(cls, S.X).astype(np.float32)
+    Pt = member_signs(cls, T.X).astype(np.float32)
     Rs = (1.0 - (Ps @ Ps.T) / S.n) / 2.0
     Rt = (1.0 - (Pt @ Pt.T) / T.n) / 2.0
     return np.abs(Rt - Rs)
@@ -394,16 +401,6 @@ def test_stump_erm_matches_enumeration():
         assert float(np.mean(predict(h, X) != y)) == pytest.approx(best, abs=1e-12)
 
 
-def test_prediction_matrix_consistent_with_hypotheses():
-    rng = child_rng(7)
-    S = Dataset(rng.standard_normal((9, 2)))
-    cls = StumpClass.from_data(S)
-    P = cls.prediction_matrix(S.X)
-    for row, h in zip(P, cls.hypotheses()):
-        signed = np.where(predict(h, S.X) == 1, 1, -1)
-        assert np.array_equal(row, signed)
-
-
 # --- adversarial estimators ---------------------------------------------------
 
 
@@ -499,6 +496,19 @@ def per_direction_adv(S, T, hS, arch, cfg, eval_mode):
         stats["constant"] = abs(float(np.mean(ref_te == 0)) - float(np.mean(ref_se == 0)))
     best = max(stats, key=lambda k: stats[k])
     return stats[best], {"direction": best, **{f"stat_{k}": v for k, v in stats.items()}, "eval_mode": eval_mode}
+
+
+@pytest.mark.parametrize("dtype", [np.float32, np.float64])
+def test_witness_scan_of_one_distinct_score_gives_the_constants_gap(dtype):
+    """A snapshot that scores every row alike, as a constant network does, is
+    a constant hypothesis: the scan returns the larger of the two constants'
+    gaps, which differ only by rounding."""
+    rng = child_rng(27)
+    ref_s, ref_t = rng.integers(0, 2, 23), rng.integers(0, 2, 31)
+    want = max(abs(np.count_nonzero(ref_t == c) / 31 - np.count_nonzero(ref_s == c) / 23) for c in (0, 1))
+    assert want > 0
+    for c in (0.0, -3.5, 7.25):
+        assert _scan_threshold_gap(np.full(23, c, dtype), ref_s, np.full(31, c, dtype), ref_t) == want
 
 
 @pytest.mark.parametrize("eval_mode", ["insample", "heldout"])
